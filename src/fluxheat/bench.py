@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ __all__ = [
     "CaseResult",
     "run_case",
     "sweep",
+    "worker_count",
     "convergence",
     "format_float",
 ]
@@ -521,14 +523,23 @@ def _sweep_task(args):
         return (case_id, combo, False, 0, math.inf, str(exc))
 
 
+def worker_count(jobs: int) -> int:
+    """Sweep worker processes for ``jobs`` requested: at least 1, at most the CPUs."""
+    if jobs < 1:
+        raise SchemaError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def sweep(
     config: dict, tol_scale: float = 1.0, slow_oracles: bool = False, jobs: int = 1
 ) -> tuple[list[str], bool]:
     """Run a cartesian parameter grid; returns (CSV lines, all passed).
 
     Rows are ordered lexicographically in the parameter values regardless of
-    execution order, so concurrent runs stay deterministic.
+    execution order, so concurrent runs stay deterministic.  ``jobs`` is
+    capped at the CPU count; a value below 1 is a configuration error.
     """
+    workers = worker_count(jobs)
     base = config.get("base")
     if not isinstance(base, dict):
         raise SchemaError("sweep config needs a 'base' case")
@@ -556,8 +567,8 @@ def sweep(
         )
         tasks.append((base, combo, keys, case_id, tol_scale, slow_oracles))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_task, tasks))
     else:
         outcomes = [_sweep_task(t) for t in tasks]

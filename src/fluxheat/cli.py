@@ -106,7 +106,9 @@ def main(argv=None) -> int:
     common.add_argument(
         "--tol-scale", type=float, default=1.0, help="multiply all check tolerances"
     )
-    common.add_argument("--jobs", type=int, default=1, help="parallel cases (sweep)")
+    common.add_argument(
+        "--jobs", type=int, default=1, help="parallel cases (sweep; capped at the CPU count)"
+    )
     common.add_argument(
         "--slow-oracles",
         action="store_true",

@@ -171,32 +171,6 @@ def forcing_eval(f: Forcing, t: float) -> float:
     )
 
 
-def _kernel_moments(k: Kernel, dt: float, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Product-integration weights of one step against a hat basis.
-
-    For each offset s_i = t_i - t_{j+1} >= 0 returns (w0_i, w1_i) with
-
-        int_{t_j}^{t_{j+1}} R(t_i - tau) * {1 - theta, theta} dtau,
-
-    theta the local coordinate on the step.  Exact for the exponential-family
-    kernels; node-based trapezoid weights otherwise.
-    """
-    if k.kind is KernelKind.QUADRATURE:
-        r_right = np.array([kernel_eval(k, s) if s > 0 else _kernel_limit(k) for s in offsets])
-        r_left = np.array([kernel_eval(k, s + dt) for s in offsets])
-        return 0.5 * dt * r_left, 0.5 * dt * r_right
-    kappa, rho = k.exp_parts
-    if rho == 0.0:
-        w = 0.5 * dt * kappa
-        ones = np.ones_like(offsets)
-        return w * ones, w * ones
-    # int_0^dt kappa e^{rho (s + dt - u)} * {1 - u/dt, u/dt} du, u = tau - t_j
-    m0 = exp_moment(0, -rho, dt)          # int e^{-rho u} du
-    m1 = exp_moment(1, -rho, dt) / dt     # int (u/dt) e^{-rho u} du
-    base = kappa * np.exp(rho * (offsets + dt))
-    return base * (m0 - m1), base * m1
-
-
 def _kernel_limit(k: Kernel) -> float:
     if k.kind is KernelKind.QUADRATURE:
         return kernel_eval(k, 1e-12)
@@ -212,6 +186,14 @@ def solve_volterra(
     Second-order accurate in the step size for smooth forcing (odd-m
     profiles).  The first node takes the known t -> 0+ limit of the flux
     rather than evaluating V0 at 0.
+
+    Each step integrates R(t_i - tau) exactly against the hat basis of the
+    grid for the analytic kernels and by the trapezoid rule for the
+    quadrature kernel.  Cost: O(n) for the analytic kernels, whose
+    separable form kappa * exp(rho * t) turns the history sum into a
+    one-term recurrence; for the quadrature kernel, n + 1 kernel quadratures
+    (R on the grid offsets, a Toeplitz table) plus O(n^2) flops in dot
+    products.  Every step makes one forcing evaluation.
     """
     if nu <= 0.0:
         raise ValueError("solve_volterra requires nu > 0")
@@ -221,17 +203,59 @@ def solve_volterra(
         raise ValueError("solve_volterra requires n_steps >= 2")
     dt = t_end / n_steps
     t = np.linspace(0.0, t_end, n_steps + 1)
-    v = np.zeros(n_steps + 1)
-    v[0] = f.initial_value
-    for i in range(1, n_steps + 1):
-        offsets = t[i] - t[1 : i + 1]          # t_i - t_{j+1} for j = 0..i-1
-        w_left, w_right = _kernel_moments(k, dt, offsets)
-        conv_known = float(np.dot(w_left, v[:i]))
-        if i > 1:
-            conv_known += float(np.dot(w_right[:-1], v[1:i]))
-        rhs = forcing_eval(f, t[i]) - nu * conv_known
-        v[i] = rhs / (1.0 + nu * float(w_right[-1]))
+    if k.kind is KernelKind.QUADRATURE:
+        v = _solve_tabulated(k, f, nu, t, dt)
+    else:
+        v = _solve_separable(k, f, nu, t, dt)
     return SampledTrajectory(t=t, values=v)
+
+
+def _solve_separable(k: Kernel, f: Forcing, nu: float, t: np.ndarray, dt: float) -> np.ndarray:
+    """Steps for R = kappa * exp(rho * t): O(1) work each.
+
+    With hat-basis moments m0 = int_0^dt e^{-rho u} du and
+    m1 = int_0^dt (u/dt) e^{-rho u} du and g = e^{rho dt}, step i needs only
+    A_i = sum_{0<j<i} e^{rho (t_i - t_j)} v_j, updated as
+    A_{i+1} = g (A_i + v_i); the v_0 term e^{rho t_i} v_0 is kept apart so
+    that no history sum is differenced.
+    """
+    kappa, rho = k.exp_parts
+    if rho == 0.0:
+        m0, m1, g = dt, 0.5 * dt, 1.0
+    else:
+        m0 = exp_moment(0, -rho, dt)
+        m1 = exp_moment(1, -rho, dt) / dt
+        g = math.exp(rho * dt)
+    w_left = kappa * (m0 - m1)       # weight of e^{rho (t_i - t_j)} v_j, j < i
+    w_right = kappa * g * m1         # weight of e^{rho (t_i - t_j)} v_j, 0 < j <= i
+    denom = 1.0 + nu * w_right
+    v = np.empty(len(t))
+    v[0] = f.initial_value
+    forcing = np.fromiter((forcing_eval(f, ti) for ti in t[1:].tolist()), float, len(t) - 1)
+    # v_i = (V0(t_i) - nu * w_left * e^{rho t_i} v_0 - nu * (w_left + w_right) * A_i) / denom
+    known = ((forcing - nu * w_left * v[0] * np.exp(rho * t[1:])) / denom).tolist()
+    damp = nu * (w_left + w_right) / denom
+    hist = 0.0
+    for i, x in enumerate(known, 1):
+        vi = x - damp * hist
+        v[i] = vi
+        hist = g * (hist + vi)
+    return v
+
+
+def _solve_tabulated(k: Kernel, f: Forcing, nu: float, t: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid steps for a kernel tabulated once on the grid offsets t_k."""
+    r = np.array([_kernel_limit(k), *(kernel_eval(k, s) for s in t[1:].tolist())])
+    v = np.zeros(len(t))
+    v[0] = f.initial_value
+    denom = 1.0 + nu * 0.5 * dt * float(r[0])
+    for i in range(1, len(t)):
+        # 0.5 dt R(t_i - t_j) against v_j for j < i, and against v_{j+1} for j < i - 1
+        conv = 0.5 * dt * (
+            float(np.dot(r[i:0:-1], v[:i])) + float(np.dot(r[i - 1 : 0 : -1], v[1:i]))
+        )
+        v[i] = (forcing_eval(f, t[i]) - nu * conv) / denom
+    return v
 
 
 def solve_resolvent(
@@ -241,7 +265,9 @@ def solve_resolvent(
 
         V(t) = V0(0) r(t) + int_0^t V0'(t - tau) r(tau) dtau.
 
-    Requires a power-law forcing with integer exponent (smooth V0').
+    Requires a power-law forcing with integer exponent (smooth V0').  The
+    convolution is the trapezoid rule at every node at once: one O(n^2)
+    C-level ``np.convolve`` on top of the ``solve_volterra`` cost for r.
     """
     if f.kind is not ForcingKind.POWER_LAW:
         raise ValueError("solve_resolvent requires a power-law forcing")
@@ -257,12 +283,13 @@ def solve_resolvent(
     if p >= 1:
         dt = r.step
         if p == 1:
-            deriv = lambda s: np.full_like(s, f.c)  # noqa: E731
+            d = np.full_like(t, f.c)
         else:
-            deriv = lambda s: f.c * p * s ** (p - 1.0)  # noqa: E731
-        for i in range(1, len(t)):
-            kern = deriv(t[i] - t[: i + 1]) * r.values[: i + 1]
-            v[i] += float(np.trapezoid(kern, dx=dt))
+            d = f.c * p * t ** (p - 1.0)
+        # sum_j d(t_i - t_j) r_j dt, less half of the j = 0 and j = i end terms
+        conv = np.convolve(d, r.values)[: len(t)]
+        ends = d * r.values[0] + d[0] * r.values
+        v[1:] += dt * (conv[1:] - 0.5 * ends[1:])
     return SampledTrajectory(t=t, values=v)
 
 
@@ -277,7 +304,11 @@ def _convolution(k: Kernel, traj, t: float) -> float:
     vs = np.asarray(traj.values)[mask]
     if len(ts) < 2:
         return 0.0
-    kern = np.array([kernel_eval(k, t - s) if t - s > 0 else _kernel_limit(k) for s in ts])
+    if k.kind is KernelKind.QUADRATURE:
+        kern = np.array([kernel_eval(k, t - s) if t - s > 0 else _kernel_limit(k) for s in ts])
+    else:
+        kappa, rho = k.exp_parts
+        kern = kappa * np.exp(rho * (t - ts))
     return float(np.trapezoid(kern * vs, ts))
 
 

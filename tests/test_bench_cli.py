@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from fluxheat import cli
-from fluxheat.bench import convergence, run_case, sweep
+from fluxheat import bench, cli
+from fluxheat.bench import convergence, run_case, sweep, worker_count
 from fluxheat.catalog import case_ids, load_case
 from fluxheat.problem import SchemaError
 
@@ -84,6 +84,19 @@ class TestSweep:
         a, _ = sweep(self.sweep_config())
         b, _ = sweep(self.sweep_config(), jobs=3)
         assert a == b
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+        assert worker_count(1) == 1
+        assert worker_count(2) == 2
+        assert worker_count(10**6) == 2
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
+        assert worker_count(4) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(SchemaError):
+            worker_count(jobs)
 
     def test_empty_grid_header_only(self):
         lines, ok = sweep({"id": "s", "base": base_case(), "grid": {}})
@@ -186,6 +199,14 @@ class TestCli:
         a = (tmp_path / "a" / "sw.csv").read_bytes()
         b = (tmp_path / "b" / "sw.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_bad_jobs_exit_two(self, tmp_path, capsys, jobs):
+        payload = {"id": "sw", "base": base_case(), "grid": {"h.m": [1]}}
+        cfg = self.write(tmp_path, "sweep.json", payload)
+        assert cli.main(["sweep", cfg, "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_convergence_command(self, tmp_path):
         cfg = self.write(

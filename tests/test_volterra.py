@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import linear_shape, monomial, monomial_spec, sin_shape, sinh_shape
+from fluxheat import volterra
 from fluxheat.closed_form import flux_closed_form
+from fluxheat.specfun import exp_moment
 from fluxheat.trajectory import ClosedFormTrajectory, SampledTrajectory
 from fluxheat.volterra import (
     Forcing,
@@ -172,6 +174,109 @@ class TestResolvent:
         f = forcing_for(monomial(1.0, 2))  # exponent 1/2
         with pytest.raises(ValueError):
             solve_resolvent(k, f, 1.0, 1.0, 100)
+
+
+def _reference_moments(k, dt, offsets):
+    """Per-step product-trapezoid weights, rebuilt for every step."""
+    if k.kind is KernelKind.QUADRATURE:
+        limit = kernel_eval(k, 1e-12)
+        r_right = np.array([kernel_eval(k, s) if s > 0 else limit for s in offsets])
+        r_left = np.array([kernel_eval(k, s + dt) for s in offsets])
+        return 0.5 * dt * r_left, 0.5 * dt * r_right
+    kappa, rho = k.exp_parts
+    if rho == 0.0:
+        w = 0.5 * dt * kappa * np.ones_like(offsets)
+        return w, w
+    m0 = exp_moment(0, -rho, dt)
+    m1 = exp_moment(1, -rho, dt) / dt
+    base = kappa * np.exp(rho * (offsets + dt))
+    return base * (m0 - m1), base * m1
+
+
+def reference_solve(k, f, nu, t_end, n):
+    """The O(n^2) product-trapezoid loop the fast solver must reproduce."""
+    dt = t_end / n
+    t = np.linspace(0.0, t_end, n + 1)
+    v = np.zeros(n + 1)
+    v[0] = f.initial_value
+    for i in range(1, n + 1):
+        w_left, w_right = _reference_moments(k, dt, t[i] - t[1 : i + 1])
+        conv = float(np.dot(w_left, v[:i])) + float(np.dot(w_right[:-1], v[1:i]))
+        v[i] = (forcing_eval(f, t[i]) - nu * conv) / (1.0 + nu * float(w_right[-1]))
+    return v
+
+
+def reference_resolvent(k, f, nu, t_end, n):
+    """Resolvent form with one trapezoid rule per node."""
+    ones = Forcing(ForcingKind.POWER_LAW, c=1.0, exponent=0.0)
+    r = reference_solve(k, ones, nu, t_end, n)
+    t = np.linspace(0.0, t_end, n + 1)
+    v = f.initial_value * r
+    p = f.exponent
+    if p >= 1:
+        for i in range(1, n + 1):
+            kern = f.c * p * (t[i] - t[: i + 1]) ** (p - 1.0) * r[: i + 1]
+            v[i] += float(np.trapezoid(kern, dx=t_end / n))
+    return v
+
+
+def rel_diff(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestFastPathsMatchReference:
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    @pytest.mark.parametrize(
+        "shape",
+        [linear_shape(1.5), sinh_shape(2.0, 1.0), sin_shape(1.5, 0.5)],
+        ids=["phi1", "phi2-lam2", "phi3"],
+    )
+    def test_analytic_kernels(self, shape, m):
+        # t_end = 2 with lambda = 2 spans the largest e^{rho t} growth, e^8
+        k, f = kernel_for(shape), forcing_for(monomial(0.8, m))
+        got = solve_volterra(k, f, 0.7, 2.0, 400).values
+        assert rel_diff(got, reference_solve(k, f, 0.7, 2.0, 400)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_quadrature_kernel(self, m):
+        k, f = kernel_for(sin_shape(1.0, 2.0), quadrature=True), forcing_for(monomial(1.0, m))
+        got = solve_volterra(k, f, 1.0, 1.5, 16).values
+        assert rel_diff(got, reference_solve(k, f, 1.0, 1.5, 16)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    @pytest.mark.parametrize(
+        "shape",
+        [linear_shape(1.0), sinh_shape(2.0, 1.0), sin_shape(1.5, 0.5)],
+        ids=["phi1", "phi2-lam2", "phi3"],
+    )
+    def test_resolvent(self, shape, m):
+        # m = 1, 3, 5, 7 give the forcing exponents p = 0, 1, 2, 3
+        k, f = kernel_for(shape), forcing_for(monomial(0.8, m))
+        got = solve_resolvent(k, f, 1.0, 2.0, 300).values
+        assert rel_diff(got, reference_resolvent(k, f, 1.0, 2.0, 300)) <= 1e-12
+
+    def test_quadrature_kernel_tabulated_once(self, monkeypatch):
+        calls = []
+
+        def counting(k, t):
+            calls.append(t)
+            return kernel_eval(k, t)
+
+        monkeypatch.setattr(volterra, "kernel_eval", counting)
+        k, f = kernel_for(sin_shape(1.0, 2.0), quadrature=True), forcing_for(monomial(1.0, 3))
+        solve_volterra(k, f, 1.0, 1.5, 16)
+        assert len(calls) == 16 + 1
+
+    def test_sampled_residual_matches_per_node_kernel(self):
+        # the vectorised analytic kernel in the sampled convolution agrees with
+        # the per-node quadrature kernel on the same trajectory
+        shape = sin_shape(1.0, 2.0)
+        f = forcing_for(monomial(1.0, 3))
+        traj = solve_volterra(kernel_for(shape), f, 1.0, 1.0, 40)
+        samples = [0.25, 0.5, 1.0]
+        fast = volterra_residual(traj, kernel_for(shape), f, 1.0, samples)
+        slow = volterra_residual(traj, kernel_for(shape, quadrature=True), f, 1.0, samples)
+        assert fast == pytest.approx(slow, abs=1e-8)
 
 
 class TestResidual:
