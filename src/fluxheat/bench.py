@@ -39,7 +39,6 @@ __all__ = [
     "CaseResult",
     "run_case",
     "sweep",
-    "worker_count",
     "convergence",
     "format_float",
 ]
@@ -523,7 +522,7 @@ def _sweep_task(args):
         return (case_id, combo, False, 0, math.inf, str(exc))
 
 
-def worker_count(jobs: int) -> int:
+def _worker_count(jobs: int) -> int:
     """Sweep worker processes for ``jobs`` requested: at least 1, at most the CPUs."""
     if jobs < 1:
         raise SchemaError(f"jobs must be at least 1, got {jobs}")
@@ -539,7 +538,7 @@ def sweep(
     execution order, so concurrent runs stay deterministic.  ``jobs`` is
     capped at the CPU count; a value below 1 is a configuration error.
     """
-    workers = worker_count(jobs)
+    workers = _worker_count(jobs)
     base = config.get("base")
     if not isinstance(base, dict):
         raise SchemaError("sweep config needs a 'base' case")

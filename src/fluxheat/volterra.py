@@ -193,7 +193,7 @@ def solve_volterra(
     separable form kappa * exp(rho * t) turns the history sum into a
     one-term recurrence; for the quadrature kernel, n + 1 kernel quadratures
     (R on the grid offsets, a Toeplitz table) plus O(n^2) flops in dot
-    products.  Every step makes one forcing evaluation.
+    products.  The forcing is evaluated once per node, before the steps.
     """
     if nu <= 0.0:
         raise ValueError("solve_volterra requires nu > 0")
@@ -203,14 +203,17 @@ def solve_volterra(
         raise ValueError("solve_volterra requires n_steps >= 2")
     dt = t_end / n_steps
     t = np.linspace(0.0, t_end, n_steps + 1)
+    forcing = np.fromiter((forcing_eval(f, ti) for ti in t[1:].tolist()), float, n_steps)
     if k.kind is KernelKind.QUADRATURE:
-        v = _solve_tabulated(k, f, nu, t, dt)
+        v = _solve_tabulated(k, f.initial_value, forcing, nu, t, dt)
     else:
-        v = _solve_separable(k, f, nu, t, dt)
+        v = _solve_separable(k, f.initial_value, forcing, nu, t, dt)
     return SampledTrajectory(t=t, values=v)
 
 
-def _solve_separable(k: Kernel, f: Forcing, nu: float, t: np.ndarray, dt: float) -> np.ndarray:
+def _solve_separable(
+    k: Kernel, v0: float, forcing: np.ndarray, nu: float, t: np.ndarray, dt: float
+) -> np.ndarray:
     """Steps for R = kappa * exp(rho * t): O(1) work each.
 
     With hat-basis moments m0 = int_0^dt e^{-rho u} du and
@@ -230,8 +233,7 @@ def _solve_separable(k: Kernel, f: Forcing, nu: float, t: np.ndarray, dt: float)
     w_right = kappa * g * m1         # weight of e^{rho (t_i - t_j)} v_j, 0 < j <= i
     denom = 1.0 + nu * w_right
     v = np.empty(len(t))
-    v[0] = f.initial_value
-    forcing = np.fromiter((forcing_eval(f, ti) for ti in t[1:].tolist()), float, len(t) - 1)
+    v[0] = v0
     # v_i = (V0(t_i) - nu * w_left * e^{rho t_i} v_0 - nu * (w_left + w_right) * A_i) / denom
     known = ((forcing - nu * w_left * v[0] * np.exp(rho * t[1:])) / denom).tolist()
     damp = nu * (w_left + w_right) / denom
@@ -243,18 +245,20 @@ def _solve_separable(k: Kernel, f: Forcing, nu: float, t: np.ndarray, dt: float)
     return v
 
 
-def _solve_tabulated(k: Kernel, f: Forcing, nu: float, t: np.ndarray, dt: float) -> np.ndarray:
+def _solve_tabulated(
+    k: Kernel, v0: float, forcing: np.ndarray, nu: float, t: np.ndarray, dt: float
+) -> np.ndarray:
     """Trapezoid steps for a kernel tabulated once on the grid offsets t_k."""
     r = np.array([_kernel_limit(k), *(kernel_eval(k, s) for s in t[1:].tolist())])
     v = np.zeros(len(t))
-    v[0] = f.initial_value
+    v[0] = v0
     denom = 1.0 + nu * 0.5 * dt * float(r[0])
     for i in range(1, len(t)):
         # 0.5 dt R(t_i - t_j) against v_j for j < i, and against v_{j+1} for j < i - 1
         conv = 0.5 * dt * (
             float(np.dot(r[i:0:-1], v[:i])) + float(np.dot(r[i - 1 : 0 : -1], v[1:i]))
         )
-        v[i] = (forcing_eval(f, t[i]) - nu * conv) / denom
+        v[i] = (forcing[i - 1] - nu * conv) / denom
     return v
 
 
@@ -304,11 +308,7 @@ def _convolution(k: Kernel, traj, t: float) -> float:
     vs = np.asarray(traj.values)[mask]
     if len(ts) < 2:
         return 0.0
-    if k.kind is KernelKind.QUADRATURE:
-        kern = np.array([kernel_eval(k, t - s) if t - s > 0 else _kernel_limit(k) for s in ts])
-    else:
-        kappa, rho = k.exp_parts
-        kern = kappa * np.exp(rho * (t - ts))
+    kern = np.array([kernel_eval(k, t - s) if t - s > 0 else _kernel_limit(k) for s in ts])
     return float(np.trapezoid(kern * vs, ts))
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fluxheat import bench, cli
-from fluxheat.bench import convergence, run_case, sweep, worker_count
+from fluxheat.bench import _worker_count, convergence, run_case, sweep
 from fluxheat.catalog import case_ids, load_case
 from fluxheat.problem import SchemaError
 
@@ -87,16 +87,16 @@ class TestSweep:
 
     def test_jobs_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
-        assert worker_count(1) == 1
-        assert worker_count(2) == 2
-        assert worker_count(10**6) == 2
+        assert _worker_count(1) == 1
+        assert _worker_count(2) == 2
+        assert _worker_count(10**6) == 2
         monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
-        assert worker_count(4) == 1
+        assert _worker_count(4) == 1
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(SchemaError):
-            worker_count(jobs)
+            _worker_count(jobs)
 
     def test_empty_grid_header_only(self):
         lines, ok = sweep({"id": "s", "base": base_case(), "grid": {}})

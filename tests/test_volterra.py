@@ -267,17 +267,6 @@ class TestFastPathsMatchReference:
         solve_volterra(k, f, 1.0, 1.5, 16)
         assert len(calls) == 16 + 1
 
-    def test_sampled_residual_matches_per_node_kernel(self):
-        # the vectorised analytic kernel in the sampled convolution agrees with
-        # the per-node quadrature kernel on the same trajectory
-        shape = sin_shape(1.0, 2.0)
-        f = forcing_for(monomial(1.0, 3))
-        traj = solve_volterra(kernel_for(shape), f, 1.0, 1.0, 40)
-        samples = [0.25, 0.5, 1.0]
-        fast = volterra_residual(traj, kernel_for(shape), f, 1.0, samples)
-        slow = volterra_residual(traj, kernel_for(shape, quadrature=True), f, 1.0, samples)
-        assert fast == pytest.approx(slow, abs=1e-8)
-
 
 class TestResidual:
     def test_exact_trajectory(self):
