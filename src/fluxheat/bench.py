@@ -508,6 +508,11 @@ def _set_path(cfg: dict, dotted: str, value):
     node[parts[-1]] = value
 
 
+# A case of a sweep that raises one of these is recorded as a failing row
+# instead of aborting the sweep.
+_CASE_ERRORS = (SchemaError, closed_form.ConstructionError, green.QuadratureError, ArithmeticError)
+
+
 def _sweep_task(args):
     base, combo, keys, case_id, tol_scale, slow = args
     case = json.loads(json.dumps(base))
@@ -518,7 +523,7 @@ def _sweep_task(args):
         n_checks = len(result.records)
         worst = max((r.abs_diff - r.tolerance for r in result.records), default=0.0)
         return (case_id, combo, result.passed, n_checks, worst, None)
-    except SchemaError as exc:
+    except _CASE_ERRORS as exc:
         return (case_id, combo, False, 0, math.inf, str(exc))
 
 

@@ -5,7 +5,8 @@
     fluxheat convergence <config.json>  refinement-ladder study -> CSV
 
 Common flags: --out DIR (default benchmark_out), --tol-scale FLOAT,
---jobs N (sweep only), --slow-oracles (enable raw double-quadrature paths).
+--slow-oracles (enable raw double-quadrature paths).  ``sweep`` also takes
+--jobs N (parallel cases, capped at the CPU count).
 
 Exit codes: 0 all checks passed, 1 check failure, 2 configuration error.
 """
@@ -107,9 +108,6 @@ def main(argv=None) -> int:
         "--tol-scale", type=float, default=1.0, help="multiply all check tolerances"
     )
     common.add_argument(
-        "--jobs", type=int, default=1, help="parallel cases (sweep; capped at the CPU count)"
-    )
-    common.add_argument(
         "--slow-oracles",
         action="store_true",
         help="enable the raw double-quadrature oracle paths",
@@ -123,6 +121,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, parents=[common])
         p.add_argument("config", help="JSON config path")
         p.set_defaults(fn=fn)
+        if name == "sweep":
+            p.add_argument(
+                "--jobs", type=int, default=1, help="parallel cases (capped at the CPU count)"
+            )
 
     args = parser.parse_args(argv)
     try:

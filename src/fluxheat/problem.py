@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 from .specfun import SQRT_PI, gamma_half
 
 __all__ = [
@@ -114,24 +116,34 @@ class TimeFunction:
         )
 
 
-def separated_x(sigma: float, delta: float, x: float) -> float:
-    """X(x) solving X'' = sigma*X, X(0) = 0, X'(0) = delta."""
+def _lib(x):
+    """``numpy`` for an array argument, ``math`` otherwise: scalar callers keep Python floats."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _constant(value: float, x):
+    """``value`` broadcast to the shape of an array ``x``; ``value`` itself for a scalar."""
+    return np.full(x.shape, value) if isinstance(x, np.ndarray) else value
+
+
+def separated_x(sigma: float, delta: float, x):
+    """X(x) solving X'' = sigma*X, X(0) = 0, X'(0) = delta; elementwise on arrays."""
     if sigma > 0.0:
         r = math.sqrt(sigma)
-        return delta / r * math.sinh(r * x)
+        return delta / r * _lib(x).sinh(r * x)
     if sigma < 0.0:
         r = math.sqrt(-sigma)
-        return delta / r * math.sin(r * x)
+        return delta / r * _lib(x).sin(r * x)
     return delta * x
 
 
-def separated_x_tilde(sigma: float, delta: float, x: float) -> float:
+def separated_x_tilde(sigma: float, delta: float, x):
     """X'(x) for the separated profile: delta*cosh, delta*cos or constant delta."""
     if sigma > 0.0:
-        return delta * math.cosh(math.sqrt(sigma) * x)
+        return delta * _lib(x).cosh(math.sqrt(sigma) * x)
     if sigma < 0.0:
-        return delta * math.cos(math.sqrt(-sigma) * x)
-    return delta
+        return delta * _lib(x).cos(math.sqrt(-sigma) * x)
+    return _constant(delta, x)
 
 
 @dataclass(frozen=True)
@@ -145,17 +157,18 @@ class SourceShape:
     delta: float = 1.0        # separated slope at 0
     scale: float = 1.0        # multiplier of X for the separated shape
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
+        """Phi(x); elementwise on arrays."""
         k = self.kind
         if k is ShapeKind.LINEAR_X:
             return self.lam * x
         if k is ShapeKind.NEG_SINH:
-            return -self.mu * math.sinh(self.lam * x)
+            return -self.mu * _lib(x).sinh(self.lam * x)
         if k is ShapeKind.NEG_SIN:
-            return -self.mu * math.sin(self.lam * x)
+            return -self.mu * _lib(x).sin(self.lam * x)
         if k is ShapeKind.SCALED_SEPARABLE:
             return self.scale * separated_x(self.sigma, self.delta, x)
-        return 1.0
+        return _constant(1.0, x)
 
     def derivative(self, x: float) -> float:
         k = self.kind
@@ -226,11 +239,12 @@ class InitialProfile:
             return 0.5 * self.nu * x * x + self.a * x
         return self.eta * separated_x(self.sigma, self.delta, x)
 
-    def derivative(self, x: float) -> float:
+    def derivative(self, x):
+        """h'(x); elementwise on arrays."""
         k = self.kind
         if k is ProfileKind.MONOMIAL:
             if self.m == 1.0:
-                return self.eta
+                return _constant(self.eta, x)
             return self.eta * self.m * x ** (self.m - 1.0)
         if k is ProfileKind.QUADRATIC:
             return self.nu * x + self.a

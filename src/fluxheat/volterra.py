@@ -37,7 +37,9 @@ __all__ = [
     "Forcing",
     "kernel_for",
     "forcing_for",
+    "kernel_values",
     "kernel_eval",
+    "forcing_values",
     "forcing_eval",
     "solve_volterra",
     "solve_resolvent",
@@ -88,22 +90,35 @@ def kernel_for(shape: SourceShape, quadrature: bool = False) -> Kernel:
     raise ValueError(f"no analytic kernel for shape {shape.kind}")
 
 
-def kernel_eval(k: Kernel, t: float) -> float:
-    """R(t) for t > 0; the quadrature kind integrates the defining formula."""
-    if t <= 0.0:
-        raise ValueError("kernel_eval requires t > 0")
+# The quadrature kernel takes its t -> 0+ limit R(0+) at this offset.
+_LIMIT_T = 1e-12
+
+
+def kernel_values(k: Kernel, t):
+    """R at every t >= 0 of an array (or at one t); t = 0 gives the t -> 0+ limit.
+
+    The quadrature kind integrates the defining formula
+
+        R(t) = (2 sqrt(pi) t^{3/2})^{-1} int_0^inf xi e^{-xi^2/(4t)} Phi(xi) dxi
+
+    at all the nodes in one vector quadrature.
+    """
     if k.kind is KernelKind.QUADRATURE:
         shape = k.shape
-        pref = 1.0 / (2.0 * math.sqrt(math.pi) * t ** 1.5)
-        return pref * green.quad_semiinfinite(
-            lambda xi: xi * math.exp(-xi * xi / (4.0 * t)) * shape(xi),
-            center=0.0,
-            tvar=t,
-            growth=shape.growth_rate,
-            tol=1e-12,
+        t = np.where(t > 0.0, t, _LIMIT_T)
+        integral = green.quad_semiinfinite_nodes(
+            lambda xi: xi * shape(xi), t, growth=shape.growth_rate, tol=1e-12
         )
+        return integral / (2.0 * math.sqrt(math.pi) * t ** 1.5)
     kappa, rho = k.exp_parts
-    return kappa * math.exp(rho * t)
+    return kappa * np.exp(rho * t)
+
+
+def kernel_eval(k: Kernel, t: float) -> float:
+    """R(t) for t > 0."""
+    if t <= 0.0:
+        raise ValueError("kernel_eval requires t > 0")
+    return float(kernel_values(k, t))
 
 
 class ForcingKind(Enum):
@@ -152,30 +167,27 @@ def forcing_for(h: InitialProfile, quadrature: bool = False) -> Forcing:
     )
 
 
+def forcing_values(f: Forcing, t):
+    """V0 at every t > 0 of an array (or at one t).
+
+    The quadrature kind integrates the defining Gaussian integral
+
+        V0(t) = (pi t)^{-1/2} int_0^inf e^{-xi^2/(4t)} h'(xi) dxi
+
+    at all the nodes in one vector quadrature.
+    """
+    if f.kind is ForcingKind.POWER_LAW:
+        return f.c * t ** f.exponent
+    h = f.profile
+    integral = green.quad_semiinfinite_nodes(h.derivative, t, growth=h.growth_rate, tol=1e-12)
+    return integral / np.sqrt(math.pi * t)
+
+
 def forcing_eval(f: Forcing, t: float) -> float:
     """V0(t) for t > 0."""
     if t <= 0.0:
         raise ValueError("forcing_eval requires t > 0")
-    if f.kind is ForcingKind.POWER_LAW:
-        if f.exponent == 0.0:
-            return f.c
-        return f.c * t ** f.exponent
-    h = f.profile
-    pref = 1.0 / math.sqrt(math.pi * t)
-    return pref * green.quad_semiinfinite(
-        lambda xi: math.exp(-xi * xi / (4.0 * t)) * h.derivative(xi),
-        center=0.0,
-        tvar=t,
-        growth=h.growth_rate,
-        tol=1e-12,
-    )
-
-
-def _kernel_limit(k: Kernel) -> float:
-    if k.kind is KernelKind.QUADRATURE:
-        return kernel_eval(k, 1e-12)
-    kappa, _ = k.exp_parts
-    return kappa
+    return float(forcing_values(f, t))
 
 
 def solve_volterra(
@@ -191,9 +203,11 @@ def solve_volterra(
     grid for the analytic kernels and by the trapezoid rule for the
     quadrature kernel.  Cost: O(n) for the analytic kernels, whose
     separable form kappa * exp(rho * t) turns the history sum into a
-    one-term recurrence; for the quadrature kernel, n + 1 kernel quadratures
-    (R on the grid offsets, a Toeplitz table) plus O(n^2) flops in dot
-    products.  The forcing is evaluated once per node, before the steps.
+    one-term recurrence; for the quadrature kernel, one vector quadrature
+    for R on the n + 1 grid offsets (a Toeplitz table) plus O(n^2) flops in
+    dot products.  The forcing is tabulated on all n nodes before the steps:
+    one array expression for the power law, one vector quadrature for the
+    quadrature kind.
     """
     if nu <= 0.0:
         raise ValueError("solve_volterra requires nu > 0")
@@ -203,7 +217,7 @@ def solve_volterra(
         raise ValueError("solve_volterra requires n_steps >= 2")
     dt = t_end / n_steps
     t = np.linspace(0.0, t_end, n_steps + 1)
-    forcing = np.fromiter((forcing_eval(f, ti) for ti in t[1:].tolist()), float, n_steps)
+    forcing = forcing_values(f, t[1:])
     if k.kind is KernelKind.QUADRATURE:
         v = _solve_tabulated(k, f.initial_value, forcing, nu, t, dt)
     else:
@@ -249,7 +263,7 @@ def _solve_tabulated(
     k: Kernel, v0: float, forcing: np.ndarray, nu: float, t: np.ndarray, dt: float
 ) -> np.ndarray:
     """Trapezoid steps for a kernel tabulated once on the grid offsets t_k."""
-    r = np.array([_kernel_limit(k), *(kernel_eval(k, s) for s in t[1:].tolist())])
+    r = kernel_values(k, t)
     v = np.zeros(len(t))
     v[0] = v0
     denom = 1.0 + nu * 0.5 * dt * float(r[0])
@@ -271,7 +285,9 @@ def solve_resolvent(
 
     Requires a power-law forcing with integer exponent (smooth V0').  The
     convolution is the trapezoid rule at every node at once: one O(n^2)
-    C-level ``np.convolve`` on top of the ``solve_volterra`` cost for r.
+    C-level ``np.convolve`` on top of the ``solve_volterra`` cost for r
+    (O(n) for an analytic kernel; one vector kernel quadrature plus O(n^2)
+    flops for the quadrature kernel).
     """
     if f.kind is not ForcingKind.POWER_LAW:
         raise ValueError("solve_resolvent requires a power-law forcing")
@@ -308,7 +324,7 @@ def _convolution(k: Kernel, traj, t: float) -> float:
     vs = np.asarray(traj.values)[mask]
     if len(ts) < 2:
         return 0.0
-    kern = np.array([kernel_eval(k, t - s) if t - s > 0 else _kernel_limit(k) for s in ts])
+    kern = kernel_values(k, np.maximum(t - ts, 0.0))
     return float(np.trapezoid(kern * vs, ts))
 
 

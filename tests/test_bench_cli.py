@@ -98,6 +98,18 @@ class TestSweep:
         with pytest.raises(SchemaError):
             _worker_count(jobs)
 
+    def test_numerical_failure_is_a_failing_row(self, tmp_path):
+        # near the resonant line delta = lambda - nu*mu = 0.01 the m = 7 closed
+        # form raises ConstructionError; that case becomes a row, not an abort
+        base = base_case(kind="neg_sin")
+        base["flux"]["nu"] = 0.99
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"id": "ns", "base": base, "grid": {"h.m": [1, 3, 5, 7]}}))
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        rows = (tmp_path / "out" / "ns.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert rows[-1] == "ns-m=7,7,0,0,inf"
+
     def test_empty_grid_header_only(self):
         lines, ok = sweep({"id": "s", "base": base_case(), "grid": {}})
         assert ok and len(lines) == 1
@@ -206,6 +218,14 @@ class TestCli:
         cfg = self.write(tmp_path, "sweep.json", payload)
         assert cli.main(["sweep", cfg, "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
         assert "jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_jobs_only_on_sweep(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "case.json", {"id": "ok", "case": base_case(m=3)})
+        with pytest.raises(SystemExit) as info:
+            cli.main(["run", cfg, "--out", str(tmp_path / "out"), "--jobs", "0"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_convergence_command(self, tmp_path):

@@ -19,6 +19,7 @@ from fluxheat.green import (
     green_eval,
     heat_kernel,
     quad_semiinfinite,
+    quad_semiinfinite_nodes,
     u0_quadratic_closed,
     u0_separable_closed,
     verify_identity_phi,
@@ -78,6 +79,34 @@ class TestQuadrature:
         with pytest.raises(QuadratureError) as info:
             quad_semiinfinite(nasty, center=5.0, tvar=1.0, tol=1e-12)
         assert info.value.estimate > 0.0
+
+
+class TestQuadratureNodes:
+    def test_second_moment_at_every_node(self):
+        # int_0^inf xi^2 exp(-xi^2 / (4t)) dxi = 2 sqrt(pi) t^{3/2}
+        t = np.array([1e-12, 0.01, 0.5, 2.0, 8.0])
+        got = quad_semiinfinite_nodes(lambda xi: xi * xi, t, tol=1e-12)
+        assert np.max(np.abs(got / (2 * SQRT_PI * t ** 1.5) - 1.0)) <= 1e-13
+
+    def test_constant_integrand_broadcasts(self):
+        t = np.array([0.25, 1.0])
+        got = quad_semiinfinite_nodes(lambda xi: 3.0, t)
+        assert got.shape == (2,)
+        assert got == pytest.approx(3.0 * SQRT_PI * np.sqrt(t), rel=1e-12)
+
+    def test_scalar_tvar_keeps_shape(self):
+        assert quad_semiinfinite_nodes(lambda xi: xi, 1.0).shape == ()
+
+    def test_per_node_bound_failure_raises(self):
+        # far too oscillatory for 400 intervals at 1e-12
+        t = np.array([0.5, 1.0])
+        with pytest.raises(QuadratureError) as info:
+            quad_semiinfinite_nodes(lambda xi: np.sin(1e6 * xi), t, tol=1e-12)
+        assert np.all(info.value.estimate > 0.0)
+
+    def test_domain_error(self):
+        with pytest.raises(ValueError):
+            quad_semiinfinite_nodes(lambda xi: xi, np.array([1.0, 0.0]))
 
 
 class TestBaseline:

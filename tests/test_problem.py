@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -7,6 +8,8 @@ from conftest import (
     linear_shape,
     monomial,
     monomial_spec,
+    separable_profile,
+    separable_shape,
     separated_spec,
     sin_shape,
     sinh_shape,
@@ -14,7 +17,9 @@ from conftest import (
 from fluxheat.problem import (
     FluxKind,
     FluxLaw,
+    InitialProfile,
     ProblemSpec,
+    ProfileKind,
     SchemaError,
     ShapeKind,
     SourceShape,
@@ -48,6 +53,32 @@ class TestShapes:
             d = 1e-7
             slope = separated_x(sigma, 1.7, d) / d
             assert slope == pytest.approx(1.7, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            linear_shape(2.0),
+            sinh_shape(1.3, 0.7),
+            sin_shape(3.0, 0.5),
+            separable_shape(2.0, 1.5, 0.5),
+            separable_shape(-2.0, 1.5, 0.5),
+            separable_shape(0.0, 1.5, 0.5),
+            SourceShape(ShapeKind.CONSTANT_ONE),
+            monomial(0.7, 1).derivative,
+            monomial(0.7, 3).derivative,
+            InitialProfile(ProfileKind.QUADRATIC, nu=1.5, a=0.5).derivative,
+            separable_profile(0.7, 2.0, 1.3).derivative,
+            separable_profile(0.7, -2.0, 1.3).derivative,
+            separable_profile(0.7, 0.0, 1.3).derivative,
+        ],
+    )
+    def test_array_arguments(self, fn):
+        # arrays map elementwise, constants broadcast, scalars stay Python floats
+        x = np.linspace(0.0, 2.0, 7)
+        got = fn(x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        assert got.tolist() == pytest.approx([fn(v) for v in x.tolist()], rel=1e-15)
+        assert type(fn(0.7)) is float
 
     def test_derivatives(self):
         shp = sinh_shape(1.3, 0.7)

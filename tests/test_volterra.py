@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import linear_shape, monomial, monomial_spec, sin_shape, sinh_shape
-from fluxheat import volterra
+from conftest import (
+    linear_shape,
+    monomial,
+    monomial_spec,
+    separable_profile,
+    sin_shape,
+    sinh_shape,
+)
+from fluxheat import green, volterra
 from fluxheat.closed_form import flux_closed_form
+from fluxheat.problem import InitialProfile, ProfileKind
 from fluxheat.specfun import exp_moment
 from fluxheat.trajectory import ClosedFormTrajectory, SampledTrajectory
 from fluxheat.volterra import (
@@ -15,10 +23,12 @@ from fluxheat.volterra import (
     KernelKind,
     forcing_eval,
     forcing_for,
+    forcing_values,
     kernel_bound_check,
     kernel_eval,
     kernel_for,
     kernel_lower_bound,
+    kernel_values,
     solve_resolvent,
     solve_volterra,
     volterra_residual,
@@ -256,16 +266,117 @@ class TestFastPathsMatchReference:
         assert rel_diff(got, reference_resolvent(k, f, 1.0, 2.0, 300)) <= 1e-12
 
     def test_quadrature_kernel_tabulated_once(self, monkeypatch):
-        calls = []
+        # one vector quadrature per table, and no per-node quadrature at all
+        def per_node(*args, **kwargs):
+            raise AssertionError("per-node quadrature inside a solve")
 
-        def counting(k, t):
-            calls.append(t)
-            return kernel_eval(k, t)
+        sizes = []
+        vector = green.quad_semiinfinite_nodes
 
-        monkeypatch.setattr(volterra, "kernel_eval", counting)
-        k, f = kernel_for(sin_shape(1.0, 2.0), quadrature=True), forcing_for(monomial(1.0, 3))
+        def counting(integrand, tvars, **kwargs):
+            sizes.append(np.size(tvars))
+            return vector(integrand, tvars, **kwargs)
+
+        monkeypatch.setattr(green, "quad_semiinfinite", per_node)
+        monkeypatch.setattr(volterra, "kernel_eval", per_node)
+        monkeypatch.setattr(volterra, "forcing_eval", per_node)
+        monkeypatch.setattr(green, "quad_semiinfinite_nodes", counting)
+        k = kernel_for(sin_shape(1.0, 2.0), quadrature=True)
+        f = forcing_for(monomial(1.0, 3), quadrature=True)
         solve_volterra(k, f, 1.0, 1.5, 16)
-        assert len(calls) == 16 + 1
+        assert sorted(sizes) == [16, 16 + 1]  # forcing nodes, kernel offsets
+
+
+def per_node_kernel(k, t):
+    """R by one scalar quad_semiinfinite per node, as the tables were built before."""
+    shape = k.shape
+    return np.array(
+        [
+            green.quad_semiinfinite(
+                lambda xi: xi * math.exp(-xi * xi / (4.0 * s)) * shape(xi),
+                center=0.0,
+                tvar=s,
+                growth=shape.growth_rate,
+                tol=1e-12,
+            )
+            / (2.0 * math.sqrt(math.pi) * s ** 1.5)
+            for s in t.tolist()
+        ]
+    )
+
+
+def per_node_forcing(f, t):
+    """V0 by one scalar quad_semiinfinite per node, as the tables were built before."""
+    h = f.profile
+    return np.array(
+        [
+            green.quad_semiinfinite(
+                lambda xi: math.exp(-xi * xi / (4.0 * s)) * h.derivative(xi),
+                center=0.0,
+                tvar=s,
+                growth=h.growth_rate,
+                tol=1e-12,
+            )
+            / math.sqrt(math.pi * s)
+            for s in t.tolist()
+        ]
+    )
+
+
+def elementwise_rel(a, b):
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+class TestVectorTablesMatchPerNode:
+    @pytest.mark.parametrize(
+        "shape",
+        [linear_shape(1.5), sinh_shape(2.0, 1.0), sin_shape(1.5, 0.5)],
+        ids=["phi1", "phi2-lam2", "phi3"],
+    )
+    def test_kernel_table(self, shape):
+        k = kernel_for(shape, quadrature=True)
+        t = np.linspace(0.0, 2.0, 33)
+        got = kernel_values(k, t)
+        assert elementwise_rel(got[1:], per_node_kernel(k, t[1:])) <= 1e-12
+        # the zero offset is R at 1e-12, here against the analytic kernel
+        kappa, rho = kernel_for(shape).exp_parts
+        assert got[0] == pytest.approx(kappa * math.exp(rho * 1e-12), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            monomial(0.8, 1),
+            monomial(0.8, 3),
+            monomial(0.8, 5),
+            InitialProfile(ProfileKind.QUADRATIC, nu=1.5, a=0.5),
+            separable_profile(0.7, 2.0, 1.3),
+            separable_profile(0.7, -2.0, 1.3),
+        ],
+        ids=["m1", "m3", "m5", "quadratic", "sep-sigma-pos", "sep-sigma-neg"],
+    )
+    def test_forcing_table(self, h):
+        f = forcing_for(h, quadrature=True)
+        t = np.linspace(0.0, 2.0, 401)[1:]
+        got = forcing_values(f, t)
+        assert got.shape == t.shape
+        assert elementwise_rel(got, per_node_forcing(f, t)) <= 1e-12
+
+    def test_scalar_wrappers_return_floats(self):
+        k = kernel_for(sin_shape(1.5, 0.5), quadrature=True)
+        f = forcing_for(monomial(0.8, 1), quadrature=True)
+        assert type(kernel_eval(k, 0.5)) is float
+        assert type(forcing_eval(f, 0.5)) is float
+        assert kernel_eval(k, 0.5) == pytest.approx(per_node_kernel(k, np.array([0.5]))[0], rel=1e-12)
+        assert forcing_eval(f, 0.5) == pytest.approx(0.8, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_power_law_table(self, m):
+        # m = 1 is the constant forcing, which must broadcast to the nodes
+        f = forcing_for(monomial(0.8, m))
+        t = np.linspace(0.0, 2.0, 9)[1:]
+        got = forcing_values(f, t)
+        assert got.shape == t.shape
+        assert got.tolist() == pytest.approx([forcing_eval(f, s) for s in t.tolist()], rel=1e-15)
 
 
 class TestResidual:
@@ -300,6 +411,22 @@ class TestResidual:
         traj = solve_volterra(k, f, 1.0, 2.0, 800)
         res = volterra_residual(traj, k, f, 1.0, [0.5, 1.0, 2.0])
         assert res <= 5e-6
+
+    def test_sampled_residual_quadrature_kernel_matches_per_node(self):
+        # a trajectory off the solution, so the residual is O(1), not roundoff
+        k = kernel_for(sin_shape(1.0, 2.0), quadrature=True)
+        f = forcing_for(monomial(1.0, 3))
+        t = np.linspace(0.0, 1.5, 17)
+        traj = SampledTrajectory(t=t, values=np.cos(t))
+        samples = [0.5, 1.0, 1.5]
+        want = 0.0
+        for s in samples:
+            ts = t[t <= s + 1e-15]
+            kern = [kernel_eval(k, s - u) if s - u > 0 else kernel_eval(k, 1e-12) for u in ts]
+            conv = float(np.trapezoid(np.array(kern) * np.cos(ts), ts))
+            want = max(want, abs(float(traj(s)) - forcing_eval(f, s) + conv))
+        got = volterra_residual(traj, k, f, 1.0, samples)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestBoundCheck:
