@@ -115,10 +115,11 @@ class CaseResult:
     records: list[CheckRecord]
     elapsed_s: float = 0.0
     violations: list[str] | None = None
+    reason: str | None = None  # the numerical failure that ended the case early
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        return self.reason is None and all(r.passed for r in self.records)
 
     def as_dict(self) -> dict:
         out = {
@@ -129,6 +130,8 @@ class CaseResult:
         }
         if self.violations:
             out["violations"] = list(self.violations)
+        if self.reason is not None:
+            out["reason"] = self.reason
         return out
 
     def csv_rows(self) -> list[str]:
@@ -450,6 +453,10 @@ def _tilde_checks(spec, field, scale, records):
         )
 
 
+# Numerical failures of a case, recorded as its failing reason.
+_NUMERICAL_ERRORS = (closed_form.ConstructionError, green.QuadratureError, ArithmeticError)
+
+
 def run_case(
     case: dict | ProblemSpec,
     case_id: str = "case",
@@ -460,7 +467,10 @@ def run_case(
     """Execute every check applicable to the case family.
 
     ``case`` is a JSON-schema dict or an already-built spec.  Check failures
-    are recorded, not raised; schema errors raise :class:`SchemaError`.
+    are recorded, not raised; so is a numerical failure (a closed form that
+    cannot be built, a quadrature short of its tolerance, an arithmetic
+    error), which ends the case as failing with its ``reason`` and the
+    records made before it.  Schema errors raise :class:`SchemaError`.
     """
     start = time.perf_counter()
     spec = case if isinstance(case, ProblemSpec) else spec_from_dict(case)
@@ -478,20 +488,22 @@ def run_case(
     if violations:
         return CaseResult(case_id, records, time.perf_counter() - start, violations)
 
-    field = closed_form.solution_for(spec)
-
-    if spec.variant is Variant.P_TILDE:
-        _tilde_checks(spec, field, tol_scale, records)
-    else:
-        _common_field_checks(spec, field, tol_scale, records)
-        if field.provenance is closed_form.Provenance.SEPARATED:
-            _separated_checks(spec, field, tol_scale, records)
-        elif field.provenance is closed_form.Provenance.STATIONARY:
-            _stationary_checks(spec, field, tol_scale, records)
+    try:
+        field = closed_form.solution_for(spec)
+        if spec.variant is Variant.P_TILDE:
+            _tilde_checks(spec, field, tol_scale, records)
         else:
-            _integral_rep_checks(spec, field, tol_scale, slow_oracles, records)
-        if "control" in extra_checks and _is_control_setting(spec):
-            _control_checks(spec, tol_scale, records)
+            _common_field_checks(spec, field, tol_scale, records)
+            if field.provenance is closed_form.Provenance.SEPARATED:
+                _separated_checks(spec, field, tol_scale, records)
+            elif field.provenance is closed_form.Provenance.STATIONARY:
+                _stationary_checks(spec, field, tol_scale, records)
+            else:
+                _integral_rep_checks(spec, field, tol_scale, slow_oracles, records)
+            if "control" in extra_checks and _is_control_setting(spec):
+                _control_checks(spec, tol_scale, records)
+    except _NUMERICAL_ERRORS as exc:
+        return CaseResult(case_id, records, time.perf_counter() - start, reason=str(exc))
 
     return CaseResult(case_id, records, time.perf_counter() - start)
 
@@ -508,23 +520,22 @@ def _set_path(cfg: dict, dotted: str, value):
     node[parts[-1]] = value
 
 
-# A case of a sweep that raises one of these is recorded as a failing row
-# instead of aborting the sweep.
-_CASE_ERRORS = (SchemaError, closed_form.ConstructionError, green.QuadratureError, ArithmeticError)
-
-
 def _sweep_task(args):
     base, combo, keys, case_id, tol_scale, slow = args
     case = json.loads(json.dumps(base))
     for key, value in zip(keys, combo):
         _set_path(case, key, value)
+    # a case that fails to configure or fails numerically is a failing row
+    # (no checks, infinite margin) instead of aborting the sweep
     try:
         result = run_case(case, case_id=case_id, tol_scale=tol_scale, slow_oracles=slow)
-        n_checks = len(result.records)
-        worst = max((r.abs_diff - r.tolerance for r in result.records), default=0.0)
-        return (case_id, combo, result.passed, n_checks, worst, None)
-    except _CASE_ERRORS as exc:
+    except SchemaError as exc:
         return (case_id, combo, False, 0, math.inf, str(exc))
+    if result.reason is not None:
+        return (case_id, combo, False, 0, math.inf, result.reason)
+    n_checks = len(result.records)
+    worst = max((r.abs_diff - r.tolerance for r in result.records), default=0.0)
+    return (case_id, combo, result.passed, n_checks, worst, None)
 
 
 def _worker_count(jobs: int) -> int:

@@ -8,7 +8,8 @@ Common flags: --out DIR (default benchmark_out), --tol-scale FLOAT,
 --slow-oracles (enable raw double-quadrature paths).  ``sweep`` also takes
 --jobs N (parallel cases, capped at the CPU count).
 
-Exit codes: 0 all checks passed, 1 check failure, 2 configuration error.
+Exit codes: 0 all checks passed, 1 check failure (including a numerical
+failure, whose reason goes in the report), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ def _cmd_run(args) -> int:
         )
     for violation in result.violations or ():
         print(f"  violated hypothesis: {violation}")
+    if result.reason is not None:
+        print(f"[FAIL] {case_id}: {result.reason}")
     return 0 if result.passed else 1
 
 

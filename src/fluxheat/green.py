@@ -7,17 +7,20 @@ The Green function is the image difference
 with K the fundamental solution of the heat equation.  All the semi-infinite
 integrals of the explicit-solution machinery (baseline solution, Volterra
 kernel and forcing, the inner integrals of the solution representation) are
-evaluated here by adaptive quadrature on a truncated interval.
+evaluated here by adaptive quadrature on a truncated interval:
+``quad_semiinfinite`` for one integral (QUADPACK through ``scipy``), and
+``quad_semiinfinite_nodes`` for a whole node vector of Gaussian-weighted
+integrals, an adaptive GK21 rule batched over panels and nodes that makes one
+vectorised integrand call per refinement round.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import quad
 
 from . import specfun
 from .problem import (
@@ -45,8 +48,63 @@ __all__ = [
 # is below exp(-W^2) ~ 1.6e-28 of the local mass.
 _TRUNCATION_W = 8.0
 
-# Points of the fixed Gauss-Legendre pilot of quad_semiinfinite_nodes.
-_PILOT_POINTS = 64
+# The Gauss-Kronrod 21-point rule of QUADPACK (qk21) on [-1, 1]: the
+# non-negative Kronrod nodes, their weights, and the weights of the embedded
+# 10-point Gauss rule at the same nodes (0 at the Kronrod-only ones).
+_GK21_X_HALF = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_GK21_K_HALF = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_G10_HALF = (
+    0.0,
+    0.066671344308688137593568809893332,
+    0.0,
+    0.149451349150580593145776339657697,
+    0.0,
+    0.219086362515982043995534934228163,
+    0.0,
+    0.269266719309996355091226921569469,
+    0.0,
+    0.295524224714752870173892994651338,
+    0.0,
+)
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """Values at the 21 nodes, -x_0 ... 0 ... x_0, from those at x_0 > ... > 0."""
+    return np.concatenate([half, half[-2::-1]])
+
+
+_GK21_X = _mirror(np.array(_GK21_X_HALF)) * np.repeat([-1.0, 1.0], [11, 10])
+_GK21_K = _mirror(np.array(_GK21_K_HALF))
+_GK21_K_MINUS_G = _GK21_K - _mirror(np.array(_G10_HALF))
+
+# Equal panels that quad_semiinfinite_nodes starts from, and its panel limit
+# (the subinterval limit quad_semiinfinite passes to quad).
+_FIRST_PANELS = 4
+_MAX_PANELS = 400
 
 
 def heat_kernel(x: float, t: float, xi: float, tau: float = 0.0) -> float:
@@ -111,11 +169,6 @@ def quad_semiinfinite(
     return value
 
 
-@functools.cache
-def _pilot_rule() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_PILOT_POINTS)
-
-
 def quad_semiinfinite_nodes(
     integrand: Callable[[np.ndarray], np.ndarray],
     tvars,
@@ -133,15 +186,16 @@ def quad_semiinfinite_nodes(
         S = W + growth * sqrt(max t),   W = 8 as in quad_semiinfinite,
 
     which is no shorter than any node's own truncation (its xi limit
-    2*growth*t + 2*W*sqrt(t) is W + growth*sqrt(t) in s).  One adaptive GK21
-    quadrature (``quad_vec``) over s then returns the whole vector.
+    2*growth*t + 2*W*sqrt(t) is W + growth*sqrt(t) in s).
 
-    Each node keeps the error bound of the scalar routine, estimate <=
-    50 tol (1 + |value|): a fixed Gauss-Legendre pilot gives each node a
-    magnitude P, the quadrature runs on value / (1 + |P|) to max-norm
-    tolerance ``tol``, and its estimate E must satisfy
-    E (1 + |P|) <= 50 tol (1 + |value|) at every node, or
-    :class:`QuadratureError` is raised.
+    Adaptive GK21 with the QUADPACK error estimate, batched over panels and
+    nodes: [0, S] starts as a few equal panels, and each refinement round
+    makes one vectorised ``integrand`` call on the 21 Kronrod points of every
+    open panel (an xi array of shape (panels * 21, nodes)).  A panel is
+    bisected while its error exceeds its length share of some node's target
+    tol * max(1, |value|), the target of the scalar routine, up to 400
+    panels.  Each node keeps the scalar routine's bound, estimate <=
+    50 tol (1 + |value|), or :class:`QuadratureError` is raised.
     """
     t = np.asarray(tvars, dtype=float)
     if not np.all(t > 0.0):
@@ -149,27 +203,58 @@ def quad_semiinfinite_nodes(
     root = 2.0 * np.sqrt(t.ravel())  # d xi / d s at each node
     upper = _TRUNCATION_W + max(growth, 0.0) * math.sqrt(float(t.max()))
 
-    def nodes(s):
-        return np.exp(-s * s) * integrand(root * s)
+    left = np.linspace(0.0, upper, _FIRST_PANELS + 1)[:-1]  # open panels [left, left + 2 half]
+    half = np.full(_FIRST_PANELS, 0.5 * upper / _FIRST_PANELS)
+    value = np.zeros(root.size)  # sums over the closed panels
+    estimate = np.zeros(root.size)
+    panels = _FIRST_PANELS
+    while True:
+        s = (left[:, None] + half[:, None] * (_GK21_X + 1.0)).ravel()
+        f = integrand(s[:, None] * root) * np.exp(-s * s)[:, None]
+        f = np.broadcast_to(f, (len(s), root.size)).reshape(len(left), 21, root.size)
+        part, error = _gk21(f, half[:, None] * root)
+        target = tol * np.maximum(1.0, np.abs(value + part.sum(axis=0)))
+        excess = np.max(error / (half[:, None] * (2.0 / upper) * target), axis=1)
+        split = excess > 1.0
+        room = _MAX_PANELS - panels
+        if np.count_nonzero(split) > room:  # bisect only the worst panels that fit
+            split[np.argsort(excess)[: len(left) - room]] = False
+        value += part[~split].sum(axis=0)
+        estimate += error[~split].sum(axis=0)
+        if not split.any():
+            break
+        panels += np.count_nonzero(split)
+        left, half = left[split], half[split]
+        left = np.concatenate([left, left + half])  # the two halves of each split panel
+        half = np.tile(0.5 * half, 2)
 
-    x, w = _pilot_rule()
-    half = 0.5 * upper
-    size = 1.0 + np.abs(root * half * (w @ nodes(half * (x[:, None] + 1.0))))  # 1 + |P|
-    scale = root / size
-    scaled, estimate = quad_vec(
-        lambda s: scale * nodes(s), 0.0, upper, epsabs=tol, epsrel=tol, norm="max", limit=400
-    )
-    value = scaled * size
-    met = estimate * size <= 50.0 * tol * (1.0 + np.abs(value))
+    met = estimate <= 50.0 * tol * (1.0 + np.abs(value))
     if not np.all(met):
         first = int(np.argmin(met))  # first node that misses its bound
         raise QuadratureError(
-            f"semi-infinite node quadrature reached {estimate * size[first]:.3e} "
+            f"semi-infinite node quadrature reached {estimate[first]:.3e} "
             f"at t = {t.ravel()[first]:.6g}, wanted {tol:.3e}",
             value,
             estimate,
         )
     return value.reshape(t.shape)
+
+
+def _gk21(f: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GK21 integral and QUADPACK error estimate of each panel at each node.
+
+    ``f`` holds the integrand at the 21 Kronrod points, shape (panels, 21,
+    nodes); ``scale`` is the half-width of each panel times any node factor,
+    shape (panels, nodes).
+    """
+    kronrod = _GK21_K @ f
+    gap = np.abs(_GK21_K_MINUS_G @ f)
+    work = f - 0.5 * kronrod[:, None, :]  # one buffer of f's size
+    spread = _GK21_K @ np.abs(work, out=work)  # of |f - mean|
+    roundoff = 50.0 * np.finfo(float).eps * (_GK21_K @ np.abs(f, out=work))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.where(spread > 0.0, spread * np.minimum(1.0, (200.0 * gap / spread) ** 1.5), gap)
+    return scale * kronrod, scale * np.maximum(gap, roundoff)
 
 
 def baseline_u0(h: InitialProfile, x: float, t: float, tol: float = 1e-11) -> float:

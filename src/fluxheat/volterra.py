@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.fft
 
 from . import green
 from .problem import (
@@ -203,11 +204,13 @@ def solve_volterra(
     grid for the analytic kernels and by the trapezoid rule for the
     quadrature kernel.  Cost: O(n) for the analytic kernels, whose
     separable form kappa * exp(rho * t) turns the history sum into a
-    one-term recurrence; for the quadrature kernel, one vector quadrature
-    for R on the n + 1 grid offsets (a Toeplitz table) plus O(n^2) flops in
-    dot products.  The forcing is tabulated on all n nodes before the steps:
-    one array expression for the power law, one vector quadrature for the
-    quadrature kind.
+    one-term linear recurrence, scanned as array code in blocks of 64 steps;
+    for the quadrature kernel, one vector quadrature for R on the n + 1 grid
+    offsets (a Toeplitz table) plus O(n^2) flops in dot products.  The
+    forcing is tabulated on all n nodes before the steps: one array
+    expression for the power law, one vector quadrature for the quadrature
+    kind.  A vector quadrature makes one vectorised integrand call per GK21
+    refinement round (see ``green.quad_semiinfinite_nodes``).
     """
     if nu <= 0.0:
         raise ValueError("solve_volterra requires nu > 0")
@@ -225,16 +228,23 @@ def solve_volterra(
     return SampledTrajectory(t=t, values=v)
 
 
+# Steps per block of the recurrence scan of _solve_separable.
+_SCAN_BLOCK = 64
+
+
 def _solve_separable(
     k: Kernel, v0: float, forcing: np.ndarray, nu: float, t: np.ndarray, dt: float
 ) -> np.ndarray:
-    """Steps for R = kappa * exp(rho * t): O(1) work each.
+    """Steps for R = kappa * exp(rho * t): O(n) array work in all.
 
     With hat-basis moments m0 = int_0^dt e^{-rho u} du and
     m1 = int_0^dt (u/dt) e^{-rho u} du and g = e^{rho dt}, step i needs only
     A_i = sum_{0<j<i} e^{rho (t_i - t_j)} v_j, updated as
     A_{i+1} = g (A_i + v_i); the v_0 term e^{rho t_i} v_0 is kept apart so
-    that no history sum is differenced.
+    that no history sum is differenced.  As v_i is linear in A_i, the update
+    is a first-order linear recurrence for A alone, computed by
+    :func:`_linear_scan` in C-level blocks; v follows from A in one array
+    expression.
     """
     kappa, rho = k.exp_parts
     if rho == 0.0:
@@ -249,14 +259,46 @@ def _solve_separable(
     v = np.empty(len(t))
     v[0] = v0
     # v_i = (V0(t_i) - nu * w_left * e^{rho t_i} v_0 - nu * (w_left + w_right) * A_i) / denom
-    known = ((forcing - nu * w_left * v[0] * np.exp(rho * t[1:])) / denom).tolist()
+    known = (forcing - nu * w_left * v[0] * np.exp(rho * t[1:])) / denom
     damp = nu * (w_left + w_right) / denom
-    hist = 0.0
-    for i, x in enumerate(known, 1):
-        vi = x - damp * hist
-        v[i] = vi
-        hist = g * (hist + vi)
+    # A_{i+1} = g (A_i + v_i) = a A_i + g known_i with a = g (1 - damp).  The
+    # powers of a come from its logarithm: a rounded to a double would carry
+    # its rounding error n-fold into a^n, which the per-step update does not
+    steps = np.arange(_SCAN_BLOCK + 1)
+    if damp < 1.0:
+        a_powers = np.exp(steps * (math.log(g) + math.log1p(-damp)))
+    else:  # a <= 0: a grid too coarse to resolve the kernel
+        a_powers = (g * (1.0 - damp)) ** steps
+    hist = _linear_scan(a_powers, g * known)
+    v[1] = known[0]
+    v[2:] = known[1:] - damp * hist[:-1]
     return v
+
+
+def _linear_scan(a_powers: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """y_i = a y_{i-1} + b_i with y_{-1} = 0, in O(n) array work.
+
+    ``a_powers`` holds a^0 ... a^B for the block length B.  Blocks of up to B
+    steps are scanned at once by one matmul against the lower-triangular
+    Toeplitz matrix of the powers a^{i-j}; the n / B block ends are then
+    carried in a loop.  No power of a beyond a^B is formed, so a long
+    horizon cannot overflow where the recurrence itself does not.
+    """
+    n = len(b)
+    block = min(len(a_powers) - 1, n)
+    lag = np.arange(block)[:, None] - np.arange(block)
+    powers = np.tril(a_powers[np.abs(lag)])  # a^{i-j}, j <= i
+    rows = -(-n // block)
+    padded = np.zeros(rows * block)
+    padded[:n] = b
+    y = padded.reshape(rows, block) @ powers.T  # each block from a zero start
+    carry = a_powers[1 : block + 1]  # a^{i+1}: how the value before a block reaches step i
+    ends, last = [], 0.0  # the value at the end of each block but the last
+    for end in y[:-1, -1].tolist():
+        last = end + carry[-1] * last
+        ends.append(last)
+    y[1:] += np.array(ends)[:, None] * carry
+    return y.ravel()[:n]
 
 
 def _solve_tabulated(
@@ -284,8 +326,8 @@ def solve_resolvent(
         V(t) = V0(0) r(t) + int_0^t V0'(t - tau) r(tau) dtau.
 
     Requires a power-law forcing with integer exponent (smooth V0').  The
-    convolution is the trapezoid rule at every node at once: one O(n^2)
-    C-level ``np.convolve`` on top of the ``solve_volterra`` cost for r
+    convolution is the trapezoid rule at every node at once: one real FFT
+    convolution, O(n log n), on top of the ``solve_volterra`` cost for r
     (O(n) for an analytic kernel; one vector kernel quadrature plus O(n^2)
     flops for the quadrature kernel).
     """
@@ -307,10 +349,21 @@ def solve_resolvent(
         else:
             d = f.c * p * t ** (p - 1.0)
         # sum_j d(t_i - t_j) r_j dt, less half of the j = 0 and j = i end terms
-        conv = np.convolve(d, r.values)[: len(t)]
+        conv = _convolve_head(d, r.values)
         ends = d * r.values[0] + d[0] * r.values
         v[1:] += dt * (conv[1:] - 0.5 * ends[1:])
     return SampledTrajectory(t=t, values=v)
+
+
+def _convolve_head(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The first len(x) terms of the linear convolution of x and y (same length).
+
+    One real FFT of length next_fast_len(2n - 1), so that the circular
+    product does not wrap: O(n log n).
+    """
+    n = len(x)
+    size = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    return scipy.fft.irfft(scipy.fft.rfft(x, size) * scipy.fft.rfft(y, size), size)[:n]
 
 
 def _convolution(k: Kernel, traj, t: float) -> float:

@@ -190,6 +190,20 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "bad.json").read_text())
         assert report["violations"]
 
+    def test_run_numerical_failure_exit_one(self, tmp_path, capsys):
+        # near the resonant line the m = 7 closed form fails its Volterra
+        # residual check: a failing case with its reason, not a config error
+        case = base_case(m=7, kind="neg_sin")
+        case["flux"]["nu"] = 0.99
+        cfg = self.write(tmp_path, "case.json", {"id": "ns7", "case": case})
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "ns7.json").read_text())
+        assert report["pass"] is False
+        assert report["reason"].startswith("closed-form flux fails its Volterra residual check")
+        captured = capsys.readouterr()
+        assert "configuration error" not in captured.err
+        assert f"[FAIL] ns7: {report['reason']}" in captured.out
+
     def test_config_error_exit_two(self, tmp_path, capsys):
         case = base_case()
         case["mystery"] = True

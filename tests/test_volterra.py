@@ -11,9 +11,9 @@ from conftest import (
     sin_shape,
     sinh_shape,
 )
-from fluxheat import green, volterra
+from fluxheat import catalog, green, volterra
 from fluxheat.closed_form import flux_closed_form
-from fluxheat.problem import InitialProfile, ProfileKind
+from fluxheat.problem import InitialProfile, ProfileKind, spec_from_dict
 from fluxheat.specfun import exp_moment
 from fluxheat.trajectory import ClosedFormTrajectory, SampledTrajectory
 from fluxheat.volterra import (
@@ -285,6 +285,131 @@ class TestFastPathsMatchReference:
         f = forcing_for(monomial(1.0, 3), quadrature=True)
         solve_volterra(k, f, 1.0, 1.5, 16)
         assert sorted(sizes) == [16, 16 + 1]  # forcing nodes, kernel offsets
+
+
+def per_step_solve(k, f, nu, t_end, n):
+    """The per-step recurrence loop that _solve_separable's blocked scan replaces."""
+    kappa, rho = k.exp_parts
+    dt = t_end / n
+    t = np.linspace(0.0, t_end, n + 1)
+    if rho == 0.0:
+        m0, m1, g = dt, 0.5 * dt, 1.0
+    else:
+        m0, m1, g = exp_moment(0, -rho, dt), exp_moment(1, -rho, dt) / dt, math.exp(rho * dt)
+    w_left, w_right = kappa * (m0 - m1), kappa * g * m1
+    denom = 1.0 + nu * w_right
+    v = np.empty(n + 1)
+    v[0] = f.initial_value
+    known = (forcing_values(f, t[1:]) - nu * w_left * v[0] * np.exp(rho * t[1:])) / denom
+    damp = nu * (w_left + w_right) / denom
+    hist = 0.0
+    for i, x in enumerate(known.tolist(), 1):
+        v[i] = x - damp * hist
+        hist = g * (hist + v[i])
+    return v
+
+
+def convolve_resolvent(k, f, nu, t_end, n):
+    """solve_resolvent with its convolution done by a direct np.convolve."""
+    ones = Forcing(ForcingKind.POWER_LAW, c=1.0, exponent=0.0)
+    r = solve_volterra(k, ones, nu, t_end, n).values
+    t = np.linspace(0.0, t_end, n + 1)
+    p = f.exponent
+    d = f.c * p * t ** (p - 1.0)
+    conv = np.convolve(d, r)[: n + 1]
+    ends = d * r[0] + d[0] * r
+    v = f.initial_value * r
+    v[1:] += (t_end / n) * (conv[1:] - 0.5 * ends[1:])
+    return v
+
+
+class TestArrayKernels:
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize(
+        "shape", [linear_shape(1.5), sinh_shape(2.0, 1.0)], ids=["phi1", "phi2-lam2"]
+    )
+    def test_scan_matches_per_step_loop(self, shape, m):
+        # t_end = 2 with lambda = 2 grows like e^8 over 8000 steps, 125 blocks;
+        # 1e-13 is below the 8e-13 that powers of a rounded multiplier reach
+        k, f = kernel_for(shape), forcing_for(monomial(0.8, m))
+        got = solve_volterra(k, f, 0.7, 2.0, 8000).values
+        assert rel_diff(got, per_step_solve(k, f, 0.7, 2.0, 8000)) <= 1e-13
+
+    @pytest.mark.parametrize("t_end, n", [(10.0, 4), (1000.0, 200)])
+    def test_scan_on_coarse_grid(self, t_end, n):
+        # nu * kappa * dt > 2 makes the step multiplier g (1 - damp) negative
+        k, f = kernel_for(linear_shape(1.0)), forcing_for(monomial(1.0, 3))
+        got = solve_volterra(k, f, 1.0, t_end, n).values
+        assert rel_diff(got, per_step_solve(k, f, 1.0, t_end, n)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("a", [0.5, -1.1, 1.0])
+    def test_linear_scan_block_edges(self, a, n):
+        b = np.cos(np.arange(n))
+        want, y = [], 0.0
+        for x in b.tolist():
+            y = a * y + x
+            want.append(y)
+        got = volterra._linear_scan(a ** np.arange(65.0), b)
+        assert got.shape == (n,)
+        assert rel_diff(got, np.array(want)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    @pytest.mark.parametrize(
+        "shape",
+        [linear_shape(1.0), sinh_shape(2.0, 1.0), sin_shape(1.5, 0.5)],
+        ids=["phi1", "phi2-lam2", "phi3"],
+    )
+    def test_fft_resolvent_matches_convolve(self, shape, m):
+        k, f = kernel_for(shape), forcing_for(monomial(0.8, m))
+        got = solve_resolvent(k, f, 1.0, 2.0, 4000).values
+        assert rel_diff(got, convolve_resolvent(k, f, 1.0, 2.0, 4000)) <= 1e-12
+
+    def test_sinh_kernel_table_to_t50(self):
+        # e^{rho t} up to e^{200}; the Gaussian peak at s = 2 sqrt(t) lambda
+        # needs bisected panels, so a second round runs
+        calls = []
+
+        def integrand(xi):
+            calls.append(xi.shape)
+            return xi * shape(xi)
+
+        shape = sinh_shape(2.0, 1.0)
+        t = np.linspace(0.0, 50.0, 33)[1:]
+        got = green.quad_semiinfinite_nodes(integrand, t, growth=shape.growth_rate, tol=1e-12)
+        got /= 2.0 * math.sqrt(math.pi) * t ** 1.5
+        kappa, rho = kernel_for(shape).exp_parts
+        assert elementwise_rel(got, kappa * np.exp(rho * t)) <= 1e-13
+        assert len(calls) >= 2
+
+    @pytest.mark.parametrize(
+        "case", ["ir-phi1-m3", "ir-phi2-m3", "ir-phi3-m3-dpos", "ir-phi3-m5-d0"]
+    )
+    def test_one_integrand_call_per_round(self, case, monkeypatch):
+        # the quadrature tables of the benchmark's Volterra op, t_end = 2:
+        # every call evaluates all open panels at every node, and one or two
+        # rounds suffice
+        shapes = []
+        vector = green.quad_semiinfinite_nodes
+
+        def counting(integrand, tvars, **kwargs):
+            def counted(xi):
+                shapes.append(xi.shape)
+                return integrand(xi)
+
+            return vector(counted, tvars, **kwargs)
+
+        monkeypatch.setattr(green, "quad_semiinfinite_nodes", counting)
+        spec = spec_from_dict(catalog.load_case(case)["case"])
+        k, f = kernel_for(spec.phi, quadrature=True), forcing_for(spec.h, quadrature=True)
+        for values, nodes in (
+            (lambda: kernel_values(k, np.linspace(0.0, 2.0, 33)), 33),
+            (lambda: forcing_values(f, np.linspace(0.0, 2.0, 401)[1:]), 400),
+        ):
+            shapes.clear()
+            values()
+            assert 1 <= len(shapes) <= 2
+            assert all(rows % 21 == 0 and cols == nodes for rows, cols in shapes)
 
 
 def per_node_kernel(k, t):
