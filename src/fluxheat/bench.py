@@ -39,6 +39,7 @@ __all__ = [
     "CaseResult",
     "run_case",
     "sweep",
+    "sweep_with_reasons",
     "convergence",
     "format_float",
 ]
@@ -220,21 +221,18 @@ def _common_field_checks(spec, field, scale, records):
     records.append(CheckRecord("pde_residual", worst_res, 0.0, _tol("pde_residual", scale)))
 
 
+def _dx_at_zero(u, t: float, h: float = 1e-4) -> float:
+    """u_x(0, t): the one-sided second-order difference, Richardson extrapolated."""
+    return fd.richardson(
+        lambda d: (-3.0 * u(0.0, t) + 4.0 * u(d, t) - u(2.0 * d, t)) / (2.0 * d), h
+    )
+
+
 def _flux_consistency_check(field, scale, records):
-    # one-sided second-order x-derivative at 0, Richardson extrapolated
-    def dx_at_zero(t, h0=1e-4):
-        def one_sided(h):
-            return (-3.0 * field.u(0.0, t) + 4.0 * field.u(h, t) - field.u(2 * h, t)) / (
-                2.0 * h
-            )
-
-        d1, d2 = one_sided(h0), one_sided(h0 / 2.0)
-        return (4.0 * d2 - d1) / 3.0
-
     worst = 0.0
     for t in (0.1, 0.5, 1.0, 2.0, 5.0):
         v = float(field.V(t))
-        worst = max(worst, abs(dx_at_zero(t) - v) / (1.0 + abs(v)))
+        worst = max(worst, abs(_dx_at_zero(field.u, t) - v) / (1.0 + abs(v)))
     records.append(CheckRecord("flux_consistency", worst, 0.0, _tol("flux_consistency", scale)))
 
 
@@ -299,12 +297,11 @@ def _separated_checks(spec, field, scale, records):
     comps = closed_form.separated_components(spec)
 
     def x_residual(x):
-        d = 1e-2  # large enough to keep the 1/d^2 round-off term below 1e-10
-
         def second(dd):
             return (comps.X(x + dd) - 2 * comps.X(x) + comps.X(x - dd)) / dd ** 2
 
-        extrap = (4.0 * second(d / 2) - second(d)) / 3.0
+        # d = 1e-2 is large enough to keep the 1/d^2 round-off term below 1e-10
+        extrap = fd.richardson(second, 1e-2)
         return abs(extrap - comps.sigma * comps.X(x)) / (1.0 + abs(comps.X(x)))
 
     worst = max(x_residual(x) for x in (0.3, 0.9, 1.7))
@@ -414,11 +411,9 @@ def _tilde_checks(spec, field, scale, records):
     except closed_form.ConstructionError:
         base_field = None
     if base_field is not None:
-        def ux(x, t, h0=1e-4):
-            def central(hh):
-                return (base_field.u(x + hh, t) - base_field.u(x - hh, t)) / (2 * hh)
-
-            return (4.0 * central(h0 / 2) - central(h0)) / 3.0
+        def ux(x, t):
+            u = base_field.u
+            return fd.richardson(lambda d: (u(x + d, t) - u(x - d, t)) / (2.0 * d), 1e-4)
 
         worst = max(
             abs(field.u(x, t) - ux(x, t)) / (1.0 + abs(field.u(x, t)))
@@ -429,16 +424,10 @@ def _tilde_checks(spec, field, scale, records):
         )
 
     # Neumann datum: v_x(0,t) = Phi(0) F(V(t), t)
-    def vx0(t, h0=1e-4):
-        def one_sided(hh):
-            return (-3 * field.u(0.0, t) + 4 * field.u(hh, t) - field.u(2 * hh, t)) / (2 * hh)
-
-        return (4.0 * one_sided(h0 / 2) - one_sided(h0)) / 3.0
-
     worst = 0.0
     for t in (0.3, 1.0, 2.0):
         g_t = base.phi(0.0) * base.flux(float(base_field.V(t)) if base_field else 0.0, t)
-        worst = max(worst, abs(vx0(t) - g_t) / (1.0 + abs(g_t)))
+        worst = max(worst, abs(_dx_at_zero(field.u, t) - g_t) / (1.0 + abs(g_t)))
     records.append(CheckRecord("tilde_neumann", worst, 0.0, _tol("tilde_neumann", scale)))
 
     # constant family: the companion FD solver preserves it to round-off
@@ -554,6 +543,17 @@ def sweep(
     execution order, so concurrent runs stay deterministic.  ``jobs`` is
     capped at the CPU count; a value below 1 is a configuration error.
     """
+    lines, all_pass, _ = sweep_with_reasons(config, tol_scale, slow_oracles, jobs)
+    return lines, all_pass
+
+
+def sweep_with_reasons(
+    config: dict, tol_scale: float = 1.0, slow_oracles: bool = False, jobs: int = 1
+) -> tuple[list[str], bool, list[tuple[str, str]]]:
+    """:func:`sweep`, plus the (case_id, reason) of every case that ended on a
+    configuration or numerical failure, in row order: the cause its row
+    (no checks, infinite margin) does not carry.
+    """
     workers = _worker_count(jobs)
     base = config.get("base")
     if not isinstance(base, dict):
@@ -568,7 +568,7 @@ def sweep(
     keys = sorted(grid.keys())
     header = ",".join(["case_id", *keys, "pass", "n_checks", "worst_margin"])
     if not keys or any(len(grid[k]) == 0 for k in keys):
-        return [header], True
+        return [header], True, []
 
     n_cases = math.prod(len(grid[k]) for k in keys)
     if n_cases > 10_000:
@@ -590,13 +590,16 @@ def sweep(
 
     lines = [header]
     all_pass = True
-    for case_id, combo, passed, n_checks, worst, _err in outcomes:
+    reasons = []
+    for case_id, combo, passed, n_checks, worst, err in outcomes:
         all_pass &= passed
         cells = [case_id]
         cells += [str(v) for v in combo]
         cells += ["1" if passed else "0", str(n_checks), format_float(worst)]
         lines.append(",".join(cells))
-    return lines, all_pass
+        if err is not None:
+            reasons.append((case_id, err))
+    return lines, all_pass, reasons
 
 
 # ---------------------------------------------------------------------------

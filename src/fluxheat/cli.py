@@ -9,7 +9,8 @@ Common flags: --out DIR (default benchmark_out), --tol-scale FLOAT,
 --jobs N (parallel cases, capped at the CPU count).
 
 Exit codes: 0 all checks passed, 1 check failure (including a numerical
-failure, whose reason goes in the report), 2 configuration error.
+failure, whose reason is printed and, for ``run``, goes in the report),
+2 configuration error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import CSV_HEADER, convergence, run_case, sweep
+from .bench import CSV_HEADER, convergence, run_case, sweep_with_reasons
 from .problem import SchemaError
 
 __all__ = ["main"]
@@ -82,7 +83,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    lines, all_pass = sweep(
+    lines, all_pass, reasons = sweep_with_reasons(
         config,
         tol_scale=args.tol_scale,
         slow_oracles=args.slow_oracles,
@@ -91,6 +92,8 @@ def _cmd_sweep(args) -> int:
     stem = config.get("id", Path(args.config).stem)
     target = _write(Path(args.out), f"{stem}.csv", "\n".join(lines) + "\n")
     print(f"wrote {target} ({len(lines) - 1} rows)")
+    for case_id, reason in reasons:
+        print(f"[FAIL] {case_id}: {reason}")
     return 0 if all_pass else 1
 
 

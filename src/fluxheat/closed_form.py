@@ -15,6 +15,7 @@ against sign mistakes in the coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -179,8 +180,8 @@ def _separated_T(spec: ProblemSpec) -> Callable[[float], float]:
                 return 0.0
             if beta == 0.0:
                 return f.antiderivative(t)
-            if f.description.startswith("const("):
-                return f(0.0) * exp_moment(0, beta, t)
+            if f.constant_value is not None:
+                return f.constant_value * exp_moment(0, beta, t)
             val, _ = quad(
                 lambda tau: f(tau) * math.exp(beta * tau),
                 0.0,
@@ -245,14 +246,31 @@ def separated_solution(spec: ProblemSpec) -> SolutionField:
 # Integral-representation family
 
 
-def _u0_coeffs(eta: float, m: int) -> list[tuple[float, int, int]]:
+def _u0_coeffs(h: InitialProfile) -> list[tuple[float, int, int]]:
     # terms (coef, k, power): u0 = sum coef * (4t)^k x^power
-    p = (m - 1) // 2
+    if not h.is_odd_monomial:
+        raise ValueError("polynomial baseline requires an odd monomial profile")
+    eta, m = h.eta, int(h.m)
     out = []
-    for k in range(p + 1):
+    for k in range((m - 1) // 2 + 1):
         coef = eta / SQRT_PI * math.comb(m, 2 * k) * gamma_half(k + 0.5)
         out.append((coef, k, m - 2 * k))
     return out
+
+
+def _u0_sum(coeffs, x: float, t: float) -> float:
+    total = 0.0
+    for coef, k, power in coeffs:
+        total += coef * (4.0 * t) ** k * x ** power
+    return total
+
+
+def _u0_dx_sum(coeffs, x: float, t: float) -> float:
+    total = 0.0
+    for coef, k, power in coeffs:
+        if power >= 1:
+            total += coef * (4.0 * t) ** k * power * x ** (power - 1)
+    return total
 
 
 def baseline_u0_polynomial(h: InitialProfile, x: float, t: float) -> float:
@@ -261,25 +279,12 @@ def baseline_u0_polynomial(h: InitialProfile, x: float, t: float) -> float:
     Equals h(x) at t = 0 and vanishes at x = 0 (every term keeps at least one
     power of x).
     """
-    if not h.is_odd_monomial:
-        raise ValueError("polynomial baseline requires an odd monomial profile")
-    m = int(h.m)
-    total = 0.0
-    for coef, k, power in _u0_coeffs(h.eta, m):
-        total += coef * (4.0 * t) ** k * x ** power
-    return total
+    return _u0_sum(_u0_coeffs(h), x, t)
 
 
 def baseline_u0_polynomial_dx(h: InitialProfile, x: float, t: float) -> float:
     """x-derivative of the polynomial baseline."""
-    if not h.is_odd_monomial:
-        raise ValueError("polynomial baseline requires an odd monomial profile")
-    m = int(h.m)
-    total = 0.0
-    for coef, k, power in _u0_coeffs(h.eta, m):
-        if power >= 1:
-            total += coef * (4.0 * t) ** k * power * x ** (power - 1)
-    return total
+    return _u0_dx_sum(_u0_coeffs(h), x, t)
 
 
 _PHI_PROVENANCE = {
@@ -402,32 +407,48 @@ def _weighted_flux_integral(phi_kind: ShapeKind, lam: float, V, t: float) -> flo
     return math.exp(-rate * t) * V.weighted_integral(rate, t)
 
 
+def _time_factor(spec: ProblemSpec, traj) -> Callable[[float], float]:
+    """t -> the weighted time integral of V, computed once per distinct t.
+
+    The small cache belongs to the field being built, so nothing carries over
+    between fields; ``typed`` keeps a float and a numpy scalar t apart, so a
+    hit returns exactly what the call would have.
+    """
+    kind, lam = spec.phi.kind, spec.phi.lam
+
+    @functools.lru_cache(maxsize=8, typed=True)
+    def weighted(t: float) -> float:
+        return _weighted_flux_integral(kind, lam, traj, t)
+
+    return weighted
+
+
 def integral_rep_solution(spec: ProblemSpec, check: bool = True) -> SolutionField:
     """Explicit solution u = u0 - nu Phi(x) * (weighted time integral of V).
 
     The weight of the time integral is 1, exp(lambda^2 (t-tau)) or
     exp(-lambda^2 (t-tau)) according to the shape, evaluated in closed form.
+    The field computes that time factor once per distinct t (a small cache
+    of the last few t) and the baseline's polynomial coefficients once.
     """
     traj = flux_closed_form(spec, check=check)
-    phi, h = spec.phi, spec.h
-    nu, lam = spec.flux.nu, spec.phi.lam
+    phi, nu = spec.phi, spec.flux.nu
+    coeffs = _u0_coeffs(spec.h)
+    weighted = _time_factor(spec, traj)
 
     def u(x: float, t: float) -> float:
-        base = baseline_u0_polynomial(h, x, t)
-        return base - nu * phi(x) * _weighted_flux_integral(phi.kind, lam, traj, t)
+        return _u0_sum(coeffs, x, t) - nu * phi(x) * weighted(t)
 
     return SolutionField(u=u, V=traj, provenance=_PHI_PROVENANCE[phi.kind], spec=spec)
 
 
 def _integral_rep_dx(spec: ProblemSpec, traj) -> Callable[[float, float], float]:
-    phi, h = spec.phi, spec.h
-    nu, lam = spec.flux.nu, spec.phi.lam
+    phi, nu = spec.phi, spec.flux.nu
+    coeffs = _u0_coeffs(spec.h)
+    weighted = _time_factor(spec, traj)
 
     def v(x: float, t: float) -> float:
-        base = baseline_u0_polynomial_dx(h, x, t)
-        return base - nu * phi.derivative(x) * _weighted_flux_integral(
-            phi.kind, lam, traj, t
-        )
+        return _u0_dx_sum(coeffs, x, t) - nu * phi.derivative(x) * weighted(t)
 
     return v
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "solve",
     "convergence_order",
     "pde_residual",
+    "richardson",
     "solution_grows",
 ]
 
@@ -343,6 +345,14 @@ def convergence_order(
     )
 
 
+def richardson(difference: Callable[[float], float], h: float) -> float:
+    """(4 D(h/2) - D(h)) / 3 for a second-order difference D of step h.
+
+    One Richardson step: the h^2 error terms cancel, leaving O(h^4).
+    """
+    return (4.0 * difference(h / 2.0) - difference(h)) / 3.0
+
+
 def pde_residual(field, spec: ProblemSpec, x: float, t: float, delta: float = 1e-3):
     """Centered finite-difference residual of the governing equation.
 
@@ -362,9 +372,7 @@ def pde_residual(field, spec: ProblemSpec, x: float, t: float, delta: float = 1e
         phi_val = spec.phi_eval(x)
         return u_t - u_xx + phi_val * spec.flux_eval(V, t)
 
-    r1 = resid(delta)
-    r2 = resid(delta / 2.0)
-    extrap = (4.0 * r2 - r1) / 3.0
+    extrap = richardson(resid, delta)
     d = delta
     scale = 1.0 + abs(u(x, t)) + abs(
         (u(x + d, t) - 2.0 * u(x, t) + u(x - d, t)) / (d * d)

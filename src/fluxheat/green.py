@@ -33,6 +33,7 @@ from .problem import (
 __all__ = [
     "heat_kernel",
     "green_eval",
+    "green_integrand",
     "QuadratureError",
     "quad_semiinfinite",
     "quad_semiinfinite_nodes",
@@ -122,6 +123,34 @@ def green_eval(x: float, t: float, xi: float, tau: float = 0.0) -> float:
     if x < 0.0 or xi < 0.0:
         raise ValueError("green_eval requires x, xi >= 0")
     return heat_kernel(x, t, xi, tau) - heat_kernel(-x, t, xi, tau)
+
+
+def green_integrand(
+    x: float, t: float, tau: float, weight: Callable[[float], float]
+) -> Callable[[float], float]:
+    """The quadrature integrand xi -> G(x, t, xi, tau) * weight(xi), xi >= 0.
+
+    Bit-identical to ``green_eval(x, t, xi, tau) * weight(xi)``: the same
+    expressions, with 4 (t - tau) and 2 sqrt(pi (t - tau)) computed once
+    instead of at every point.  Raises as ``green_eval`` does for tau >= t
+    or x < 0.
+    """
+    if tau >= t:
+        raise ValueError("green_eval requires tau < t")
+    if x < 0.0:
+        raise ValueError("green_eval requires x, xi >= 0")
+    x, dt = float(x), float(t - tau)  # numpy scalars in, the same values as Python floats
+    four_dt = 4.0 * dt
+    norm = 2.0 * math.sqrt(math.pi * dt)
+    mirror = -x
+
+    def integrand(xi: float) -> float:
+        return (
+            math.exp(-((x - xi) ** 2) / four_dt) / norm
+            - math.exp(-((mirror - xi) ** 2) / four_dt) / norm
+        ) * weight(xi)
+
+    return integrand
 
 
 class QuadratureError(RuntimeError):
@@ -260,14 +289,17 @@ def _gk21(f: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def baseline_u0(h: InitialProfile, x: float, t: float, tol: float = 1e-11) -> float:
     """Source-free baseline u0(x,t) = int_0^inf G(x,t,xi,0) h(xi) dxi.
 
-    At t = 0 the integral degenerates to h(x).
+    At t = 0 the integral degenerates to h(x).  The Green constants and h's
+    evaluator are bound once per quadrature (:func:`green_integrand`), not
+    at every point; the integral-representation fields of ``closed_form``
+    likewise compute their time factor once per distinct t.
     """
     if t < 0.0:
         raise ValueError("baseline_u0 requires t >= 0")
     if t == 0.0:
         return h(x)
     return quad_semiinfinite(
-        lambda xi: green_eval(x, t, xi, 0.0) * h(xi),
+        green_integrand(x, t, 0.0, h.scalar_evaluator()),
         center=x,
         tvar=t,
         growth=h.growth_rate,
@@ -322,7 +354,7 @@ def verify_identity_phi(
     if not (0.0 <= tau < t):
         raise ValueError("verify_identity_phi requires 0 <= tau < t")
     lhs = quad_semiinfinite(
-        lambda xi: green_eval(x, t, xi, tau) * shape(xi),
+        green_integrand(x, t, tau, shape),
         center=x,
         tvar=t - tau,
         growth=shape.growth_rate,
@@ -371,7 +403,7 @@ def assemble_integral_representation(
             return spec.phi(x) * float(V(t))
         return (
             quad_semiinfinite(
-                lambda xi: green_eval(x, t, xi, tau) * spec.phi(xi),
+                green_integrand(x, t, tau, spec.phi),
                 center=x,
                 tvar=t - tau,
                 growth=spec.phi.growth_rate,

@@ -85,13 +85,16 @@ class TimeFunction:
     antiderivative: Callable[[float], float]
     description: str = "custom"
     locally_integrable: bool = True
+    constant_value: float | None = None  # set by constant() only
 
     def __call__(self, t: float) -> float:
         return self.fn(t)
 
     @staticmethod
     def constant(value: float) -> "TimeFunction":
-        return TimeFunction(lambda t: value, lambda t: value * t, f"const({value})")
+        return TimeFunction(
+            lambda t: value, lambda t: value * t, f"const({value})", constant_value=value
+        )
 
     @staticmethod
     def polynomial(coeffs: list[float]) -> "TimeFunction":
@@ -238,6 +241,30 @@ class InitialProfile:
         if k is ProfileKind.QUADRATIC:
             return 0.5 * self.nu * x * x + self.a * x
         return self.eta * separated_x(self.sigma, self.delta, x)
+
+    def scalar_evaluator(self) -> Callable[[float], float]:
+        """h as a function of a scalar x with the kind dispatched once.
+
+        Each branch is the expression ``__call__`` evaluates, so the values
+        are bit-identical; for quadrature loops that call h at many points.
+        """
+        eta = self.eta
+        if self.kind is ProfileKind.MONOMIAL:
+            m = self.m
+            return lambda x: eta * x ** m
+        if self.kind is ProfileKind.QUADRATIC:
+            nu, a = self.nu, self.a
+            return lambda x: 0.5 * nu * x * x + a * x
+        sigma, delta = self.sigma, self.delta
+        if sigma > 0.0:
+            r = math.sqrt(sigma)
+            c = delta / r
+            return lambda x: eta * (c * math.sinh(r * x))
+        if sigma < 0.0:
+            r = math.sqrt(-sigma)
+            c = delta / r
+            return lambda x: eta * (c * math.sin(r * x))
+        return lambda x: eta * (delta * x)
 
     def derivative(self, x):
         """h'(x); elementwise on arrays."""

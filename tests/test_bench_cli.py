@@ -1,11 +1,18 @@
+import hashlib
 import json
 
 import pytest
 
 from fluxheat import bench, cli
 from fluxheat.bench import _worker_count, convergence, run_case, sweep
-from fluxheat.catalog import case_ids, load_case
+from fluxheat.catalog import case_ids, iter_cases, load_case
 from fluxheat.problem import SchemaError
+
+# sha256 of the CSV rows of one catalog pass (every case in sorted order, each
+# case's rows joined by newlines with a trailing newline), as the seed commit
+# writes them: the catalog CSV contract.  Copied from perfbench/workloads.py
+# (CATALOG_CSV_SHA256), not imported, so the suite pins it on its own.
+CATALOG_CSV_SHA256 = "8420f7859a03141ccc0eb8aa78e2ed8e429d6ec3036816e731bf09933962d849"
 
 
 def base_case(m=1, kind="linear_x"):
@@ -31,6 +38,13 @@ class TestRunCase:
             result = run_case(cfg["case"], case_id=cid, extra_checks=tuple(cfg.get("checks", ())))
             failing = [r.name for r in result.records if not r.passed]
             assert result.passed, (cid, failing)
+
+    def test_catalog_csv_rows_are_pinned(self):
+        digest = hashlib.sha256()
+        for cid, cfg in iter_cases():
+            result = run_case(cfg["case"], case_id=cid, extra_checks=tuple(cfg.get("checks", ())))
+            digest.update(("\n".join(result.csv_rows()) + "\n").encode())
+        assert digest.hexdigest() == CATALOG_CSV_SHA256
 
     def test_even_m_closed_form_is_validation_failure(self):
         result = run_case(base_case(m=2), case_id="even")
@@ -98,17 +112,26 @@ class TestSweep:
         with pytest.raises(SchemaError):
             _worker_count(jobs)
 
-    def test_numerical_failure_is_a_failing_row(self, tmp_path):
+    def test_numerical_failure_is_a_failing_row(self, tmp_path, capsys):
         # near the resonant line delta = lambda - nu*mu = 0.01 the m = 7 closed
-        # form raises ConstructionError; that case becomes a row, not an abort
+        # form raises ConstructionError; that case becomes a row, not an abort,
+        # and the CLI prints its reason
         base = base_case(kind="neg_sin")
         base["flux"]["nu"] = 0.99
+        config = {"id": "ns", "base": base, "grid": {"h.m": [1, 3, 5, 7]}}
         cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({"id": "ns", "base": base, "grid": {"h.m": [1, 3, 5, 7]}}))
+        cfg.write_text(json.dumps(config))
         assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        rows = (tmp_path / "out" / "ns.csv").read_text().splitlines()[1:]
+        text = (tmp_path / "out" / "ns.csv").read_text()
+        rows = text.splitlines()[1:]
         assert len(rows) == 4
         assert rows[-1] == "ns-m=7,7,0,0,inf"
+        out = capsys.readouterr().out.splitlines()
+        fails = [line for line in out if line.startswith("[FAIL]")]
+        assert len(fails) == 1
+        assert fails[0].startswith("[FAIL] ns-m=7: closed-form flux fails its Volterra residual")
+        lines, ok = sweep(config)
+        assert not ok and "\n".join(lines) + "\n" == text
 
     def test_empty_grid_header_only(self):
         lines, ok = sweep({"id": "s", "base": base_case(), "grid": {}})

@@ -13,10 +13,14 @@ from conftest import (
     sin_shape,
     sinh_shape,
 )
+from fluxheat import closed_form
 from fluxheat import volterra as vol
+from fluxheat.fd import pde_residual
 from fluxheat.closed_form import (
     ConstructionError,
     Provenance,
+    _u0_coeffs,
+    _weighted_flux_integral,
     baseline_u0_polynomial,
     baseline_u0_polynomial_dx,
     flux_closed_form,
@@ -117,6 +121,20 @@ class TestSeparated:
             assert comps.T(t) == pytest.approx(sol.sol(t)[0], rel=1e-9)
         # closed form: T = 3 e^{-t} - 1
         assert comps.T(1.0) == pytest.approx(3 / math.e - 1, rel=1e-14)
+
+    def test_power_law_constant_test_is_structural(self):
+        # a non-constant f labelled "const(...)" must not take the constant path
+        f = TimeFunction(lambda t: 1.0 + t, lambda t: t + 0.5 * t * t, "const(1.0)")
+        spec = separated_spec(-1.0, 1.0, 1.0, 2.0, FluxLaw(FluxKind.POWER_LAW, n=0.0, f=f))
+        comps = separated_components(spec)
+        sol = solve_ivp(
+            lambda t, y: [-y[0] - (1.0 + t)], (0, 3), [2.0], rtol=1e-11, atol=1e-12, dense_output=True
+        )
+        for t in (0.5, 1.5, 3.0):
+            assert comps.T(t) == pytest.approx(sol.sol(t)[0], rel=1e-9)
+        assert TimeFunction.constant(1.5).constant_value == 1.5
+        assert TimeFunction.exponential(1.5, 0.0).constant_value == 1.5
+        assert TimeFunction.polynomial([1.5]).constant_value is None
 
     def test_power_law_fractional_against_ode(self):
         spec = separated_spec(
@@ -373,6 +391,58 @@ class TestIntegralRepSolution:
             extrap = (4 * one_sided(h0 / 2) - one_sided(h0)) / 3
             v = float(field.V(t))
             assert abs(extrap - v) <= 1e-6 * (1 + abs(v))
+
+
+def uncached_u(spec, traj, x, t):
+    """The field's formula with the baseline and time factor recomputed per call."""
+    base = 0.0
+    for coef, k, power in _u0_coeffs(spec.h):
+        base += coef * (4.0 * t) ** k * x ** power
+    weighted = _weighted_flux_integral(spec.phi.kind, spec.phi.lam, traj, t)
+    return base - spec.flux.nu * spec.phi(x) * weighted
+
+
+def uncached_v(spec, traj, x, t):
+    base = 0.0
+    for coef, k, power in _u0_coeffs(spec.h):
+        if power >= 1:
+            base += coef * (4.0 * t) ** k * power * x ** (power - 1)
+    weighted = _weighted_flux_integral(spec.phi.kind, spec.phi.lam, traj, t)
+    return base - spec.flux.nu * spec.phi.derivative(x) * weighted
+
+
+class TestTimeFactorOncePerT:
+    SHAPES = [linear_shape(1.0), sinh_shape(0.5, 1.0), sin_shape(2.0, 1.0)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["phi1", "phi2", "phi3"])
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_u_and_v_equal_uncached_formula(self, shape, m):
+        spec = monomial_spec(shape, 0.8, m)
+        field = integral_rep_solution(spec)
+        tilde = tilde_solution(monomial_spec(shape, 0.8, m, variant=Variant.P_TILDE))
+        # more distinct times than the cache holds, revisited, as floats and
+        # numpy scalars; t = 10 takes the pre-scaled branch of the sine shape
+        ts = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 0.3, 0.7, 1.3]
+        points = [(x, t) for t in ts + ts[::-1] for x in (0.0, 0.4, 1.7)]
+        points += [(np.float64(x), np.float64(t)) for x, t in points[::7]]
+        for x, t in points:
+            assert field.u(x, t) == uncached_u(spec, field.V, x, t)
+            assert tilde.u(x, t) == uncached_v(spec, tilde.V, x, t)
+
+    def test_pde_residual_computes_five_time_factors(self, monkeypatch):
+        spec = monomial_spec(sin_shape(2.0, 1.0), 0.8, 3)
+        calls = []
+        real = closed_form._weighted_flux_integral
+
+        def counting(kind, lam, V, t):
+            calls.append(t)
+            return real(kind, lam, V, t)
+
+        monkeypatch.setattr(closed_form, "_weighted_flux_integral", counting)
+        field = integral_rep_solution(spec)
+        pde_residual(field, spec, 0.7, 0.9, delta=1e-3)
+        # u is called 16 times at the 5 stencil times t, t +- d, t +- d/2
+        assert len(calls) == 5 and len(set(calls)) == 5
 
 
 class TestTilde:

@@ -8,6 +8,7 @@ from conftest import (
     monomial,
     monomial_spec,
     separable_profile,
+    separable_shape,
     sin_shape,
     sinh_shape,
 )
@@ -17,6 +18,7 @@ from fluxheat.green import (
     assemble_integral_representation,
     baseline_u0,
     green_eval,
+    green_integrand,
     heat_kernel,
     quad_semiinfinite,
     quad_semiinfinite_nodes,
@@ -51,6 +53,35 @@ class TestKernelAndGreen:
             green_eval(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             green_eval(-1.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            monomial(0.8, 1),
+            monomial(0.8, 7),
+            InitialProfile(ProfileKind.QUADRATIC, a=0.3, nu=1.2),
+            separable_profile(1.3, -1.7, 0.6),
+            separable_profile(1.3, 0.0, 0.6),
+            separable_profile(1.3, 0.8, 0.6),
+            sinh_shape(0.5, 1.0),
+            separable_shape(0.8, 1.5, 2.0),
+        ],
+        ids=["m1", "m7", "quadratic", "sep-sin", "sep-lin", "sep-sinh", "phi2", "phi-sep"],
+    )
+    def test_green_integrand_is_bitwise_green_eval_times_weight(self, weight):
+        bound = weight.scalar_evaluator() if isinstance(weight, InitialProfile) else weight
+        for x, t, tau in ((0.0, 0.5, 0.0), (1.3, 0.7, 0.0), (1.0, 1.0, 0.25)):
+            for args in ((x, t, tau), (np.float64(x), np.float64(t), np.float64(tau))):
+                integrand = green_integrand(*args, bound)
+                for xi in np.linspace(0.0, 12.0, 241).tolist():
+                    want = green_eval(*args[:2], xi, args[2]) * weight(xi)
+                    assert integrand(xi) == want
+
+    def test_green_integrand_domain_errors(self):
+        with pytest.raises(ValueError):
+            green_integrand(-0.1, 1.0, 0.0, math.exp)
+        with pytest.raises(ValueError):
+            green_integrand(1.0, 1.0, 1.0, math.exp)
 
 
 class TestQuadrature:
@@ -147,6 +178,10 @@ class TestBaseline:
     def test_t0_returns_h(self):
         h = monomial(1.0, 3)
         assert baseline_u0(h, 1.4, 0.0) == h(1.4)
+
+    def test_negative_x_rejected(self):
+        with pytest.raises(ValueError):
+            baseline_u0(monomial(1.0, 3), -0.5, 1.0)
 
 
 class TestPhiIdentities:
