@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .problem import (
+    INTEGRAL_REP_SHAPES,
     FluxKind,
     ProblemSpec,
     ProfileKind,
@@ -75,7 +76,7 @@ class LimitClass:
 
 
 def _require_integral_rep(spec: ProblemSpec):
-    if spec.phi.kind not in (ShapeKind.LINEAR_X, ShapeKind.NEG_SINH, ShapeKind.NEG_SIN):
+    if spec.phi.kind not in INTEGRAL_REP_SHAPES:
         raise ValueError("flux limits require an integral-representation spec")
     if spec.flux.kind is not FluxKind.LINEAR:
         raise ValueError("flux limits require the linear coupling law")
@@ -315,7 +316,7 @@ def control_classification(spec: ProblemSpec, x: float = 1.0) -> ControlClassifi
             return _sv_power_classes(spec, x)
         raise ValueError("separated control setting requires a linear or power law")
 
-    if phi.kind in (ShapeKind.LINEAR_X, ShapeKind.NEG_SINH, ShapeKind.NEG_SIN):
+    if phi.kind in INTEGRAL_REP_SHAPES:
         _require_integral_rep(spec)
         return _ir_classes(spec, x)
 

@@ -23,6 +23,7 @@ from typing import Callable
 
 from scipy.integrate import quad
 
+from .green import weighted_flux_integral as _weighted_flux_integral
 from .problem import (
     FluxKind,
     InitialProfile,
@@ -393,20 +394,6 @@ def _resonant_flux(c, p, lam, m, sign, eta) -> ClosedFormTrajectory:
     return ClosedFormTrajectory(poly=tuple(poly))
 
 
-def _weighted_flux_integral(phi_kind: ShapeKind, lam: float, V, t: float) -> float:
-    if t == 0.0:
-        return 0.0
-    if phi_kind is ShapeKind.LINEAR_X:
-        return V.weighted_integral(0.0, t)
-    rate = lam ** 2
-    if phi_kind is ShapeKind.NEG_SINH:
-        return math.exp(rate * t) * V.weighted_integral(-rate, t)
-    if rate * t > 30.0:
-        # pre-scaled form; the unscaled weighted integral would overflow
-        return V.decay_weighted_integral(rate, t)
-    return math.exp(-rate * t) * V.weighted_integral(rate, t)
-
-
 def _time_factor(spec: ProblemSpec, traj) -> Callable[[float], float]:
     """t -> the weighted time integral of V, computed once per distinct t.
 
@@ -435,9 +422,10 @@ def integral_rep_solution(spec: ProblemSpec, check: bool = True) -> SolutionFiel
     phi, nu = spec.phi, spec.flux.nu
     coeffs = _u0_coeffs(spec.h)
     weighted = _time_factor(spec, traj)
+    phi_at = phi.scalar_evaluator()
 
     def u(x: float, t: float) -> float:
-        return _u0_sum(coeffs, x, t) - nu * phi(x) * weighted(t)
+        return _u0_sum(coeffs, x, t) - nu * phi_at(x) * weighted(t)
 
     return SolutionField(u=u, V=traj, provenance=_PHI_PROVENANCE[phi.kind], spec=spec)
 

@@ -42,6 +42,7 @@ __all__ = [
     "u0_separable_closed",
     "verify_identity_phi",
     "green_phi_factor",
+    "weighted_flux_integral",
     "assemble_integral_representation",
 ]
 
@@ -343,6 +344,27 @@ def green_phi_factor(shape: SourceShape, dt: float) -> float:
     raise ValueError(f"no closed Green weight for shape {shape.kind}")
 
 
+def weighted_flux_integral(kind: ShapeKind, lam: float, V, t: float) -> float:
+    """The time factor W(t) = int_0^t w(t - tau) V(tau) dtau of the representation.
+
+    w is the Green weight of :func:`green_phi_factor` for the shape ``kind``
+    with rate ``lam``, so that nu Phi(x) W(t) is the source part of u; V is
+    a closed-form trajectory.  For the sine shape with lambda^2 t > 30 the
+    pre-scaled form is taken, where the unscaled weighted integral would
+    overflow.
+    """
+    if t == 0.0:
+        return 0.0
+    if kind is ShapeKind.LINEAR_X:
+        return V.weighted_integral(0.0, t)
+    rate = lam ** 2
+    if kind is ShapeKind.NEG_SINH:
+        return math.exp(rate * t) * V.weighted_integral(-rate, t)
+    if rate * t > 30.0:
+        return V.decay_weighted_integral(rate, t)
+    return math.exp(-rate * t) * V.weighted_integral(rate, t)
+
+
 def verify_identity_phi(
     shape: SourceShape, x: float, t: float, tau: float, tol: float = 1e-12
 ) -> tuple[float, float, float]:
@@ -354,7 +376,7 @@ def verify_identity_phi(
     if not (0.0 <= tau < t):
         raise ValueError("verify_identity_phi requires 0 <= tau < t")
     lhs = quad_semiinfinite(
-        green_integrand(x, t, tau, shape),
+        green_integrand(x, t, tau, shape.scalar_evaluator()),
         center=x,
         tvar=t - tau,
         growth=shape.growth_rate,
@@ -377,8 +399,10 @@ def assemble_integral_representation(
         u(x,t) = int_0^inf G(x,t,xi,0) h(xi) dxi
                  - nu int_0^t ( int_0^inf G(x,t,xi,tau) Phi(xi) dxi ) V(tau) dtau.
 
-    The fast path replaces the inner integral by its closed Green weight; the
-    slow oracle path (``slow=True``) performs the raw double quadrature.
+    The fast path replaces the inner integral by its closed Green weight and
+    takes the time factor the integral-representation field uses
+    (:func:`weighted_flux_integral`); the slow oracle path (``slow=True``)
+    performs the raw double quadrature.
     """
     nu = spec.flux.nu
     if t == 0.0:
@@ -388,22 +412,17 @@ def assemble_integral_representation(
         return u0
 
     if not slow:
-        if spec.phi.kind is ShapeKind.LINEAR_X:
-            time_int = V.weighted_integral(0.0, t)
-        elif spec.phi.kind is ShapeKind.NEG_SINH:
-            rate = spec.phi.lam ** 2
-            time_int = math.exp(rate * t) * V.weighted_integral(-rate, t)
-        else:
-            rate = spec.phi.lam ** 2
-            time_int = math.exp(-rate * t) * V.weighted_integral(rate, t)
+        time_int = weighted_flux_integral(spec.phi.kind, spec.phi.lam, V, t)
         return u0 - nu * spec.phi(x) * time_int
+
+    phi = spec.phi.scalar_evaluator()
 
     def inner(tau: float) -> float:
         if tau >= t:
-            return spec.phi(x) * float(V(t))
+            return phi(x) * float(V(t))
         return (
             quad_semiinfinite(
-                green_integrand(x, t, tau, spec.phi),
+                green_integrand(x, t, tau, phi),
                 center=x,
                 tvar=t - tau,
                 growth=spec.phi.growth_rate,

@@ -26,6 +26,7 @@ from .specfun import SQRT_PI, gamma_half
 
 __all__ = [
     "ShapeKind",
+    "INTEGRAL_REP_SHAPES",
     "FluxKind",
     "ProfileKind",
     "Variant",
@@ -149,6 +150,19 @@ def separated_x_tilde(sigma: float, delta: float, x):
     return _constant(delta, x)
 
 
+def _scaled_separated_x(factor: float, sigma: float, delta: float) -> Callable[[float], float]:
+    """x -> factor * separated_x(sigma, delta, x) at a scalar x, the branch chosen once."""
+    if sigma > 0.0:
+        r = math.sqrt(sigma)
+        c = delta / r
+        return lambda x: factor * (c * math.sinh(r * x))
+    if sigma < 0.0:
+        r = math.sqrt(-sigma)
+        c = delta / r
+        return lambda x: factor * (c * math.sin(r * x))
+    return lambda x: factor * (delta * x)
+
+
 @dataclass(frozen=True)
 class SourceShape:
     """Spatial factor Phi of the source term."""
@@ -172,6 +186,25 @@ class SourceShape:
         if k is ShapeKind.SCALED_SEPARABLE:
             return self.scale * separated_x(self.sigma, self.delta, x)
         return _constant(1.0, x)
+
+    def scalar_evaluator(self) -> Callable[[float], float]:
+        """Phi as a function of a scalar x with the kind dispatched once.
+
+        Each branch is the expression ``__call__`` evaluates, so the values
+        are bit-identical; for quadrature loops and fields that call Phi at
+        many points.
+        """
+        k = self.kind
+        if k is ShapeKind.LINEAR_X:
+            lam = self.lam
+            return lambda x: lam * x
+        if k is ShapeKind.NEG_SINH or k is ShapeKind.NEG_SIN:
+            neg_mu, lam = -self.mu, self.lam
+            fn = math.sinh if k is ShapeKind.NEG_SINH else math.sin
+            return lambda x: neg_mu * fn(lam * x)
+        if k is ShapeKind.SCALED_SEPARABLE:
+            return _scaled_separated_x(self.scale, self.sigma, self.delta)
+        return lambda x: 1.0
 
     def derivative(self, x: float) -> float:
         k = self.kind
@@ -255,16 +288,7 @@ class InitialProfile:
         if self.kind is ProfileKind.QUADRATIC:
             nu, a = self.nu, self.a
             return lambda x: 0.5 * nu * x * x + a * x
-        sigma, delta = self.sigma, self.delta
-        if sigma > 0.0:
-            r = math.sqrt(sigma)
-            c = delta / r
-            return lambda x: eta * (c * math.sinh(r * x))
-        if sigma < 0.0:
-            r = math.sqrt(-sigma)
-            c = delta / r
-            return lambda x: eta * (c * math.sin(r * x))
-        return lambda x: eta * (delta * x)
+        return _scaled_separated_x(eta, self.sigma, self.delta)
 
     def derivative(self, x):
         """h'(x); elementwise on arrays."""
@@ -335,7 +359,8 @@ class DerivedParams:
     p: int | None = None           # (m-1)/2 for odd m
 
 
-_INTEGRAL_REP_SHAPES = (ShapeKind.LINEAR_X, ShapeKind.NEG_SINH, ShapeKind.NEG_SIN)
+# The shapes of the integral-representation family: lambda*x, -mu*sinh, -mu*sin.
+INTEGRAL_REP_SHAPES = (ShapeKind.LINEAR_X, ShapeKind.NEG_SINH, ShapeKind.NEG_SIN)
 
 
 def monomial_forcing_constant(eta: float, m: float) -> float:
@@ -379,7 +404,7 @@ def validate(spec: ProblemSpec, closed_form: bool = False) -> list[str]:
     v: list[str] = []
     phi, flux, h = spec.phi, spec.flux, spec.h
 
-    if phi.kind in (ShapeKind.LINEAR_X, ShapeKind.NEG_SINH, ShapeKind.NEG_SIN):
+    if phi.kind in INTEGRAL_REP_SHAPES:
         if phi.lam <= 0.0:
             v.append("lambda must be positive for the built-in source shapes")
     if phi.kind in (ShapeKind.NEG_SINH, ShapeKind.NEG_SIN) and phi.mu <= 0.0:
@@ -444,7 +469,7 @@ def validate(spec: ProblemSpec, closed_form: bool = False) -> list[str]:
                 v.append("power-law separated family requires scale, delta, eta > 0")
 
     if closed_form:
-        if phi.kind not in _INTEGRAL_REP_SHAPES:
+        if phi.kind not in INTEGRAL_REP_SHAPES:
             v.append("closed-form flux requires Phi in {lambda*x, -mu*sinh, -mu*sin}")
         if flux.kind is not FluxKind.LINEAR:
             v.append("closed-form flux requires the linear law F = nu*V")
@@ -569,7 +594,7 @@ def spec_from_dict(data: dict) -> ProblemSpec:
 def spec_to_dict(spec: ProblemSpec) -> dict:
     """Inverse of :func:`spec_from_dict` for the JSON-expressible subset."""
     pd: dict = {"kind": spec.phi.kind.value}
-    if spec.phi.kind in _INTEGRAL_REP_SHAPES:
+    if spec.phi.kind in INTEGRAL_REP_SHAPES:
         pd["lambda"] = spec.phi.lam
         if spec.phi.kind is not ShapeKind.LINEAR_X:
             pd["mu"] = spec.phi.mu

@@ -71,16 +71,29 @@ def erf(x: float) -> float:
 
 
 def _exp_moment_series(n: int, z: float) -> float:
-    # phi(n, z) = int_0^1 s^n e^{z s} ds = sum_j z^j / (j! (n+j+1)).
-    # Positive-term for z >= 0; immediately decreasing terms for -1 <= z < 0.
+    """phi(n, z) = int_0^1 s^n e^{z s} ds = sum_j z^j / (j! (n+j+1)), z >= -1.
+
+    Positive-term for z >= 0, so that loop stops on ``contrib <= total *
+    1e-17`` with no ``abs``: the same test, the same arithmetic and the same
+    stopping index as the signed loop, which keeps the immediately
+    decreasing, alternating terms of -1 <= z < 0.
+    """
     term = 1.0
     total = 1.0 / (n + 1)
-    for j in range(1, _MAX_SERIES_TERMS):
-        term *= z / j
-        contrib = term / (n + j + 1)
-        total += contrib
-        if abs(contrib) <= abs(total) * 1e-17:
-            return total
+    if z >= 0.0:
+        for j in range(1, _MAX_SERIES_TERMS):
+            term *= z / j
+            contrib = term / (n + j + 1)
+            total += contrib
+            if contrib <= total * 1e-17:
+                return total
+    else:
+        for j in range(1, _MAX_SERIES_TERMS):
+            term *= z / j
+            contrib = term / (n + j + 1)
+            total += contrib
+            if abs(contrib) <= abs(total) * 1e-17:
+                return total
     raise ArithmeticError(f"exp_moment series did not converge for n={n}, z={z}")
 
 

@@ -17,6 +17,19 @@ from .specfun import exp_moment, exp_moment_parts
 
 __all__ = ["ClosedFormTrajectory", "SampledTrajectory"]
 
+_SCALARS = (float, int, np.floating, np.integer)
+
+# Below this exponent np.exp cannot overflow, so it needs no errstate.
+_EXP_SAFE = 709.0
+
+
+def _np_exp(x: float) -> float:
+    """np.exp at a Python float, as a Python float; inf past the overflow threshold."""
+    if x <= _EXP_SAFE:
+        return float(np.exp(x))
+    with np.errstate(over="ignore"):
+        return float(np.exp(x))
+
 
 @dataclass(frozen=True)
 class ClosedFormTrajectory:
@@ -30,6 +43,23 @@ class ClosedFormTrajectory:
     exps: tuple[tuple[float, float], ...] = ()   # (amplitude, rate) pairs
 
     def __call__(self, t):
+        """V at a scalar t (a float) or elementwise on an array.
+
+        A Python or numpy scalar takes a Python-float path: Horner on the
+        polynomial, then ``np.exp`` for each exponential, the function the
+        array path uses, so the result is bit-identical to the 0-d array
+        evaluation.  An exponent above the overflow threshold runs under
+        ``errstate(over="ignore")`` and gives inf with no warning, as the
+        array path does.
+        """
+        if isinstance(t, _SCALARS):
+            t = float(t)
+            out = 0.0
+            for j in range(len(self.poly) - 1, -1, -1):
+                out = out * t + self.poly[j]
+            for amp, rate in self.exps:
+                out = out + amp * _np_exp(rate * t)
+            return out
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         for j in range(len(self.poly) - 1, -1, -1):
@@ -119,15 +149,26 @@ class SampledTrajectory:
     def step(self) -> float:
         return float(self.t[1] - self.t[0])
 
-    def weighted_integral(self, rate: float, t: float) -> float:
-        """Trapezoidal int_0^t V(tau) exp(rate*tau) dtau on the sample grid."""
+    def _samples_to(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The sample times up to t, with t itself appended, and V there."""
         mask = self.t <= t + 1e-15
         ts = self.t[mask]
         vs = self.values[mask]
         if ts[-1] < t - 1e-12:
             ts = np.append(ts, t)
             vs = np.append(vs, self(t))
+        return ts, vs
+
+    def weighted_integral(self, rate: float, t: float) -> float:
+        """Trapezoidal int_0^t V(tau) exp(rate*tau) dtau on the sample grid."""
+        ts, vs = self._samples_to(t)
         return float(np.trapezoid(vs * np.exp(rate * ts), ts))
+
+    def decay_weighted_integral(self, b: float, t: float) -> float:
+        """Trapezoidal exp(-b*t) int_0^t V(tau) exp(b*tau) dtau, pre-scaled as
+        ``ClosedFormTrajectory.decay_weighted_integral`` is."""
+        ts, vs = self._samples_to(t)
+        return float(np.trapezoid(vs * np.exp(-b * (t - ts)), ts))
 
     def integral(self, t: float) -> float:
         return self.weighted_integral(0.0, t)

@@ -20,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.fft
+import scipy.linalg
 
 from . import green
 from .problem import (
@@ -206,7 +207,8 @@ def solve_volterra(
     separable form kappa * exp(rho * t) turns the history sum into a
     one-term linear recurrence, scanned as array code in blocks of 64 steps;
     for the quadrature kernel, one vector quadrature for R on the n + 1 grid
-    offsets (a Toeplitz table) plus O(n^2) flops in dot products.  The
+    offsets (a Toeplitz table) plus one lower-triangular Toeplitz solve,
+    O(n^2) flops in LAPACK.  The
     forcing is tabulated on all n nodes before the steps: one array
     expression for the power law, one vector quadrature for the quadrature
     kind.  A vector quadrature makes one vectorised integrand call per GK21
@@ -304,17 +306,26 @@ def _linear_scan(a_powers: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _solve_tabulated(
     k: Kernel, v0: float, forcing: np.ndarray, nu: float, t: np.ndarray, dt: float
 ) -> np.ndarray:
-    """Trapezoid steps for a kernel tabulated once on the grid offsets t_k."""
+    """Trapezoid steps for a kernel tabulated once on the grid offsets t_k.
+
+    Step i of the trapezoid rule reads
+
+        (1 + nu dt R_0 / 2) v_i + nu dt sum_{0<j<i} R_{i-j} v_j
+            = V0(t_i) - nu dt R_i v_0 / 2,
+
+    so v_1 ... v_n solve one lower-triangular Toeplitz system, taken in a
+    single LAPACK triangular solve: O(n^2) flops and no per-step loop.
+    """
     r = kernel_values(k, t)
-    v = np.zeros(len(t))
+    n = len(t) - 1
+    lag = np.arange(n)[:, None] - np.arange(n)
+    system = np.where(lag > 0, nu * dt * r[np.abs(lag)], 0.0)
+    system[np.diag_indices(n)] = 1.0 + nu * 0.5 * dt * float(r[0])
+    v = np.empty(n + 1)
     v[0] = v0
-    denom = 1.0 + nu * 0.5 * dt * float(r[0])
-    for i in range(1, len(t)):
-        # 0.5 dt R(t_i - t_j) against v_j for j < i, and against v_{j+1} for j < i - 1
-        conv = 0.5 * dt * (
-            float(np.dot(r[i:0:-1], v[:i])) + float(np.dot(r[i - 1 : 0 : -1], v[1:i]))
-        )
-        v[i] = (forcing[i - 1] - nu * conv) / denom
+    v[1:] = scipy.linalg.solve_triangular(
+        system, forcing - nu * 0.5 * dt * r[1:] * v0, lower=True, check_finite=False
+    )
     return v
 
 
@@ -328,8 +339,8 @@ def solve_resolvent(
     Requires a power-law forcing with integer exponent (smooth V0').  The
     convolution is the trapezoid rule at every node at once: one real FFT
     convolution, O(n log n), on top of the ``solve_volterra`` cost for r
-    (O(n) for an analytic kernel; one vector kernel quadrature plus O(n^2)
-    flops for the quadrature kernel).
+    (O(n) for an analytic kernel; one vector kernel quadrature plus one
+    O(n^2) triangular solve for the quadrature kernel).
     """
     if f.kind is not ForcingKind.POWER_LAW:
         raise ValueError("solve_resolvent requires a power-law forcing")

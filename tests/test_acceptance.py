@@ -199,7 +199,7 @@ def test_criterion_9_control_classifications():
             continue
         spec = spec_from_dict(cfg["case"])
         records = []
-        bench._control_checks(spec, 1.0, records)
+        bench._control_checks(spec, solution_for(spec), 1.0, records)
         for r in records:
             assert r.passed, (cid, r.name, r.abs_diff)
         checked += 1

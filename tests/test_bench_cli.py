@@ -46,6 +46,31 @@ class TestRunCase:
             digest.update(("\n".join(result.csv_rows()) + "\n").encode())
         assert digest.hexdigest() == CATALOG_CSV_SHA256
 
+    def test_control_checks_reuse_the_case_field(self, monkeypatch):
+        from fluxheat import closed_form
+
+        calls = []
+        real = closed_form.flux_closed_form
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(closed_form, "flux_closed_form", counting)
+        cfg = load_case("ir-phi2-m3")
+        assert "control" in cfg["checks"]
+        result = run_case(cfg["case"], case_id="ir-phi2-m3", extra_checks=("control",))
+        assert result.passed and {"control_u", "control_ratio"} <= {r.name for r in result.records}
+        assert len(calls) == 1
+
+    def test_sample_points_are_read_only_constants(self):
+        xs, ts = bench._sample_points(n=4)
+        assert bench._sample_points(n=4)[0] is xs
+        with pytest.raises(ValueError):
+            xs[0] = 0.0
+        with pytest.raises(ValueError):
+            ts[:] = 1.0
+
     def test_even_m_closed_form_is_validation_failure(self):
         result = run_case(base_case(m=2), case_id="even")
         assert not result.passed

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from conftest import (
     sin_shape,
     sinh_shape,
 )
-from fluxheat import closed_form
+from fluxheat import bench, catalog, closed_form
 from fluxheat import volterra as vol
 from fluxheat.fd import pde_residual
 from fluxheat.closed_form import (
@@ -42,7 +43,9 @@ from fluxheat.problem import (
     TimeFunction,
     Variant,
     derive_parameters,
+    spec_from_dict,
 )
+from fluxheat.trajectory import ClosedFormTrajectory
 
 CONSTANT_ONE = SourceShape(ShapeKind.CONSTANT_ONE)
 
@@ -441,8 +444,46 @@ class TestTimeFactorOncePerT:
         monkeypatch.setattr(closed_form, "_weighted_flux_integral", counting)
         field = integral_rep_solution(spec)
         pde_residual(field, spec, 0.7, 0.9, delta=1e-3)
-        # u is called 16 times at the 5 stencil times t, t +- d, t +- d/2
+        # u is called 9 times at the 5 stencil times t, t +- d, t +- d/2
         assert len(calls) == 5 and len(set(calls)) == 5
+
+
+def catalog_trajectories():
+    """(case id, V) of every catalog case whose flux is a closed-form trajectory."""
+    out = []
+    for cid, cfg in catalog.iter_cases():
+        field = solution_for(spec_from_dict(cfg["case"]))
+        if field.provenance is not Provenance.STATIONARY and isinstance(field.V, ClosedFormTrajectory):
+            out.append((cid, field.V))
+    return out
+
+
+class TestScalarTrajectory:
+    def test_scalar_path_is_bitwise_array_path(self):
+        trajs = catalog_trajectories()
+        assert len(trajs) >= 20
+        # the pde_residual stencil t, t +- 1e-3, t +- 5e-4 at the sample times
+        stencil = [t + s * 1e-3 for t in bench._sample_points()[1].tolist()
+                   for s in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+        times = [0.0, 1e-8, *stencil, 80.0, 1e3]
+        overflowed = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow to inf must stay silent
+            for cid, V in trajs:
+                for t in times:
+                    want = float(V(np.asarray(t))).hex()  # the 0-d array path
+                    for arg in (t, np.float64(t)):
+                        got = V(arg)
+                        assert type(got) is float and got.hex() == want, (cid, t)
+                assert V(80) == V(80.0)
+                overflowed += math.isinf(V(1e3))
+        assert overflowed > 0
+
+    def test_arrays_keep_the_array_path(self):
+        V = ClosedFormTrajectory(poly=(1.0, 2.0), exps=((3.0, -0.5),))
+        t = np.array([0.0, 0.5, 2.0])
+        got = V(t)
+        assert isinstance(got, np.ndarray) and got.tolist() == [V(s) for s in t.tolist()]
 
 
 class TestTilde:

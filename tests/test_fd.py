@@ -186,7 +186,48 @@ class TestTildeSolver:
         assert np.max(np.abs(final.values - exact)) <= 5e-3
 
 
+def per_term_residual(field, spec, x, t, delta):
+    """The residual formula that re-evaluates u(x, t), V(t) and the source per difference."""
+    u = field.u
+
+    def resid(d):
+        u_t = (u(x, t + d) - u(x, t - d)) / (2.0 * d)
+        u_xx = (u(x + d, t) - 2.0 * u(x, t) + u(x - d, t)) / (d * d)
+        V = float(field.V(t))
+        return u_t - u_xx + spec.phi_eval(x) * spec.flux_eval(V, t)
+
+    extrap = (4.0 * resid(delta / 2.0) - resid(delta)) / 3.0
+    d = delta
+    scale = 1.0 + abs(u(x, t)) + abs((u(x + d, t) - 2.0 * u(x, t) + u(x - d, t)) / (d * d))
+    return extrap / scale
+
+
 class TestPdeResidual:
+    @pytest.mark.parametrize(
+        "shape",
+        [linear_shape(1.0), sinh_shape(0.5, 1.0), sin_shape(2.0, 1.0)],
+        ids=["phi1", "phi2", "phi3"],
+    )
+    def test_bitwise_per_term_formula(self, shape):
+        spec = monomial_spec(shape, 0.8, 3)
+        field = integral_rep_solution(spec)
+        calls = []
+
+        class Counted:
+            V = field.V
+
+            @staticmethod
+            def u(x, t):
+                calls.append((x, t))
+                return field.u(x, t)
+
+        for x, t in ((0.5, 0.4), (1.5, 1.0), (np.float64(0.7), np.float64(0.9))):
+            for delta in (1e-3, 0.1):
+                calls.clear()
+                got = pde_residual(Counted, spec, x, t, delta=delta)
+                assert got.hex() == per_term_residual(field, spec, x, t, delta).hex()
+                assert len(calls) == 9
+
     def test_closed_form_residuals_small(self):
         for spec in (
             monomial_spec(linear_shape(1.0), 1.0, 3),

@@ -238,6 +238,27 @@ class TestAssemble:
             val = assemble_integral_representation(spec, x, t, field.V)
             assert abs(val - field.u(x, t)) <= 1e-8 * (1 + abs(val))
 
+    def test_fast_path_takes_the_field_time_factor_at_large_t(self):
+        # lambda^2 t = 800 for the sine shape: the pre-scaled time factor
+        spec = monomial_spec(sin_shape(2.0, 1.0), 1.0, 3)
+        field = integral_rep_solution(spec)
+        val = assemble_integral_representation(spec, 1.0, 200.0, field.V)
+        want = field.u(1.0, 200.0)
+        assert math.isfinite(val) and abs(val - want) <= 1e-12 * abs(want)
+
+    def test_fast_path_with_sampled_flux_at_large_t(self):
+        from fluxheat.trajectory import SampledTrajectory
+
+        spec = monomial_spec(sin_shape(2.0, 1.0), 1.0, 3)
+        field = integral_rep_solution(spec)
+        ts = np.linspace(0.0, 200.0, 40001)
+        sampled = SampledTrajectory(t=ts, values=field.V(ts))
+        val = assemble_integral_representation(spec, 1.0, 200.0, sampled)
+        want = field.u(1.0, 200.0)
+        # the trapezoid error of the weight e^{-4 (200 - tau)} at step 0.005,
+        # (4 * 0.005)^2 / 12 = 3.3e-5 of the time factor
+        assert abs(val - want) <= 1e-4 * abs(want)
+
     def test_slow_oracle_agrees(self):
         spec = monomial_spec(sin_shape(2.0, 1.0), 1.0, 1)
         field = integral_rep_solution(spec)

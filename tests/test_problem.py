@@ -80,6 +80,25 @@ class TestShapes:
         assert got.tolist() == pytest.approx([fn(v) for v in x.tolist()], rel=1e-15)
         assert type(fn(0.7)) is float
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            linear_shape(2.0),
+            sinh_shape(1.3, 0.7),
+            sin_shape(3.0, 0.5),
+            separable_shape(2.0, 1.5, 0.7),
+            separable_shape(-2.0, 1.5, 0.7),
+            separable_shape(0.0, 1.3, 0.7),
+            SourceShape(ShapeKind.CONSTANT_ONE),
+        ],
+        ids=["linear", "sinh", "sin", "sep-sinh", "sep-sin", "sep-linear", "one"],
+    )
+    def test_scalar_evaluator_is_bitwise_call(self, shape):
+        phi = shape.scalar_evaluator()
+        for x in np.linspace(0.0, 12.0, 97).tolist() + [1e-300, 0.3]:
+            for arg in (x, np.float64(x)):
+                assert float(phi(arg)).hex() == float(shape(arg)).hex(), arg
+
     def test_derivatives(self):
         shp = sinh_shape(1.3, 0.7)
         d = 1e-6

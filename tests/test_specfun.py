@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxheat.specfun import erf, exp_moment, exp_moment_parts, gamma_half
+from fluxheat.specfun import _exp_moment_series, erf, exp_moment, exp_moment_parts, gamma_half
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -165,6 +166,33 @@ class TestExpMoment:
             exp_moment(1, 1.0, -2.0)
         with pytest.raises(ValueError):
             exp_moment(-1, 1.0, 1.0)
+
+
+def signed_series(n: int, z: float) -> float:
+    """The single signed loop that _exp_moment_series splits on the sign of z."""
+    term = 1.0
+    total = 1.0 / (n + 1)
+    for j in range(1, 600):
+        term *= z / j
+        contrib = term / (n + j + 1)
+        total += contrib
+        if abs(contrib) <= abs(total) * 1e-17:
+            return total
+    raise ArithmeticError("no convergence")
+
+
+class TestExpMomentSeries:
+    @pytest.mark.parametrize("n", range(9))
+    def test_bitwise_signed_loop(self, n):
+        for z in (-1.0, -0.37, -1e-300, -0.0, 0.0, math.ulp(0.0), 1e-300, 1.0, 30.0, 2.0 * n + 4.0):
+            assert _exp_moment_series(n, z).hex() == signed_series(n, z).hex(), z
+
+    def test_bitwise_signed_loop_random(self):
+        rng = random.Random(2468)
+        for _ in range(2000):
+            n = rng.randrange(9)
+            z = rng.uniform(-1.0, 2.0 * n + 4.0)
+            assert _exp_moment_series(n, z).hex() == signed_series(n, z).hex(), (n, z)
 
 
 class TestExpMomentParts:

@@ -323,7 +323,37 @@ def convolve_resolvent(k, f, nu, t_end, n):
     return v
 
 
+def per_step_tabulated(k, f, nu, t_end, n):
+    """The per-step dot-product loop that _solve_tabulated's triangular solve replaces."""
+    dt = t_end / n
+    t = np.linspace(0.0, t_end, n + 1)
+    forcing = forcing_values(f, t[1:])
+    r = kernel_values(k, t)
+    v = np.zeros(n + 1)
+    v[0] = f.initial_value
+    denom = 1.0 + nu * 0.5 * dt * float(r[0])
+    for i in range(1, n + 1):
+        # 0.5 dt R(t_i - t_j) against v_j for j < i, and against v_{j+1} for j < i - 1
+        conv = 0.5 * dt * (
+            float(np.dot(r[i:0:-1], v[:i])) + float(np.dot(r[i - 1 : 0 : -1], v[1:i]))
+        )
+        v[i] = (forcing[i - 1] - nu * conv) / denom
+    return v
+
+
 class TestArrayKernels:
+    @pytest.mark.parametrize("n", [16, 32, 400])
+    @pytest.mark.parametrize(
+        "shape, m",
+        [(linear_shape(1.0), 3), (sinh_shape(1.0, 1.0), 1), (sin_shape(1.0, 2.0), 1)],
+        ids=["phi1-m3", "phi2-m1", "phi3-m1"],
+    )
+    def test_triangular_solve_matches_per_step_loop(self, shape, m, n):
+        # m = 1 starts from V(0+) = eta, which enters every row's right side
+        k, f = kernel_for(shape, quadrature=True), forcing_for(monomial(1.0, m))
+        got = solve_volterra(k, f, 1.0, 1.5, n).values
+        assert rel_diff(got, per_step_tabulated(k, f, 1.0, 1.5, n)) <= 1e-13
+
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize(
         "shape", [linear_shape(1.5), sinh_shape(2.0, 1.0)], ids=["phi1", "phi2-lam2"]
