@@ -60,7 +60,6 @@ from .trajectory import ClosedFormTrajectory, SampledTrajectory
 from .volterra import (
     Forcing,
     Kernel,
-    KernelKind,
     forcing_for,
     kernel_bound_check,
     kernel_eval,

@@ -331,18 +331,12 @@ ALGEBRAIC_LADDER = (1e5, 1.6e6, 2.56e7, 4.096e8)
 def flux_probe_ladder(spec: ProblemSpec) -> tuple[float, ...]:
     """Probe times suited to the flux's approach to its limit.
 
-    Exponentially dominated fluxes settle on the default ladder; the
+    Fluxes growing at an exponential rate (``DerivedParams.rate`` > 0) or
+    settling on a finite limit or zero take the default ladder; the
     polynomially growing ones (linear shape with m >= 5, sine shape with
     delta >= 0 and m > 1, and the resonant lines) need geometric times.
     """
-    if spec.phi.kind is ShapeKind.NEG_SINH:
-        return DEFAULT_LADDER
-    if spec.phi.kind is ShapeKind.LINEAR_X:
-        return DEFAULT_LADDER if int(spec.h.m) <= 3 else ALGEBRAIC_LADDER
-    delta = spec.phi.lam - spec.flux.nu * spec.phi.mu
-    if delta < 0.0:
-        return DEFAULT_LADDER
-    if delta > 0.0 and int(spec.h.m) == 1:
+    if derive_parameters(spec).rate > 0.0 or not flux_limit(spec).is_infinite:
         return DEFAULT_LADDER
     return ALGEBRAIC_LADDER
 

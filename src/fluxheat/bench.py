@@ -32,6 +32,7 @@ from .problem import (
     SchemaError,
     ShapeKind,
     Variant,
+    derive_parameters,
     spec_from_dict,
     validate,
 )
@@ -365,19 +366,20 @@ def _control_checks(spec, field, scale, records, x_obs: float = 1.0):
     """
     classes = asymptotics.control_classification(spec, x=x_obs)
 
-    # Exponentially dominated solutions settle on the default ladder; the
+    # Exponentially dominated solutions (the separated family, or a flux
+    # growing at a positive rate) settle on the default ladder; the
     # algebraically approached limits (polynomial growth, 1/t or 1/sqrt(t)
     # drifts) need geometrically much larger times.  The baseline grows at
     # most polynomially, so its probe always takes the long ladder (an
     # exponential baseline merely overflows there, which the probe reads as
     # the correct infinity).
-    exponential = spec.phi.kind in (ShapeKind.SCALED_SEPARABLE, ShapeKind.NEG_SINH)
-    if spec.phi.kind is ShapeKind.NEG_SIN:
-        exponential = spec.phi.lam - spec.flux.nu * spec.phi.mu < 0.0
+    separated = spec.phi.kind is ShapeKind.SCALED_SEPARABLE
+    rate = derive_parameters(spec).rate
+    exponential = separated or (rate is not None and rate > 0.0)
     ladder = DEFAULT_LADDER if exponential else ALGEBRAIC_LADDER
 
     u0_fn, u_fn = _control_evaluators(spec, field, x_obs)
-    lad_u0 = DEFAULT_LADDER if spec.phi.kind is ShapeKind.SCALED_SEPARABLE else ALGEBRAIC_LADDER
+    lad_u0 = DEFAULT_LADDER if separated else ALGEBRAIC_LADDER
     probe_u0 = asymptotics.numeric_limit_probe(u0_fn, lad_u0)
     records.append(
         _class_check("control_u0", classes.u0_limit, probe_u0, _tol("control_u0", scale))

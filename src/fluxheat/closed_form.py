@@ -25,6 +25,7 @@ from scipy.integrate import quad
 
 from .green import weighted_flux_integral as _weighted_flux_integral
 from .problem import (
+    INTEGRAL_REP_SHAPES,
     FluxKind,
     InitialProfile,
     ProblemSpec,
@@ -59,9 +60,7 @@ __all__ = [
 class Provenance(Enum):
     STATIONARY = "stationary"
     SEPARATED = "separated"
-    INTEGRAL_REP_PHI1 = "integral_rep_phi1"
-    INTEGRAL_REP_PHI2 = "integral_rep_phi2"
-    INTEGRAL_REP_PHI3 = "integral_rep_phi3"
+    INTEGRAL_REP = "integral_rep"
 
 
 class ConstructionError(ValueError):
@@ -145,7 +144,7 @@ def _separated_T(spec: ProblemSpec) -> Callable[[float], float]:
     sigma, delta, scale, eta = phi.sigma, phi.delta, phi.scale, h.eta
 
     if flux.kind is FluxKind.LINEAR:
-        rate = sigma - scale * flux.nu * delta
+        rate = derive_parameters(spec).rate
         return lambda t: eta * math.exp(rate * t)
 
     if flux.kind is FluxKind.AFFINE:
@@ -229,9 +228,8 @@ def separated_solution(spec: ProblemSpec) -> SolutionField:
     comps = separated_components(spec)
     delta = comps.delta
     if spec.flux.kind is FluxKind.LINEAR:
-        rate = comps.sigma - comps.scale * spec.flux.nu * delta
         traj: Callable[[float], float] = ClosedFormTrajectory(
-            poly=(0.0,), exps=((delta * comps.eta, rate),)
+            poly=(0.0,), exps=((delta * comps.eta, derive_parameters(spec).rate),)
         )
     else:
         traj = lambda t: delta * comps.T(t)  # noqa: E731
@@ -288,28 +286,17 @@ def baseline_u0_polynomial_dx(h: InitialProfile, x: float, t: float) -> float:
     return _u0_dx_sum(_u0_coeffs(h), x, t)
 
 
-_PHI_PROVENANCE = {
-    ShapeKind.LINEAR_X: Provenance.INTEGRAL_REP_PHI1,
-    ShapeKind.NEG_SINH: Provenance.INTEGRAL_REP_PHI2,
-    ShapeKind.NEG_SIN: Provenance.INTEGRAL_REP_PHI3,
-}
-
-
-def _poly_sum(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
-    n = max(len(a), len(b))
-    return tuple(
-        (a[j] if j < len(a) else 0.0) + (b[j] if j < len(b) else 0.0) for j in range(n)
-    )
-
-
 def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTrajectory:
     """Exact boundary flux for the linear law and odd monomial profiles.
 
     One generator covers all odd m: the polynomial and exponential pieces are
-    read off the antiderivative of tau^(p-1) exp(b tau).  The resonant lines
-    (sigma = 0 for the sinh shape, delta = 0 for the sine shape) switch to
-    the purely polynomial forms.  With ``check=True`` the trajectory is
-    verified against the Volterra equation before being returned.
+    read off the antiderivative of tau^(p-1) exp(-r tau), with r the flux
+    rate ``DerivedParams.rate``.  The sinh and sine shapes share one branch:
+    with s = +1, d = sigma (sinh) or s = -1, d = delta (sine), r = s lambda d
+    and the amplitudes carry s / d.  The resonant lines d = 0 switch to the
+    purely polynomial forms.  With ``check=True`` the trajectory is verified
+    against the Volterra equation before being returned; a residual above
+    the tolerance, or nan, raises ``ConstructionError``.
     """
     violations = validate(spec, closed_form=True)
     if violations:
@@ -323,61 +310,39 @@ def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTraject
     eta = h.eta
 
     if phi.kind is ShapeKind.LINEAR_X:
-        a = nu * lam
         if p == 0:
-            traj = ClosedFormTrajectory(poly=(0.0,), exps=((eta, -a),))
+            traj = ClosedFormTrajectory(poly=(0.0,), exps=((eta, params.rate),))
         else:
-            q, const = exp_moment_parts(p - 1, a)
+            q, const = exp_moment_parts(p - 1, -params.rate)
             cp = c * p
             traj = ClosedFormTrajectory(
                 poly=tuple(cp * coef for coef in q),
-                exps=((cp * const, -a),),
+                exps=((cp * const, params.rate),),
             )
-    elif phi.kind is ShapeKind.NEG_SINH:
-        sigma = params.sigma
-        if sigma == 0.0:
-            traj = _resonant_flux(c, p, lam, m, sign=-1.0, eta=eta)
+    elif phi.kind in (ShapeKind.NEG_SINH, ShapeKind.NEG_SIN):
+        s, d = (1.0, params.sigma) if phi.kind is ShapeKind.NEG_SINH else (-1.0, params.delta)
+        if d == 0.0:
+            traj = _resonant_flux(c, p, lam, m, sign=-s, eta=eta)
+        elif p == 0:
+            traj = ClosedFormTrajectory(
+                poly=(eta * lam / d,), exps=((s * (eta * nu * mu / d), params.rate),)
+            )
         else:
-            b = lam * sigma
-            if p == 0:
-                traj = ClosedFormTrajectory(
-                    poly=(eta * lam / sigma,), exps=((eta * nu * mu / sigma, b),)
-                )
-            else:
-                q, const = exp_moment_parts(p - 1, -b)
-                amp = c * p * nu * mu / sigma
-                lead = (0.0,) * p + (c * lam / sigma,)
-                traj = ClosedFormTrajectory(
-                    poly=_poly_sum(lead, tuple(amp * coef for coef in q)),
-                    exps=((amp * const, b),),
-                )
-    elif phi.kind is ShapeKind.NEG_SIN:
-        delta = params.delta
-        if delta == 0.0:
-            traj = _resonant_flux(c, p, lam, m, sign=+1.0, eta=eta)
-        else:
-            b = lam * delta
-            if p == 0:
-                traj = ClosedFormTrajectory(
-                    poly=(eta * lam / delta,), exps=((-eta * nu * mu / delta, -b),)
-                )
-            else:
-                q, const = exp_moment_parts(p - 1, b)
-                amp = -c * p * nu * mu / delta
-                lead = (0.0,) * p + (c * lam / delta,)
-                traj = ClosedFormTrajectory(
-                    poly=_poly_sum(lead, tuple(amp * coef for coef in q)),
-                    exps=((amp * const, -b),),
-                )
+            q, const = exp_moment_parts(p - 1, -params.rate)
+            amp = s * (c * p * nu * mu / d)
+            traj = ClosedFormTrajectory(
+                poly=(*(amp * coef for coef in q), c * lam / d),
+                exps=((amp * const, params.rate),),
+            )
     else:
         raise ConstructionError(f"no closed-form flux for shape {phi.kind}")
 
     if check:
         kernel = _volterra.kernel_for(phi)
         forcing = _volterra.forcing_for(h)
-        scale = 1.0 + max(abs(traj(s)) for s in (0.5, 1.0, 2.0))
+        scale = 1.0 + max(abs(traj(t)) for t in (0.5, 1.0, 2.0))
         res = _volterra.volterra_residual(traj, kernel, forcing, nu, (0.5, 1.0, 2.0))
-        if res > 1e-9 * scale:
+        if not res <= 1e-9 * scale:
             raise ConstructionError(
                 f"closed-form flux fails its Volterra residual check: {res:.3e}"
             )
@@ -401,11 +366,11 @@ def _time_factor(spec: ProblemSpec, traj) -> Callable[[float], float]:
     between fields; ``typed`` keeps a float and a numpy scalar t apart, so a
     hit returns exactly what the call would have.
     """
-    kind, lam = spec.phi.kind, spec.phi.lam
+    shape = spec.phi
 
     @functools.lru_cache(maxsize=8, typed=True)
     def weighted(t: float) -> float:
-        return _weighted_flux_integral(kind, lam, traj, t)
+        return _weighted_flux_integral(shape, traj, t)
 
     return weighted
 
@@ -413,8 +378,8 @@ def _time_factor(spec: ProblemSpec, traj) -> Callable[[float], float]:
 def integral_rep_solution(spec: ProblemSpec, check: bool = True) -> SolutionField:
     """Explicit solution u = u0 - nu Phi(x) * (weighted time integral of V).
 
-    The weight of the time integral is 1, exp(lambda^2 (t-tau)) or
-    exp(-lambda^2 (t-tau)) according to the shape, evaluated in closed form.
+    The weight of the time integral is the Green weight exp(rho (t-tau)) of
+    the shape (rho = 0, lambda^2 or -lambda^2), evaluated in closed form.
     The field computes that time factor once per distinct t (a small cache
     of the last few t) and the baseline's polynomial coefficients once.
     """
@@ -427,7 +392,7 @@ def integral_rep_solution(spec: ProblemSpec, check: bool = True) -> SolutionFiel
     def u(x: float, t: float) -> float:
         return _u0_sum(coeffs, x, t) - nu * phi_at(x) * weighted(t)
 
-    return SolutionField(u=u, V=traj, provenance=_PHI_PROVENANCE[phi.kind], spec=spec)
+    return SolutionField(u=u, V=traj, provenance=Provenance.INTEGRAL_REP, spec=spec)
 
 
 def _integral_rep_dx(spec: ProblemSpec, traj) -> Callable[[float, float], float]:
@@ -479,12 +444,12 @@ def tilde_solution(spec: ProblemSpec, check: bool = True) -> SolutionField:
             spec=spec,
         )
 
-    if phi.kind in _PHI_PROVENANCE:
+    if phi.kind in INTEGRAL_REP_SHAPES:
         traj = flux_closed_form(base, check=check)
         return SolutionField(
             u=_integral_rep_dx(base, traj),
             V=traj,
-            provenance=_PHI_PROVENANCE[phi.kind],
+            provenance=Provenance.INTEGRAL_REP,
             spec=spec,
         )
 

@@ -20,7 +20,14 @@ from typing import Callable
 
 import numpy as np
 
-from .problem import FluxKind, ProblemSpec, ShapeKind, Variant
+from .problem import (
+    INTEGRAL_REP_SHAPES,
+    FluxKind,
+    ProblemSpec,
+    ShapeKind,
+    Variant,
+    derive_parameters,
+)
 
 __all__ = [
     "Grid1D",
@@ -88,17 +95,17 @@ def solution_grows(spec: ProblemSpec) -> bool:
     phi, flux, h = spec.phi, spec.flux, spec.h
     if flux.kind in (FluxKind.ZERO, FluxKind.CONSTANT):
         return h.kind.value == "monomial" and h.m > 1.0
+    rate = derive_parameters(spec).rate
     if phi.kind is ShapeKind.SCALED_SEPARABLE:
-        if flux.kind is FluxKind.LINEAR:
-            return phi.sigma - phi.scale * flux.nu * phi.delta > 0.0
-        return phi.sigma > 0.0
-    if phi.kind is ShapeKind.NEG_SINH:
-        return True  # flux grows like exp(lambda*sigma*t), sigma > 0
+        return phi.sigma > 0.0 if rate is None else rate > 0.0
     if h.kind.value == "monomial" and h.m > 1.0:
         return True
-    if phi.kind is ShapeKind.NEG_SIN and flux.kind is FluxKind.LINEAR:
-        return phi.lam - flux.nu * phi.mu <= 0.0
-    return False
+    if phi.kind not in INTEGRAL_REP_SHAPES:
+        return False
+    # the time factor int_0^t exp(rho (t-tau)) V dtau grows with the Green weight
+    # (rho > 0) or with a flux that does not decay (rate = 0: polynomial resonance)
+    _, rho = phi.semigroup
+    return rho > 0.0 or (rate is not None and rate >= 0.0)
 
 
 class FDSolver:

@@ -26,7 +26,6 @@ from . import specfun
 from .problem import (
     InitialProfile,
     ProblemSpec,
-    ShapeKind,
     SourceShape,
 )
 
@@ -330,39 +329,27 @@ def u0_separable_closed(h: InitialProfile, x: float, t: float) -> float:
 
 
 def green_phi_factor(shape: SourceShape, dt: float) -> float:
-    """Exact weight w with int_0^inf G(x,t,xi,tau) Phi(xi) dxi = w * Phi(x).
-
-    The weight is 1 for the linear shape and exp(+-lambda^2 (t-tau)) for the
-    sinh / sin shapes; dt = t - tau.
-    """
-    if shape.kind is ShapeKind.LINEAR_X:
-        return 1.0
-    if shape.kind is ShapeKind.NEG_SINH:
-        return math.exp(shape.lam ** 2 * dt)
-    if shape.kind is ShapeKind.NEG_SIN:
-        return math.exp(-(shape.lam ** 2) * dt)
-    raise ValueError(f"no closed Green weight for shape {shape.kind}")
+    """Exact weight w with int_0^inf G(x,t,xi,tau) Phi(xi) dxi = w * Phi(x):
+    exp(rho dt), dt = t - tau, with rho = 0 or +-lambda^2 from ``shape.semigroup``."""
+    _, rho = shape.semigroup
+    return math.exp(rho * dt)
 
 
-def weighted_flux_integral(kind: ShapeKind, lam: float, V, t: float) -> float:
-    """The time factor W(t) = int_0^t w(t - tau) V(tau) dtau of the representation.
+def weighted_flux_integral(shape: SourceShape, V, t: float, factor: float = 1.0) -> float:
+    """factor * W(t), W(t) = int_0^t exp(rho (t - tau)) V(tau) dtau with the
+    Green weight of :func:`green_phi_factor`.
 
-    w is the Green weight of :func:`green_phi_factor` for the shape ``kind``
-    with rate ``lam``, so that nu Phi(x) W(t) is the source part of u; V is
-    a closed-form trajectory.  For the sine shape with lambda^2 t > 30 the
-    pre-scaled form is taken, where the unscaled weighted integral would
-    overflow.
+    nu Phi(x) W(t) is the source part of u (``factor`` = 1), kappa W(t) the
+    memory term of the flux equation (``factor`` = kappa).  The product is
+    (factor * exp(rho t)) * int_0^t exp(-rho tau) V dtau, or the pre-scaled
+    form where -rho t > 30 and that integral would overflow.
     """
     if t == 0.0:
         return 0.0
-    if kind is ShapeKind.LINEAR_X:
-        return V.weighted_integral(0.0, t)
-    rate = lam ** 2
-    if kind is ShapeKind.NEG_SINH:
-        return math.exp(rate * t) * V.weighted_integral(-rate, t)
-    if rate * t > 30.0:
-        return V.decay_weighted_integral(rate, t)
-    return math.exp(-rate * t) * V.weighted_integral(rate, t)
+    _, rho = shape.semigroup
+    if -rho * t > 30.0:
+        return factor * V.decay_weighted_integral(-rho, t)
+    return factor * math.exp(rho * t) * V.weighted_integral(-rho, t)
 
 
 def verify_identity_phi(
@@ -412,7 +399,7 @@ def assemble_integral_representation(
         return u0
 
     if not slow:
-        time_int = weighted_flux_integral(spec.phi.kind, spec.phi.lam, V, t)
+        time_int = weighted_flux_integral(spec.phi, V, t)
         return u0 - nu * spec.phi(x) * time_int
 
     phi = spec.phi.scalar_evaluator()

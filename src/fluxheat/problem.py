@@ -219,6 +219,20 @@ class SourceShape:
         return 0.0
 
     @property
+    def semigroup(self) -> tuple[float, float]:
+        """(kappa, rho) = (Phi'(0), 0 or +-lambda^2) of the integral-representation
+        shapes: int_0^inf G(x,t,xi,tau) Phi(xi) dxi = exp(rho (t-tau)) Phi(x),
+        and the memory kernel is R(t) = kappa * exp(rho * t)."""
+        k = self.kind
+        if k is ShapeKind.LINEAR_X:
+            return self.lam, 0.0
+        if k is ShapeKind.NEG_SINH:
+            return -self.lam * self.mu, self.lam ** 2
+        if k is ShapeKind.NEG_SIN:
+            return -self.lam * self.mu, -(self.lam ** 2)
+        raise ValueError(f"shape {k} is not a heat-semigroup eigenfunction")
+
+    @property
     def growth_rate(self) -> float:
         """Exponential growth rate of |Phi|, used to truncate quadratures."""
         if self.kind is ShapeKind.NEG_SINH:
@@ -357,6 +371,7 @@ class DerivedParams:
     gamma: float | None = None     # scale * nu * delta (separated, linear F)
     c: float | None = None         # monomial forcing constant
     p: int | None = None           # (m-1)/2 for odd m
+    rate: float | None = None      # flux exponent: -nu*lam, lam*sigma, -lam*delta, sigma - gamma
 
 
 # The shapes of the integral-representation family: lambda*x, -mu*sinh, -mu*sin.
@@ -374,23 +389,30 @@ def monomial_forcing_constant(eta: float, m: float) -> float:
 
 def derive_parameters(spec: ProblemSpec) -> DerivedParams:
     """Every derived scalar the closed forms need, from a validated spec."""
-    sigma = delta = gamma = c = None
+    sigma = delta = gamma = c = rate = None
     p = None
     phi, flux, h = spec.phi, spec.flux, spec.h
-    if phi.kind is ShapeKind.NEG_SINH and flux.kind is FluxKind.LINEAR:
+    linear = flux.kind is FluxKind.LINEAR
+    if phi.kind is ShapeKind.LINEAR_X and linear:
+        rate = -(flux.nu * phi.lam)
+    if phi.kind is ShapeKind.NEG_SINH and linear:
         sigma = phi.lam + flux.nu * phi.mu
-    if phi.kind is ShapeKind.NEG_SIN and flux.kind is FluxKind.LINEAR:
+        rate = phi.lam * sigma
+    if phi.kind is ShapeKind.NEG_SIN and linear:
         delta = phi.lam - flux.nu * phi.mu
+        rate = -(phi.lam * delta)
     if phi.kind is ShapeKind.SCALED_SEPARABLE:
         sigma = phi.sigma
         delta = phi.delta
-        if flux.kind is FluxKind.LINEAR:
+        if linear:
             gamma = phi.scale * flux.nu * phi.delta
-    if h.kind is ProfileKind.MONOMIAL:
+            rate = sigma - gamma
+    # m = 0 (a companion-problem datum) has no forcing constant: Gamma(0)
+    if h.kind is ProfileKind.MONOMIAL and h.m != 0.0:
         c = monomial_forcing_constant(h.eta, h.m)
         if h.is_odd_monomial:
             p = (int(h.m) - 1) // 2
-    return DerivedParams(sigma=sigma, delta=delta, gamma=gamma, c=c, p=p)
+    return DerivedParams(sigma=sigma, delta=delta, gamma=gamma, c=c, p=p, rate=rate)
 
 
 def validate(spec: ProblemSpec, closed_form: bool = False) -> list[str]:

@@ -6,7 +6,9 @@ Volterra equation
     V(t) = V0(t) - nu * int_0^t R(t - tau) V(tau) dtau,
 
 with the memory kernel R and forcing V0 determined by the source shape and
-the initial profile.  This module provides the analytic kernels, a
+the initial profile.  The analytic kernel of every built-in shape is
+R(t) = kappa * exp(rho * t) with (kappa, rho) = ``SourceShape.semigroup``.
+This module provides those kernels and their quadrature twins, a
 product-trapezoidal solver, the resolvent form, and residual evaluation of
 the equation itself (the primary guard against sign errors in the closed
 forms).
@@ -26,7 +28,6 @@ from . import green
 from .problem import (
     InitialProfile,
     ProfileKind,
-    ShapeKind,
     SourceShape,
     monomial_forcing_constant,
 )
@@ -34,7 +35,6 @@ from .specfun import exp_moment
 from .trajectory import ClosedFormTrajectory, SampledTrajectory
 
 __all__ = [
-    "KernelKind",
     "Kernel",
     "Forcing",
     "kernel_for",
@@ -51,45 +51,28 @@ __all__ = [
 ]
 
 
-class KernelKind(Enum):
-    CONSTANT_LAMBDA = "constant_lambda"
-    GROWING_EXP = "growing_exp"
-    DECAYING_EXP = "decaying_exp"
-    QUADRATURE = "quadrature"
-
-
 @dataclass(frozen=True)
 class Kernel:
-    """Memory kernel R(t); analytic kinds are kappa * exp(rho * t)."""
+    """Memory kernel R(t) = kappa * exp(rho * t), (kappa, rho) = ``shape.semigroup``;
+    a ``quadrature`` kernel integrates the defining formula instead."""
 
-    kind: KernelKind
-    lam: float = 1.0
-    mu: float = 1.0
-    shape: SourceShape | None = None
+    shape: SourceShape
+    quadrature: bool = False
 
     @property
     def exp_parts(self) -> tuple[float, float]:
-        """(kappa, rho) with R(t) = kappa * exp(rho * t), analytic kinds only."""
-        if self.kind is KernelKind.CONSTANT_LAMBDA:
-            return self.lam, 0.0
-        if self.kind is KernelKind.GROWING_EXP:
-            return -self.lam * self.mu, self.lam ** 2
-        if self.kind is KernelKind.DECAYING_EXP:
-            return -self.lam * self.mu, -(self.lam ** 2)
-        raise ValueError("quadrature kernels have no exponential form")
+        """(kappa, rho) with R(t) = kappa * exp(rho * t), analytic kernels only."""
+        if self.quadrature:
+            raise ValueError("quadrature kernels have no exponential form")
+        return self.shape.semigroup
 
 
 def kernel_for(shape: SourceShape, quadrature: bool = False) -> Kernel:
-    """The kernel matching a built-in source shape."""
-    if quadrature:
-        return Kernel(KernelKind.QUADRATURE, lam=shape.lam, mu=shape.mu, shape=shape)
-    if shape.kind is ShapeKind.LINEAR_X:
-        return Kernel(KernelKind.CONSTANT_LAMBDA, lam=shape.lam)
-    if shape.kind is ShapeKind.NEG_SINH:
-        return Kernel(KernelKind.GROWING_EXP, lam=shape.lam, mu=shape.mu)
-    if shape.kind is ShapeKind.NEG_SIN:
-        return Kernel(KernelKind.DECAYING_EXP, lam=shape.lam, mu=shape.mu)
-    raise ValueError(f"no analytic kernel for shape {shape.kind}")
+    """The kernel of a built-in source shape (ValueError for an analytic one
+    of a shape that has no semigroup form)."""
+    if not quadrature:
+        shape.semigroup  # raises for a shape without one
+    return Kernel(shape, quadrature)
 
 
 # The quadrature kernel takes its t -> 0+ limit R(0+) at this offset.
@@ -105,7 +88,7 @@ def kernel_values(k: Kernel, t):
 
     at all the nodes in one vector quadrature.
     """
-    if k.kind is KernelKind.QUADRATURE:
+    if k.quadrature:
         shape = k.shape
         t = np.where(t > 0.0, t, _LIMIT_T)
         integral = green.quad_semiinfinite_nodes(
@@ -223,7 +206,7 @@ def solve_volterra(
     dt = t_end / n_steps
     t = np.linspace(0.0, t_end, n_steps + 1)
     forcing = forcing_values(f, t[1:])
-    if k.kind is KernelKind.QUADRATURE:
+    if k.quadrature:
         v = _solve_tabulated(k, f.initial_value, forcing, nu, t, dt)
     else:
         v = _solve_separable(k, f.initial_value, forcing, nu, t, dt)
@@ -378,10 +361,11 @@ def _convolve_head(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _convolution(k: Kernel, traj, t: float) -> float:
-    """int_0^t R(t - tau) V(tau) dtau; exact for closed-form trajectories."""
+    """int_0^t R(t - tau) V(tau) dtau; exact for closed-form trajectories,
+    kappa times the representation's time factor ``weighted_flux_integral``."""
     if isinstance(traj, ClosedFormTrajectory):
-        kappa, rho = k.exp_parts
-        return kappa * math.exp(rho * t) * traj.weighted_integral(-rho, t)
+        kappa, _ = k.exp_parts
+        return green.weighted_flux_integral(k.shape, traj, t, factor=kappa)
     ts = np.asarray(traj.t)
     mask = ts <= t + 1e-15
     ts = ts[mask]
@@ -393,24 +377,24 @@ def _convolution(k: Kernel, traj, t: float) -> float:
 
 
 def volterra_residual(traj, k: Kernel, f: Forcing, nu: float, t_samples) -> float:
-    """Max over the samples of |V(t) - V0(t) + nu int_0^t R(t-tau)V(tau)dtau|."""
+    """Max over the samples of |V(t) - V0(t) + nu int_0^t R(t-tau)V(tau)dtau|,
+    nan if any sample's residual is nan (so that a tolerance check fails)."""
     worst = 0.0
     for t in t_samples:
         res = float(traj(t)) - forcing_eval(f, t) + nu * _convolution(k, traj, t)
+        if math.isnan(res):
+            return math.nan
         worst = max(worst, abs(res))
     return worst
 
 
 def kernel_lower_bound(k: Kernel, dt: float) -> float:
-    """The comparison function f(dt) of the solvability hypothesis."""
-    lam, mu = k.lam, k.mu
-    if k.kind is KernelKind.CONSTANT_LAMBDA:
-        return -lam * dt
-    if k.kind is KernelKind.GROWING_EXP:
-        return -mu / lam * (math.exp(lam ** 2 * dt) - 1.0)
-    if k.kind is KernelKind.DECAYING_EXP:
-        return -mu / lam * (1.0 - math.exp(-(lam ** 2) * dt))
-    raise ValueError("no analytic bound for quadrature kernels")
+    """The comparison function f(dt) of the solvability hypothesis:
+    -|kappa| dt at rho = 0, kappa (exp(rho dt) - 1) / rho otherwise."""
+    kappa, rho = k.exp_parts
+    if rho == 0.0:
+        return -abs(kappa) * dt
+    return kappa * math.expm1(rho * dt) / rho
 
 
 def kernel_bound_check(k: Kernel, t1: float, t2: float) -> bool:

@@ -361,7 +361,7 @@ class TestIntegralRepSolution:
         field = integral_rep_solution(spec)
         for x, t in ((0.5, 0.4), (2.0, 1.5)):
             assert field.u(x, t) == pytest.approx(x * math.exp(-t), rel=1e-13)
-        assert field.provenance is Provenance.INTEGRAL_REP_PHI1
+        assert field.provenance is Provenance.INTEGRAL_REP
 
     def test_matches_separated_family(self):
         spec = monomial_spec(linear_shape(1.0), 1.0, 1)
@@ -401,7 +401,7 @@ def uncached_u(spec, traj, x, t):
     base = 0.0
     for coef, k, power in _u0_coeffs(spec.h):
         base += coef * (4.0 * t) ** k * x ** power
-    weighted = _weighted_flux_integral(spec.phi.kind, spec.phi.lam, traj, t)
+    weighted = _weighted_flux_integral(spec.phi, traj, t)
     return base - spec.flux.nu * spec.phi(x) * weighted
 
 
@@ -410,7 +410,7 @@ def uncached_v(spec, traj, x, t):
     for coef, k, power in _u0_coeffs(spec.h):
         if power >= 1:
             base += coef * (4.0 * t) ** k * power * x ** (power - 1)
-    weighted = _weighted_flux_integral(spec.phi.kind, spec.phi.lam, traj, t)
+    weighted = _weighted_flux_integral(spec.phi, traj, t)
     return base - spec.flux.nu * spec.phi.derivative(x) * weighted
 
 
@@ -437,9 +437,9 @@ class TestTimeFactorOncePerT:
         calls = []
         real = closed_form._weighted_flux_integral
 
-        def counting(kind, lam, V, t):
+        def counting(shape, V, t):
             calls.append(t)
-            return real(kind, lam, V, t)
+            return real(shape, V, t)
 
         monkeypatch.setattr(closed_form, "_weighted_flux_integral", counting)
         field = integral_rep_solution(spec)
@@ -546,5 +546,5 @@ class TestDispatch:
         )
         assert (
             solution_for(monomial_spec(sinh_shape(0.5, 1.0), 1.0, 3)).provenance
-            is Provenance.INTEGRAL_REP_PHI2
+            is Provenance.INTEGRAL_REP
         )

@@ -12,7 +12,8 @@ from conftest import (
     sinh_shape,
 )
 from fluxheat import catalog, green, volterra
-from fluxheat.closed_form import flux_closed_form
+from fluxheat.bench import CheckRecord
+from fluxheat.closed_form import ConstructionError, flux_closed_form
 from fluxheat.problem import InitialProfile, ProfileKind, spec_from_dict
 from fluxheat.specfun import exp_moment
 from fluxheat.trajectory import ClosedFormTrajectory, SampledTrajectory
@@ -20,7 +21,6 @@ from fluxheat.volterra import (
     Forcing,
     ForcingKind,
     Kernel,
-    KernelKind,
     forcing_eval,
     forcing_for,
     forcing_values,
@@ -42,7 +42,7 @@ class TestKernels:
             assert kernel_eval(k, t) == 3.0
 
     def test_decaying_limit(self):
-        k = Kernel(KernelKind.DECAYING_EXP, lam=1.0, mu=2.0)
+        k = Kernel(sin_shape(1.0, 2.0))
         assert kernel_eval(k, 1e-12) == pytest.approx(-2.0, rel=1e-10)
 
     def test_growing(self):
@@ -188,7 +188,7 @@ class TestResolvent:
 
 def _reference_moments(k, dt, offsets):
     """Per-step product-trapezoid weights, rebuilt for every step."""
-    if k.kind is KernelKind.QUADRATURE:
+    if k.quadrature:
         limit = kernel_eval(k, 1e-12)
         r_right = np.array([kernel_eval(k, s) if s > 0 else limit for s in offsets])
         r_left = np.array([kernel_eval(k, s + dt) for s in offsets])
@@ -559,6 +559,65 @@ class TestResidual:
         f = Forcing(ForcingKind.POWER_LAW, c=0.0, exponent=0.0)
         res = volterra_residual(zero, kernel_for(linear_shape(1.0)), f, 1.0, [0.5, 1.0])
         assert res == 0.0
+
+    def test_nan_residual_is_reported(self):
+        # a nan at any sample makes the residual nan, so its check fails
+        spec = monomial_spec(sin_shape(2.0, 1.0), 1.0, 3)
+        k, f = kernel_for(spec.phi), forcing_for(spec.h)
+        res = volterra_residual(ClosedFormTrajectory(poly=(math.nan,)), k, f, 1.0, [0.5, 1.0])
+        assert math.isnan(res)
+        assert not CheckRecord("volterra_residual", res, 0.0, 1e-8).passed
+        # finite at t = 0.5, inf - inf = nan at t = 2
+        late_nan = ClosedFormTrajectory(poly=(0.0,), exps=((1.0, 400.0), (-1.0, 400.0)))
+        assert math.isfinite(volterra_residual(late_nan, k, f, 1.0, [0.5]))
+        assert math.isnan(volterra_residual(late_nan, k, f, 1.0, [0.5, 2.0]))
+
+    def test_construction_refuses_a_nan_residual(self, monkeypatch):
+        monkeypatch.setattr(volterra, "volterra_residual", lambda *args: math.nan)
+        with pytest.raises(ConstructionError, match="Volterra residual"):
+            flux_closed_form(monomial_spec(sin_shape(2.0, 1.0), 1.0, 3))
+
+    def test_closed_form_convolution_at_large_t(self):
+        # lambda^2 t = 800 for the sine kernel: the pre-scaled time factor,
+        # where exp(-800) times the unscaled weighted integral was nan
+        spec = monomial_spec(sin_shape(2.0, 1.0), 1.0, 3)
+        traj = flux_closed_form(spec)
+        k, f = kernel_for(spec.phi), forcing_for(spec.h)
+        conv = volterra._convolution(k, traj, 200.0)
+        assert math.isfinite(conv)
+        assert conv == pytest.approx(forcing_eval(f, 200.0) - traj(200.0), rel=1e-12)
+        scale = 1.0 + abs(traj(200.0))
+        assert volterra_residual(traj, k, f, 1.0, [170.0, 200.0]) <= 1e-9 * scale
+
+    @pytest.mark.parametrize(
+        "lam, mu, nu, m, t",
+        [
+            (2.0, 1.0, 1.0, 3, 200.0),
+            (0.9, 2.5, 0.2, 1, 60.0),
+            (1.7, 1.6, 1.8, 5, 224.0),
+            (3.0, 0.3, 2.0, 7, 40.0),
+            (2.2, 0.8, 1.3, 3, 100.0),
+        ],
+    )
+    def test_closed_form_convolution_against_mpmath(self, lam, mu, nu, m, t):
+        # lambda^2 t from 36 to 810, against a 50-digit sum of exact integrals
+        import mpmath
+
+        mpmath.mp.dps = 50
+        spec = monomial_spec(sin_shape(lam, mu), 1.0, m, nu=nu)
+        traj = flux_closed_form(spec)
+        kappa, rho = kernel_for(spec.phi).exp_parts
+        a, tm = -mpmath.mpf(rho), mpmath.mpf(t)
+        moment, total = (mpmath.exp(a * tm) - 1) / a, mpmath.mpf(0)
+        for j, coef in enumerate(traj.poly):  # int_0^t tau^j e^{a tau}, by parts
+            if j > 0:
+                moment = tm ** j * mpmath.exp(a * tm) / a - j / a * moment
+            total += coef * moment
+        for amp, r in traj.exps:
+            total += amp * (mpmath.exp((r + a) * tm) - 1) / (r + a)
+        want = kappa * mpmath.exp(-a * tm) * total
+        got = volterra._convolution(kernel_for(spec.phi), traj, t)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_sampled_trajectory_residual(self):
         k = kernel_for(linear_shape(1.0))
