@@ -270,13 +270,7 @@ def _integral_rep_checks(spec, field, scale, slow, records):
     records.append(_class_check("flux_limit_probe", limit, probe, _tol("flux_limit_probe", scale)))
 
     xs, ts = _sample_points(n=4)
-    worst = max(
-        abs(
-            green.baseline_u0(spec.h, x, t)
-            - closed_form.baseline_u0_polynomial(spec.h, x, t)
-        )
-        for x, t in zip(xs, ts)
-    )
+    worst = max(abs(green.baseline_u0(spec.h, x, t) - field.u0(x, t)) for x, t in zip(xs, ts))
     records.append(CheckRecord("u0_polynomial", worst, 0.0, _tol("u0_polynomial", scale)))
 
     lhs, rhs, diff = green.verify_identity_phi(spec.phi, 1.0, 1.0, 0.25)
@@ -396,7 +390,8 @@ def _control_checks(spec, field, scale, records, x_obs: float = 1.0):
 
 
 def _control_evaluators(spec, field, x_obs):
-    """(u0(t), u(t)) evaluators at the observation point, closed forms only."""
+    """(u0(t), u(t)) evaluators at the observation point, closed forms only;
+    an integral-representation case reads the field's own baseline ``u0``."""
     h = spec.h
     if spec.phi.kind is ShapeKind.CONSTANT_ONE:
         u0 = lambda t: green.u0_quadratic_closed(h.nu, h.a, x_obs, t)  # noqa: E731
@@ -405,7 +400,7 @@ def _control_evaluators(spec, field, x_obs):
     if spec.phi.kind is ShapeKind.SCALED_SEPARABLE:
         u0 = lambda t: green.u0_separable_closed(h, x_obs, t)  # noqa: E731
     else:
-        u0 = lambda t: closed_form.baseline_u0_polynomial(h, x_obs, t)  # noqa: E731
+        u0 = lambda t: field.u0(x_obs, t)  # noqa: E731
     return u0, lambda t: field.u(x_obs, t)
 
 

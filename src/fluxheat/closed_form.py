@@ -73,13 +73,17 @@ class SolutionField:
 
     For problem P the trajectory is the boundary flux u_x(0,t); for the
     companion problem it is the boundary value v(0,t) (the variable the
-    coupling law sees in either case).
+    coupling law sees in either case).  An integral-representation field of
+    problem P also carries its source-free baseline ``u0(x, t)``, the
+    polynomial of :func:`baseline_u0_polynomial` with its coefficients bound
+    once; other fields have ``u0 = None``.
     """
 
     u: Callable[[float, float], float]
     V: Callable[[float], float]
     provenance: Provenance
     spec: ProblemSpec
+    u0: Callable[[float, float], float] | None = None
 
     def __call__(self, x: float, t: float) -> float:
         return self.u(x, t)
@@ -296,7 +300,8 @@ def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTraject
     and the amplitudes carry s / d.  The resonant lines d = 0 switch to the
     purely polynomial forms.  With ``check=True`` the trajectory is verified
     against the Volterra equation before being returned; a residual above
-    the tolerance, or nan, raises ``ConstructionError``.
+    the tolerance, nan, or out of double range at a sample t raises
+    ``ConstructionError``.
     """
     violations = validate(spec, closed_form=True)
     if violations:
@@ -341,7 +346,10 @@ def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTraject
         kernel = _volterra.kernel_for(phi)
         forcing = _volterra.forcing_for(h)
         scale = 1.0 + max(abs(traj(t)) for t in (0.5, 1.0, 2.0))
-        res = _volterra.volterra_residual(traj, kernel, forcing, nu, (0.5, 1.0, 2.0))
+        try:
+            res = _volterra.volterra_residual(traj, kernel, forcing, nu, (0.5, 1.0, 2.0))
+        except OverflowError as exc:
+            raise ConstructionError(f"closed-form flux check: {exc}") from exc
         if not res <= 1e-9 * scale:
             raise ConstructionError(
                 f"closed-form flux fails its Volterra residual check: {res:.3e}"
@@ -381,7 +389,8 @@ def integral_rep_solution(spec: ProblemSpec, check: bool = True) -> SolutionFiel
     The weight of the time integral is the Green weight exp(rho (t-tau)) of
     the shape (rho = 0, lambda^2 or -lambda^2), evaluated in closed form.
     The field computes that time factor once per distinct t (a small cache
-    of the last few t) and the baseline's polynomial coefficients once.
+    of the last few t) and the baseline's polynomial coefficients once; the
+    baseline is the field's ``u0``.
     """
     traj = flux_closed_form(spec, check=check)
     phi, nu = spec.phi, spec.flux.nu
@@ -392,7 +401,13 @@ def integral_rep_solution(spec: ProblemSpec, check: bool = True) -> SolutionFiel
     def u(x: float, t: float) -> float:
         return _u0_sum(coeffs, x, t) - nu * phi_at(x) * weighted(t)
 
-    return SolutionField(u=u, V=traj, provenance=Provenance.INTEGRAL_REP, spec=spec)
+    return SolutionField(
+        u=u,
+        V=traj,
+        provenance=Provenance.INTEGRAL_REP,
+        spec=spec,
+        u0=functools.partial(_u0_sum, coeffs),
+    )
 
 
 def _integral_rep_dx(spec: ProblemSpec, traj) -> Callable[[float, float], float]:

@@ -99,12 +99,17 @@ def _mirror(half: np.ndarray) -> np.ndarray:
 
 
 _GK21_X = _mirror(np.array(_GK21_X_HALF)) * np.repeat([-1.0, 1.0], [11, 10])
+_GK21_X_PLUS_1 = _GK21_X + 1.0  # the nodes as offsets from a panel's left end, in half-widths
 _GK21_K = _mirror(np.array(_GK21_K_HALF))
 _GK21_K_MINUS_G = _GK21_K - _mirror(np.array(_G10_HALF))
+_GK21_ROUNDOFF = 50.0 * np.finfo(float).eps  # QUADPACK's round-off floor per unit |f|
 
-# Equal panels that quad_semiinfinite_nodes starts from, and its panel limit
-# (the subinterval limit quad_semiinfinite passes to quad).
+# Equal panels that quad_semiinfinite_nodes starts from, their left ends in
+# panel widths (times upper / panels, np.linspace(0, upper, panels + 1)[:-1]
+# to the bit), and its panel limit (the subinterval limit quad_semiinfinite
+# passes to quad).
 _FIRST_PANELS = 4
+_FIRST_LEFT = np.arange(_FIRST_PANELS)
 _MAX_PANELS = 400
 
 
@@ -227,38 +232,44 @@ def quad_semiinfinite_nodes(
     50 tol (1 + |value|), or :class:`QuadratureError` is raised.
     """
     t = np.asarray(tvars, dtype=float)
-    if not np.all(t > 0.0):
+    if not t.min() > 0.0:  # also false for a nan
         raise ValueError("quad_semiinfinite_nodes requires every tvar > 0")
     root = 2.0 * np.sqrt(t.ravel())  # d xi / d s at each node
     upper = _TRUNCATION_W + max(growth, 0.0) * math.sqrt(float(t.max()))
 
-    left = np.linspace(0.0, upper, _FIRST_PANELS + 1)[:-1]  # open panels [left, left + 2 half]
+    left = _FIRST_LEFT * (upper / _FIRST_PANELS)  # open panels [left, left + 2 half]
     half = np.full(_FIRST_PANELS, 0.5 * upper / _FIRST_PANELS)
     value = np.zeros(root.size)  # sums over the closed panels
     estimate = np.zeros(root.size)
     panels = _FIRST_PANELS
     while True:
-        s = (left[:, None] + half[:, None] * (_GK21_X + 1.0)).ravel()
+        s = (left[:, None] + half[:, None] * _GK21_X_PLUS_1).ravel()
         f = integrand(s[:, None] * root) * np.exp(-s * s)[:, None]
-        f = np.broadcast_to(f, (len(s), root.size)).reshape(len(left), 21, root.size)
+        if f.shape != (len(s), root.size):  # an integrand constant in xi
+            f = np.broadcast_to(f, (len(s), root.size))
+        f = f.reshape(len(left), 21, root.size)
         part, error = _gk21(f, half[:, None] * root)
-        target = tol * np.maximum(1.0, np.abs(value + part.sum(axis=0)))
-        excess = np.max(error / (half[:, None] * (2.0 / upper) * target), axis=1)
+        total = part.sum(axis=0)
+        target = tol * np.maximum(1.0, np.abs(value + total))
+        excess = (error / (half[:, None] * (2.0 / upper) * target)).max(axis=1)
         split = excess > 1.0
         room = _MAX_PANELS - panels
         if np.count_nonzero(split) > room:  # bisect only the worst panels that fit
             split[np.argsort(excess)[: len(left) - room]] = False
-        value += part[~split].sum(axis=0)
-        estimate += error[~split].sum(axis=0)
-        if not split.any():
+        if not split.any():  # every panel closes
+            value += total
+            estimate += error.sum(axis=0)
             break
+        keep = ~split
+        value += part[keep].sum(axis=0)
+        estimate += error[keep].sum(axis=0)
         panels += np.count_nonzero(split)
         left, half = left[split], half[split]
         left = np.concatenate([left, left + half])  # the two halves of each split panel
-        half = np.tile(0.5 * half, 2)
+        half = 0.5 * np.concatenate([half, half])
 
     met = estimate <= 50.0 * tol * (1.0 + np.abs(value))
-    if not np.all(met):
+    if not met.all():
         first = int(np.argmin(met))  # first node that misses its bound
         raise QuadratureError(
             f"semi-infinite node quadrature reached {estimate[first]:.3e} "
@@ -280,7 +291,7 @@ def _gk21(f: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gap = np.abs(_GK21_K_MINUS_G @ f)
     work = f - 0.5 * kronrod[:, None, :]  # one buffer of f's size
     spread = _GK21_K @ np.abs(work, out=work)  # of |f - mean|
-    roundoff = 50.0 * np.finfo(float).eps * (_GK21_K @ np.abs(f, out=work))
+    roundoff = _GK21_ROUNDOFF * (_GK21_K @ np.abs(f, out=work))
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = np.where(spread > 0.0, spread * np.minimum(1.0, (200.0 * gap / spread) ** 1.5), gap)
     return scale * kronrod, scale * np.maximum(gap, roundoff)

@@ -63,6 +63,36 @@ class TestRunCase:
         assert result.passed and {"control_u", "control_ratio"} <= {r.name for r in result.records}
         assert len(calls) == 1
 
+    def test_baseline_coefficients_built_once_per_case(self, monkeypatch):
+        # the u0_polynomial check and the control u0 probe read the field's baseline
+        from fluxheat import closed_form
+
+        builds = []
+        real = closed_form._u0_coeffs
+
+        def counting(h):
+            builds.append(h)
+            return real(h)
+
+        monkeypatch.setattr(closed_form, "_u0_coeffs", counting)
+        for cid, cfg in iter_cases():
+            if not cid.startswith("ir-"):
+                continue
+            builds.clear()
+            result = run_case(cfg["case"], case_id=cid, extra_checks=tuple(cfg.get("checks", ())))
+            assert result.passed and "u0_polynomial" in {r.name for r in result.records}
+            assert len(builds) == 1, cid
+
+    def test_overflowing_flux_names_the_overflow(self):
+        # e^{rho t} with rho = lambda^2 = 400 leaves the double range at t = 2
+        case = base_case(m=1, kind="neg_sinh")
+        case["phi"]["lambda"] = 20.0
+        result = run_case(case, case_id="overflow")
+        assert not result.passed
+        assert "overflows" in result.reason and "at t = 2" in result.reason
+        assert result.reason.startswith("closed-form flux check")
+        assert [r.name for r in result.records] == ["validate"]
+
     def test_sample_points_are_read_only_constants(self):
         xs, ts = bench._sample_points(n=4)
         assert bench._sample_points(n=4)[0] is xs

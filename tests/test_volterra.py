@@ -395,6 +395,35 @@ class TestArrayKernels:
         got = solve_resolvent(k, f, 1.0, 2.0, 4000).values
         assert rel_diff(got, convolve_resolvent(k, f, 1.0, 2.0, 4000)) <= 1e-12
 
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
+    @pytest.mark.parametrize(
+        "shape",
+        [linear_shape(1.0), sinh_shape(2.0, 1.0), sin_shape(1.5, 0.5)],
+        ids=["phi1", "phi2-lam2", "phi3"],
+    )
+    def test_resolvent_convolution_pointwise(self, shape, m):
+        # every entry down to 1e-8 of the largest, not only the largest: a
+        # convolution by FFT errs relative to the whole vector and reaches
+        # 3e-13 (phi1, m = 3) to 3e-4 (phi2, m = 11) on these entries
+        k, f = kernel_for(shape), forcing_for(monomial(0.8, m))
+        for nu in (0.3, 1.0, 5.0):
+            for n in (300, 4000):
+                got = solve_resolvent(k, f, nu, 2.0, n).values
+                want = convolve_resolvent(k, f, nu, 2.0, n)
+                big = np.abs(want) > 1e-8 * np.max(np.abs(want))
+                assert elementwise_rel(got[big], want[big]) <= 1e-13, (nu, n)
+
+    @pytest.mark.parametrize("q", range(6))
+    def test_prefix_sum_weights(self, q):
+        # sum_{j<=i} (i-j)^q r_j from nested prefix sums, against the direct sum
+        r = np.cos(np.arange(40.0))
+        sums, got = r, 0.0
+        for weight in volterra._prefix_sum_weights(q):
+            sums = np.cumsum(sums)
+            got = got + weight * sums
+        want = [sum((i - j) ** q * r[j] for j in range(i + 1)) for i in range(len(r))]
+        assert rel_diff(got, np.array(want)) <= 1e-14
+
     def test_sinh_kernel_table_to_t50(self):
         # e^{rho t} up to e^{200}; the Gaussian peak at s = 2 sqrt(t) lambda
         # needs bisected panels, so a second round runs
@@ -681,3 +710,36 @@ class TestSampledTrajectory:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             SampledTrajectory(t=np.array([0.0]), values=np.array([1.0]))
+
+
+# The benchmark's volterra op: its four solves and its error bounds against
+# the closed-form flux, copied from perfbench/workloads.py
+# (VOLTERRA_CASES, VOLTERRA_T_END, VOLTERRA_REL_ERR_BOUNDS), not imported, so
+# the suite guards the op on its own.
+BENCH_VOLTERRA_T_END = 2.0
+BENCH_VOLTERRA_BOUNDS = {
+    "analytic": 1e-7,
+    "resolvent": 1e-6,
+    "quad_kernel": 5e-2,
+    "quad_forcing": 1e-4,
+}
+
+
+@pytest.mark.parametrize("case", ["ir-phi1-m3", "ir-phi2-m3", "ir-phi3-m3-dpos", "ir-phi3-m5-d0"])
+def test_benchmark_volterra_solves_meet_their_bounds(case):
+    spec = spec_from_dict(catalog.load_case(case)["case"])
+    nu, t_end = spec.flux.nu, BENCH_VOLTERRA_T_END
+    kernel, forcing = kernel_for(spec.phi), forcing_for(spec.h)
+    solves = {
+        "analytic": solve_volterra(kernel, forcing, nu, t_end, 8000),
+        "resolvent": solve_resolvent(kernel, forcing, nu, t_end, 4000),
+        "quad_kernel": solve_volterra(
+            kernel_for(spec.phi, quadrature=True), forcing, nu, t_end, 32
+        ),
+        "quad_forcing": solve_volterra(
+            kernel, forcing_for(spec.h, quadrature=True), nu, t_end, 400
+        ),
+    }
+    reference = flux_closed_form(spec)
+    for solver, traj in solves.items():
+        assert rel_diff(traj.values, reference(traj.t)) <= BENCH_VOLTERRA_BOUNDS[solver], solver
