@@ -32,6 +32,7 @@ __all__ = [
     "control_classification",
     "numeric_limit_probe",
     "flux_probe_ladder",
+    "control_probe_ladders",
     "DEFAULT_LADDER",
     "ALGEBRAIC_LADDER",
 ]
@@ -144,18 +145,19 @@ class ControlClassification:
     notes: tuple[str, ...] = ()
 
 
-def _sv_linear_classes(spec: ProblemSpec, x: float) -> ControlClassification:
-    phi, h = spec.phi, spec.h
-    sigma = phi.sigma
-    gamma = phi.scale * spec.flux.nu * phi.delta
-    hx = h(x)
-
+def _sv_u0_class(sigma: float, hx: float) -> LimitClass:
+    """Class of the separated baseline u0 = h(x) exp(sigma t)."""
     if sigma == 0.0:
-        u0 = LimitClass.finite(hx)
-    elif sigma > 0.0:
-        u0 = LimitClass.infinity(hx) if hx != 0.0 else LimitClass.zero()
-    else:
-        u0 = LimitClass.zero()
+        return LimitClass.finite(hx)
+    if sigma > 0.0:
+        return LimitClass.infinity(hx) if hx != 0.0 else LimitClass.zero()
+    return LimitClass.zero()
+
+
+def _sv_linear_classes(spec: ProblemSpec, x: float) -> ControlClassification:
+    sigma, gamma = spec.phi.sigma, derive_parameters(spec).gamma
+    hx = spec.h(x)
+    u0 = _sv_u0_class(sigma, hx)
 
     if gamma == sigma:
         u = LimitClass.finite(hx)
@@ -178,13 +180,7 @@ def _sv_power_classes(spec: ProblemSpec, x: float) -> ControlClassification:
     nu_f = flux.f(0.0)  # constant time factor of the power law
     hx = h(x)
     notes: list[str] = []
-
-    if sigma == 0.0:
-        u0 = LimitClass.finite(hx)
-    elif sigma > 0.0:
-        u0 = LimitClass.infinity(hx) if hx != 0.0 else LimitClass.zero()
-    else:
-        u0 = LimitClass.zero()
+    u0 = _sv_u0_class(sigma, hx)
 
     if sigma > 0.0:
         # unstable equilibrium T* = (scale*nu*delta^n / sigma)^(1/(1-n));
@@ -270,7 +266,7 @@ def _ir_classes(spec: ProblemSpec, x: float) -> ControlClassification:
         u = LimitClass.infinity(eta)   # sinh(lambda x) > 0 for x > 0
         ratio = LimitClass.infinity(+1.0)
     else:
-        delta = lam - nu * mu
+        delta = derive_parameters(spec).delta
         sin_term = math.sin(lam * x)
         if delta > 0.0:
             coeff = 1.0 + nu * mu * sin_term / (lam * delta * x) if x != 0 else 1.0
@@ -339,6 +335,26 @@ def flux_probe_ladder(spec: ProblemSpec) -> tuple[float, ...]:
     if derive_parameters(spec).rate > 0.0 or not flux_limit(spec).is_infinite:
         return DEFAULT_LADDER
     return ALGEBRAIC_LADDER
+
+
+def control_probe_ladders(spec: ProblemSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Probe times of the control checks: (u0 ladder, u and u/u0 ladder).
+
+    Exponentially dominated solutions (the separated family, or a flux
+    growing at a positive ``DerivedParams.rate``) settle on the default
+    ladder; the algebraically approached limits (polynomial growth, 1/t or
+    1/sqrt(t) drifts) need geometrically much larger times.  Outside the
+    separated family the baseline grows at most polynomially, so its probe
+    takes the long ladder (an exponential baseline merely overflows there,
+    which the probe reads as the correct infinity).
+    """
+    separated = spec.phi.kind is ShapeKind.SCALED_SEPARABLE
+    rate = derive_parameters(spec).rate
+    exponential = separated or (rate is not None and rate > 0.0)
+    return (
+        DEFAULT_LADDER if separated else ALGEBRAIC_LADDER,
+        DEFAULT_LADDER if exponential else ALGEBRAIC_LADDER,
+    )
 
 
 def numeric_limit_probe(fn, t_ladder=DEFAULT_LADDER, rtol: float = 1e-4) -> LimitClass:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, closed_form, fd, green, volterra
-from .asymptotics import ALGEBRAIC_LADDER, DEFAULT_LADDER, LimitTag
+from .asymptotics import LimitTag
 from .problem import (
     INTEGRAL_REP_SHAPES,
     FluxKind,
@@ -32,7 +32,6 @@ from .problem import (
     SchemaError,
     ShapeKind,
     Variant,
-    derive_parameters,
     spec_from_dict,
     validate,
 )
@@ -194,15 +193,7 @@ def _class_check(name, symbolic, probe, tol) -> CheckRecord:
     return CheckRecord(name, lhs, rhs, tol)
 
 
-def _is_integral_rep(spec: ProblemSpec) -> bool:
-    return (
-        spec.phi.kind in INTEGRAL_REP_SHAPES
-        and spec.flux.kind is FluxKind.LINEAR
-        and spec.h.is_odd_monomial
-    )
-
-
-def _is_control_setting(spec: ProblemSpec) -> bool:
+def _is_control_setting(spec: ProblemSpec, field) -> bool:
     if spec.phi.kind is ShapeKind.CONSTANT_ONE and spec.flux.kind is FluxKind.CONSTANT:
         return True
     if spec.phi.kind is ShapeKind.SCALED_SEPARABLE and spec.flux.kind in (
@@ -210,7 +201,7 @@ def _is_control_setting(spec: ProblemSpec) -> bool:
         FluxKind.POWER_LAW,
     ):
         return True
-    return _is_integral_rep(spec)
+    return field.provenance is closed_form.Provenance.INTEGRAL_REP
 
 
 def _common_field_checks(spec, field, scale, records):
@@ -338,7 +329,7 @@ def _separated_checks(spec, field, scale, records):
     worst = 0.0
     for x, t in zip(*_sample_points(n=3, t_hi=1.0, seed=5)):
         quadrature = green.baseline_u0(spec.h, x, t)
-        exact = green.u0_separable_closed(spec.h, x, t)
+        exact = field.u0(x, t)
         worst = max(worst, abs(quadrature - exact) / (1.0 + abs(exact)))
     records.append(CheckRecord("u0_separable", worst, 0.0, _tol("u0_separable", scale)))
 
@@ -348,32 +339,20 @@ def _stationary_checks(spec, field, scale, records):
         worst = 0.0
         for x, t in zip(*_sample_points(n=3, t_hi=1.0, seed=9)):
             quadrature = green.baseline_u0(spec.h, x, t)
-            exact = green.u0_quadratic_closed(spec.h.nu, spec.h.a, x, t)
+            exact = field.u0(x, t)
             worst = max(worst, abs(quadrature - exact) / (1.0 + abs(exact)))
         records.append(CheckRecord("u0_quadratic", worst, 0.0, _tol("u0_quadratic", scale)))
 
 
 def _control_checks(spec, field, scale, records, x_obs: float = 1.0):
     """Probe the long-time classes of u0, u and u/u0 at ``x_obs`` against the
-    symbolic classification; u comes from ``field``, the case's own closed
-    form, so the control checks build no second field.
+    symbolic classification, on the ladders ``asymptotics`` picks; u0 and u
+    are the case's own field's, so the control checks build no second field.
     """
     classes = asymptotics.control_classification(spec, x=x_obs)
-
-    # Exponentially dominated solutions (the separated family, or a flux
-    # growing at a positive rate) settle on the default ladder; the
-    # algebraically approached limits (polynomial growth, 1/t or 1/sqrt(t)
-    # drifts) need geometrically much larger times.  The baseline grows at
-    # most polynomially, so its probe always takes the long ladder (an
-    # exponential baseline merely overflows there, which the probe reads as
-    # the correct infinity).
-    separated = spec.phi.kind is ShapeKind.SCALED_SEPARABLE
-    rate = derive_parameters(spec).rate
-    exponential = separated or (rate is not None and rate > 0.0)
-    ladder = DEFAULT_LADDER if exponential else ALGEBRAIC_LADDER
-
-    u0_fn, u_fn = _control_evaluators(spec, field, x_obs)
-    lad_u0 = DEFAULT_LADDER if separated else ALGEBRAIC_LADDER
+    lad_u0, ladder = asymptotics.control_probe_ladders(spec)
+    u0_fn = lambda t: field.u0(x_obs, t)  # noqa: E731
+    u_fn = lambda t: field.u(x_obs, t)  # noqa: E731
     probe_u0 = asymptotics.numeric_limit_probe(u0_fn, lad_u0)
     records.append(
         _class_check("control_u0", classes.u0_limit, probe_u0, _tol("control_u0", scale))
@@ -387,21 +366,6 @@ def _control_checks(spec, field, scale, records, x_obs: float = 1.0):
     records.append(
         _class_check("control_ratio", classes.ratio_limit, probe_r, _tol("control_ratio", scale))
     )
-
-
-def _control_evaluators(spec, field, x_obs):
-    """(u0(t), u(t)) evaluators at the observation point, closed forms only;
-    an integral-representation case reads the field's own baseline ``u0``."""
-    h = spec.h
-    if spec.phi.kind is ShapeKind.CONSTANT_ONE:
-        u0 = lambda t: green.u0_quadratic_closed(h.nu, h.a, x_obs, t)  # noqa: E731
-        u = lambda t: h(x_obs)  # noqa: E731
-        return u0, u
-    if spec.phi.kind is ShapeKind.SCALED_SEPARABLE:
-        u0 = lambda t: green.u0_separable_closed(h, x_obs, t)  # noqa: E731
-    else:
-        u0 = lambda t: field.u0(x_obs, t)  # noqa: E731
-    return u0, lambda t: field.u(x_obs, t)
 
 
 def _tilde_checks(spec, field, scale, records):
@@ -498,7 +462,7 @@ def run_case(
                 _stationary_checks(spec, field, tol_scale, records)
             else:
                 _integral_rep_checks(spec, field, tol_scale, slow_oracles, records)
-            if "control" in extra_checks and _is_control_setting(spec):
+            if "control" in extra_checks and _is_control_setting(spec, field):
                 _control_checks(spec, field, tol_scale, records)
     except _NUMERICAL_ERRORS as exc:
         return CaseResult(case_id, records, time.perf_counter() - start, reason=str(exc))

@@ -23,6 +23,7 @@ from typing import Callable
 
 from scipy.integrate import quad
 
+from .green import u0_quadratic_closed, u0_separable_closed
 from .green import weighted_flux_integral as _weighted_flux_integral
 from .problem import (
     INTEGRAL_REP_SHAPES,
@@ -73,10 +74,10 @@ class SolutionField:
 
     For problem P the trajectory is the boundary flux u_x(0,t); for the
     companion problem it is the boundary value v(0,t) (the variable the
-    coupling law sees in either case).  An integral-representation field of
-    problem P also carries its source-free baseline ``u0(x, t)``, the
-    polynomial of :func:`baseline_u0_polynomial` with its coefficients bound
-    once; other fields have ``u0 = None``.
+    coupling law sees in either case).  A problem-P field of a control
+    family also carries its source-free baseline ``u0(x, t)``: the erf form,
+    h(x) exp(sigma t), or :func:`baseline_u0_polynomial` with its
+    coefficients bound once; other fields have ``u0 = None``.
     """
 
     u: Callable[[float, float], float]
@@ -116,7 +117,7 @@ def stationary_solution(spec: ProblemSpec) -> SolutionField:
     if flux.kind is FluxKind.ZERO:
         if not (h.kind is ProfileKind.MONOMIAL and h.m == 1.0 and h.eta > 0.0):
             raise ConstructionError("F == 0 requires h = eta*x with eta > 0")
-        slope = h.eta
+        slope, u0 = h.eta, None
     elif flux.kind is FluxKind.CONSTANT:
         if flux.nu == 0.0:
             raise ConstructionError("constant flux law requires nu != 0")
@@ -126,7 +127,7 @@ def stationary_solution(spec: ProblemSpec) -> SolutionField:
             and h.nu == flux.nu
         ):
             raise ConstructionError("constant law requires Phi == 1 and h'' = nu")
-        slope = h.a
+        slope, u0 = h.a, functools.partial(u0_quadratic_closed, h.nu, h.a)
     else:
         raise ConstructionError("stationary family requires F == 0 or F == nu")
 
@@ -136,6 +137,7 @@ def stationary_solution(spec: ProblemSpec) -> SolutionField:
         V=traj,
         provenance=Provenance.STATIONARY,
         spec=spec,
+        u0=u0,
     )
 
 
@@ -242,6 +244,7 @@ def separated_solution(spec: ProblemSpec) -> SolutionField:
         V=traj,
         provenance=Provenance.SEPARATED,
         spec=spec,
+        u0=functools.partial(u0_separable_closed, spec.h),
     )
 
 

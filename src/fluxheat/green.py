@@ -353,14 +353,20 @@ def weighted_flux_integral(shape: SourceShape, V, t: float, factor: float = 1.0)
     nu Phi(x) W(t) is the source part of u (``factor`` = 1), kappa W(t) the
     memory term of the flux equation (``factor`` = kappa).  The product is
     (factor * exp(rho t)) * int_0^t exp(-rho tau) V dtau, or the pre-scaled
-    form where -rho t > 30 and that integral would overflow.
+    form where -rho t > 30 and that integral would overflow.  Raises
+    ``OverflowError`` naming the time factor and t where exp(rho t) leaves
+    the double range.
     """
     if t == 0.0:
         return 0.0
     _, rho = shape.semigroup
     if -rho * t > 30.0:
         return factor * V.decay_weighted_integral(-rho, t)
-    return factor * math.exp(rho * t) * V.weighted_integral(-rho, t)
+    try:
+        growth = math.exp(rho * t)
+    except OverflowError:
+        raise OverflowError(f"time factor exp({rho:.6g} t) overflows at t = {t:.6g}") from None
+    return factor * growth * V.weighted_integral(-rho, t)
 
 
 def verify_identity_phi(

@@ -87,10 +87,6 @@ class ClosedFormTrajectory:
             total += amp * exp_moment(0, rate + r, t)
         return total
 
-    def integral(self, t: float) -> float:
-        """Exact int_0^t V(tau) dtau."""
-        return self.weighted_integral(0.0, t)
-
     def decay_weighted_integral(self, b: float, t: float) -> float:
         """Exact exp(-b*t) * int_0^t V(tau) exp(b*tau) dtau, b > 0.
 
@@ -115,12 +111,6 @@ class ClosedFormTrajectory:
             else:
                 total += amp * (math.exp(r * t) - math.exp(-b * t)) / s
         return total
-
-    def scaled(self, factor: float) -> "ClosedFormTrajectory":
-        return ClosedFormTrajectory(
-            poly=tuple(factor * c for c in self.poly),
-            exps=tuple((factor * a, r) for a, r in self.exps),
-        )
 
 
 @dataclass(frozen=True)
@@ -169,6 +159,3 @@ class SampledTrajectory:
         ``ClosedFormTrajectory.decay_weighted_integral`` is."""
         ts, vs = self._samples_to(t)
         return float(np.trapezoid(vs * np.exp(-b * (t - ts)), ts))
-
-    def integral(self, t: float) -> float:
-        return self.weighted_integral(0.0, t)

@@ -131,16 +131,6 @@ class Forcing:
             return self.c if self.exponent == 0.0 else 0.0
         return self.profile.derivative(1e-300)
 
-    def derivative(self, t: float) -> float:
-        if self.kind is not ForcingKind.POWER_LAW:
-            raise ValueError("V0' is only available for the power-law kind")
-        p = self.exponent
-        if p == 0.0:
-            return 0.0
-        if p == 1.0:
-            return self.c
-        return self.c * p * t ** (p - 1.0)
-
 
 def forcing_for(h: InitialProfile, quadrature: bool = False) -> Forcing:
     if quadrature or h.kind is not ProfileKind.MONOMIAL:

@@ -1,0 +1,146 @@
+"""One owner per family decision.
+
+``closed_form`` owns each control family's baseline ``u0`` (the field carries
+it), ``asymptotics`` owns the probe ladders, the field's provenance owns the
+integral-representation predicate and ``DerivedParams`` owns the rates;
+``bench`` reads them and re-derives none.
+"""
+
+import re
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+import fluxheat
+from fluxheat import asymptotics, bench, closed_form, green
+from fluxheat.asymptotics import ALGEBRAIC_LADDER, DEFAULT_LADDER, LimitClass
+from fluxheat.catalog import case_ids, load_case
+from fluxheat.problem import (
+    INTEGRAL_REP_SHAPES,
+    FluxKind,
+    ShapeKind,
+    Variant,
+    spec_from_dict,
+)
+
+PACKAGE = Path(fluxheat.__file__).resolve().parent
+
+
+def catalog_spec(case_id):
+    return spec_from_dict(load_case(case_id)["case"])
+
+
+def closed_baseline(spec):
+    """The closed-form baseline the bench checks used to call themselves."""
+    h = spec.h
+    if spec.phi.kind is ShapeKind.CONSTANT_ONE:
+        return lambda x, t: green.u0_quadratic_closed(h.nu, h.a, x, t)
+    return lambda x, t: green.u0_separable_closed(h, x, t)
+
+
+def probe_points():
+    """The (x, t) points of the u0 checks and the control probes."""
+    points = [(float(x), float(t)) for seed in (5, 9)
+              for x, t in zip(*bench._sample_points(n=3, t_hi=1.0, seed=seed))]
+    points += [(1.0, t) for t in DEFAULT_LADDER + ALGEBRAIC_LADDER]
+    return points
+
+
+@pytest.mark.parametrize(
+    "case_id",
+    ["stationary-quadratic", "separated-growth", "separated-sin-decay", "separated-power-nhalf"],
+)
+def test_field_u0_is_the_closed_baseline_bit_for_bit(case_id):
+    spec = catalog_spec(case_id)
+    field = closed_form.solution_for(spec)
+    want = closed_baseline(spec)
+    for x, t in probe_points():
+        try:
+            expected = want(x, t)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                field.u0(x, t)
+            continue
+        assert field.u0(x, t).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("case_id", [c for c in case_ids() if c.startswith("tilde-")])
+def test_companion_fields_carry_no_baseline(case_id):
+    spec = catalog_spec(case_id)
+    assert spec.variant is Variant.P_TILDE
+    assert closed_form.solution_for(spec).u0 is None
+
+
+def test_zero_law_stationary_field_carries_no_baseline():
+    spec = catalog_spec("stationary-linear-h")
+    assert spec.flux.kind is FluxKind.ZERO
+    assert closed_form.solution_for(spec).u0 is None
+
+
+@pytest.mark.parametrize(
+    "case_id", [c for c in case_ids() if "control" in load_case(c).get("checks", ())]
+)
+def test_every_control_case_field_carries_its_baseline(case_id):
+    assert closed_form.solution_for(catalog_spec(case_id)).u0 is not None
+
+
+@pytest.mark.parametrize("case_id", [c for c in case_ids() if not c.startswith("tilde-")])
+def test_provenance_is_the_old_integral_rep_predicate(case_id):
+    spec = catalog_spec(case_id)
+    old = (
+        spec.phi.kind in INTEGRAL_REP_SHAPES
+        and spec.flux.kind is FluxKind.LINEAR
+        and spec.h.is_odd_monomial
+    )
+    field = closed_form.solution_for(spec)
+    assert (field.provenance is closed_form.Provenance.INTEGRAL_REP) == old
+
+
+@pytest.mark.parametrize(
+    "case_id", [c for c in case_ids() if "control" in load_case(c).get("checks", ())]
+)
+def test_control_checks_probe_on_the_asymptotics_ladders(case_id):
+    spec = catalog_spec(case_id)
+    ladders = []
+
+    def probe(fn, ladder):
+        ladders.append(ladder)
+        return LimitClass.zero()
+
+    field = closed_form.solution_for(spec)
+    with mock.patch.object(asymptotics, "numeric_limit_probe", probe):
+        bench._control_checks(spec, field, 1.0, [])
+    lad_u0, lad_u = asymptotics.control_probe_ladders(spec)
+    assert ladders == [lad_u0, lad_u, lad_u]
+    separated = spec.phi.kind is ShapeKind.SCALED_SEPARABLE
+    assert lad_u0 == (DEFAULT_LADDER if separated else ALGEBRAIC_LADDER)
+
+
+@pytest.mark.parametrize("lam", [12.0, 13.0, 14.0, 20.0])
+def test_overflowing_time_factor_names_the_overflow(lam):
+    # e^{lambda^2 t} leaves the double range within the checks' samples
+    case = {
+        "phi": {"kind": "neg_sinh", "lambda": lam, "mu": 1.0},
+        "flux": {"kind": "linear", "nu": 1.0},
+        "h": {"kind": "monomial", "eta": 1.0, "m": 1},
+        "variant": "P",
+    }
+    result = bench.run_case(case, case_id="overflow")
+    assert not result.passed
+    assert "overflows" in result.reason and "t = " in result.reason
+    assert "time factor exp(" in result.reason
+
+
+def test_each_family_decision_has_one_owner():
+    ladder = re.compile(r"\b(DEFAULT_LADDER|ALGEBRAIC_LADDER)\b")
+    naming = {p.name for p in PACKAGE.glob("*.py") if ladder.search(p.read_text())}
+    assert naming == {"asymptotics.py"}
+    bench_src = (PACKAGE / "bench.py").read_text()
+    assert not re.search(r"\bu0_(separable|quadratic)_closed\b", bench_src)
+    assert "derive_parameters" not in bench_src
+    assert not hasattr(bench, "_control_evaluators") and not hasattr(bench, "_is_integral_rep")
+    # delta and gamma come from DerivedParams, not from a second formula
+    asym_src = (PACKAGE / "asymptotics.py").read_text()
+    assert not re.search(r"lam\s*-\s*nu\s*\*\s*mu", asym_src)
+    assert not re.search(r"nu\s*\*\s*phi\.delta", asym_src)
