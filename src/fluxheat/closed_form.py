@@ -348,11 +348,15 @@ def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTraject
     if check:
         kernel = _volterra.kernel_for(phi)
         forcing = _volterra.forcing_for(h)
-        scale = 1.0 + max(abs(traj(t)) for t in (0.5, 1.0, 2.0))
+        samples = (0.5, 1.0, 2.0)
+        scale = 1.0 + max(abs(traj(t)) for t in samples)
         try:
-            res = _volterra.volterra_residual(traj, kernel, forcing, nu, (0.5, 1.0, 2.0))
+            res = _volterra.volterra_residual(traj, kernel, forcing, nu, samples)
         except OverflowError as exc:
             raise ConstructionError(f"closed-form flux check: {exc}") from exc
+        if math.isinf(scale):
+            t_inf = next(t for t in samples if math.isinf(traj(t)))
+            raise ConstructionError(f"closed-form flux check: V(t) overflows at t = {t_inf:.6g}")
         if not res <= 1e-9 * scale:
             raise ConstructionError(
                 f"closed-form flux fails its Volterra residual check: {res:.3e}"

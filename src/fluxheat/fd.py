@@ -1,8 +1,10 @@
 """Finite-difference solver on a truncated domain.
 
 theta-weighted time stepping of the diffusion term with the nonlocal source
-evaluated at the lagged boundary variable, so each step costs one tridiagonal
-solve.  The solver doubles as an independent oracle against the closed forms
+evaluated at the lagged boundary variable.  The tridiagonal matrix is constant,
+so it is factored once per run and each step costs one forward and back
+substitution.  The companion problem's Neumann datum Phi(0) F comes from the
+spec, lagged like the source.  The solver doubles as an independent oracle against the closed forms
 (manufactured far-field data) and as the benchmark target the explicit
 solutions are meant to test.
 
@@ -118,7 +120,6 @@ class FDSolver:
         far_field: str = "manufactured",
         reference=None,
         flux_order: int = 2,
-        boundary_flux=None,
     ):
         if far_field not in ("manufactured", "homogeneous"):
             raise ValueError(f"unknown far-field policy {far_field!r}")
@@ -142,7 +143,7 @@ class FDSolver:
         self.reference = reference
         self.flux_order = flux_order
         self.tilde = spec.variant is Variant.P_TILDE
-        self.boundary_flux = boundary_flux  # Neumann datum g(t), companion problem
+        self._phi0 = float(spec.phi(0.0))  # companion Neumann datum g = Phi(0) F
 
         x = grid.x
         self.phi_vals = np.array([spec.phi_eval(xi) for xi in x])
@@ -159,42 +160,42 @@ class FDSolver:
     # -- scheme assembly ---------------------------------------------------
 
     def _factorize(self):
+        """Eliminate the constant tridiagonal matrix once: the Thomas
+        multipliers ``cp`` and pivots, kept as Python floats for the
+        per-step substitution."""
         g = self.grid
         r = g.dt / g.dx ** 2
         n = g.nx + 1
-        lower = np.zeros(n)
-        diag = np.ones(n)
-        upper = np.zeros(n)
         th = g.theta
         # interior rows: (I - theta*dt*D) u^{n+1}
-        lower[1:-1] = -th * r
-        diag[1:-1] = 1.0 + 2.0 * th * r
-        upper[1:-1] = -th * r
+        lower = [0.0] + [-th * r] * (n - 2) + [0.0]
+        diag = [1.0] + [1.0 + 2.0 * th * r] * (n - 2) + [1.0]
+        upper = list(lower)
         if self.tilde:
             # ghost-node Neumann row at x = 0 (second order):
             # u_-1 = u_1 - 2*dx*g  =>  D u_0 = (2u_1 - 2u_0 - 2*dx*g)/dx^2
             diag[0] = 1.0 + 2.0 * th * r
             upper[0] = -2.0 * th * r
         # row 0 (Dirichlet, problem P) and row nx (far field) stay identity
-        self._bands = (lower, diag, upper)
+        cp = [upper[0] / diag[0]]
+        pivots = [diag[0]]
+        for i in range(1, n):
+            pivots.append(diag[i] - lower[i] * cp[i - 1])
+            cp.append(upper[i] / pivots[i])
+        self._lower, self._pivots, self._cp = lower, pivots, cp
         self._r = r
 
-    def _thomas(self, rhs: np.ndarray) -> np.ndarray:
-        lower, diag, upper = self._bands
-        n = len(rhs)
-        cp = np.empty(n)
-        dp = np.empty(n)
-        cp[0] = upper[0] / diag[0]
-        dp[0] = rhs[0] / diag[0]
+    def _substitute(self, rhs: np.ndarray) -> np.ndarray:
+        """Forward and back substitution against the factored matrix."""
+        lower, pivots, cp = self._lower, self._pivots, self._cp
+        d = rhs.tolist()
+        n = len(d)
+        d[0] = d[0] / pivots[0]
         for i in range(1, n):
-            denom = diag[i] - lower[i] * cp[i - 1]
-            cp[i] = upper[i] / denom
-            dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
-        out = np.empty(n)
-        out[-1] = dp[-1]
+            d[i] = (d[i] - lower[i] * d[i - 1]) / pivots[i]
         for i in range(n - 2, -1, -1):
-            out[i] = dp[i] - cp[i] * out[i + 1]
-        return out
+            d[i] = d[i] - cp[i] * d[i + 1]
+        return np.array(d)
 
     def _boundary_var(self, u: np.ndarray) -> float:
         dx = self.grid.dx
@@ -224,24 +225,17 @@ class FDSolver:
         source = -self.phi_vals * Fv
 
         rhs = np.empty_like(u)
-        lap = np.zeros_like(u)
-        lap[1:-1] = u[:-2] - 2.0 * u[1:-1] + u[2:]
-        rhs[1:-1] = u[1:-1] + (1.0 - th) * r * lap[1:-1] + g.dt * source[1:-1]
+        lap = u[:-2] - 2.0 * u[1:-1] + u[2:]
+        rhs[1:-1] = u[1:-1] + (1.0 - th) * r * lap + g.dt * source[1:-1]
         if self.tilde:
-            gt_now = self.boundary_flux(t_now) if self.boundary_flux else 0.0
-            gt_next = self.boundary_flux(t_next) if self.boundary_flux else 0.0
-            lap0 = 2.0 * u[1] - 2.0 * u[0] - 2.0 * g.dx * gt_now
-            rhs[0] = (
-                u[0]
-                + (1.0 - th) * r * lap0
-                + g.dt * source[0]
-                - th * r * 2.0 * g.dx * gt_next
-            )
+            gt = self._phi0 * Fv  # Neumann datum, lagged like the source
+            lap0 = 2.0 * u[1] - 2.0 * u[0] - 2.0 * g.dx * gt
+            rhs[0] = u[0] + (1.0 - th) * r * lap0 + g.dt * source[0] - th * r * 2.0 * g.dx * gt
         else:
             rhs[0] = 0.0
         rhs[-1] = self._far_value(t_next)
 
-        new = self._thomas(rhs)
+        new = self._substitute(rhs)
         self.state = DiscreteField(values=new, time=t_next)
         self.state.boundary_var = self._boundary_var(new)
         self.history.append(new.copy())
@@ -261,23 +255,10 @@ class FDSolver:
         return SampledTrajectory(t=t, values=np.array(self.boundary_series))
 
 
-def solve(
-    spec: ProblemSpec,
-    grid: Grid1D,
-    far_field: str = "manufactured",
-    reference=None,
-    flux_order: int = 2,
-    boundary_flux=None,
-):
-    """Run the full time loop; returns (solver, final DiscreteField)."""
-    solver = FDSolver(
-        spec,
-        grid,
-        far_field=far_field,
-        reference=reference,
-        flux_order=flux_order,
-        boundary_flux=boundary_flux,
-    )
+def solve(spec: ProblemSpec, grid: Grid1D, **options):
+    """Run the full time loop with :class:`FDSolver` ``options``; returns
+    (solver, final DiscreteField)."""
+    solver = FDSolver(spec, grid, **options)
     final = solver.run()
     return solver, final
 

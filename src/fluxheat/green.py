@@ -354,19 +354,15 @@ def weighted_flux_integral(shape: SourceShape, V, t: float, factor: float = 1.0)
     memory term of the flux equation (``factor`` = kappa).  The product is
     (factor * exp(rho t)) * int_0^t exp(-rho tau) V dtau, or the pre-scaled
     form where -rho t > 30 and that integral would overflow.  Raises
-    ``OverflowError`` naming the time factor and t where exp(rho t) leaves
-    the double range.
+    ``OverflowError`` naming the time factor and t where exp(rho t), or in
+    the pre-scaled form the flux's own exp(r t), leaves the double range.
     """
     if t == 0.0:
         return 0.0
     _, rho = shape.semigroup
     if -rho * t > 30.0:
         return factor * V.decay_weighted_integral(-rho, t)
-    try:
-        growth = math.exp(rho * t)
-    except OverflowError:
-        raise OverflowError(f"time factor exp({rho:.6g} t) overflows at t = {t:.6g}") from None
-    return factor * growth * V.weighted_integral(-rho, t)
+    return factor * specfun.time_factor(rho, t) * V.weighted_integral(-rho, t)
 
 
 def verify_identity_phi(

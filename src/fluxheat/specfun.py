@@ -18,6 +18,7 @@ __all__ = [
     "erf",
     "exp_moment",
     "exp_moment_parts",
+    "time_factor",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
@@ -181,3 +182,11 @@ def exp_moment_parts(n: int, a: float) -> tuple[list[float], float]:
         nxt[k] += 1.0 / a
         poly = nxt
     return poly, -poly[0]
+
+
+def time_factor(rate: float, t: float) -> float:
+    """exp(rate t); an OverflowError past the double range names the factor and t."""
+    try:
+        return math.exp(rate * t)
+    except OverflowError:
+        raise OverflowError(f"time factor exp({rate:.6g} t) overflows at t = {t:.6g}") from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import exp_moment, exp_moment_parts
+from .specfun import exp_moment, exp_moment_parts, time_factor
 
 __all__ = ["ClosedFormTrajectory", "SampledTrajectory"]
 
@@ -109,7 +109,7 @@ class ClosedFormTrajectory:
             if s == 0.0:
                 total += amp * t * math.exp(-b * t)
             else:
-                total += amp * (math.exp(r * t) - math.exp(-b * t)) / s
+                total += amp * (time_factor(r, t) - math.exp(-b * t)) / s
         return total
 
 

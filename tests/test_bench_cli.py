@@ -93,6 +93,25 @@ class TestRunCase:
         assert result.reason.startswith("closed-form flux check")
         assert [r.name for r in result.records] == ["validate"]
 
+    @pytest.mark.parametrize(
+        "mu, reason",
+        [
+            # the flux rate r = -lambda delta = 291 overflows exp(r t) in the
+            # pre-scaled time factor of u at the last flux-consistency time
+            (100.0, "time factor exp(291 t) overflows at t = 5"),
+            # V(t) itself is inf at the construction check's samples
+            (150.0, "closed-form flux check: V(t) overflows at t = 2"),
+            (200.0, "closed-form flux check: V(t) overflows at t = 2"),
+            (400.0, "closed-form flux check: V(t) overflows at t = 1"),
+        ],
+    )
+    def test_overflowing_sine_flux_names_the_overflow(self, mu, reason):
+        case = base_case(m=1, kind="neg_sin")
+        case["phi"].update({"lambda": 3.0, "mu": mu})
+        result = run_case(case, case_id="overflow")
+        assert not result.passed
+        assert result.reason == reason
+
     def test_sample_points_are_read_only_constants(self):
         xs, ts = bench._sample_points(n=4)
         assert bench._sample_points(n=4)[0] is xs

@@ -12,9 +12,11 @@ from conftest import (
     sin_shape,
     sinh_shape,
 )
-from fluxheat.closed_form import integral_rep_solution, tilde_solution
-from fluxheat.fd import FDSolver, Grid1D, convergence_order, pde_residual, solution_grows, solve
-from fluxheat.problem import FluxKind, FluxLaw, ProblemSpec, Variant
+from fluxheat import bench
+from fluxheat.catalog import load_case
+from fluxheat.closed_form import integral_rep_solution, solution_for, tilde_solution
+from fluxheat.fd import DiscreteField, FDSolver, Grid1D, convergence_order, pde_residual, solution_grows, solve
+from fluxheat.problem import FluxKind, FluxLaw, ProblemSpec, Variant, spec_from_dict
 
 
 class TestGrid:
@@ -184,6 +186,124 @@ class TestTildeSolver:
         solver, final = solve(spec, g, reference=field)
         exact = np.array([field.u(x, 0.5) for x in g.x])
         assert np.max(np.abs(final.values - exact)) <= 5e-3
+
+
+class PerStepElimination(FDSolver):
+    """The stepper as it was before the matrix was factored once per run: the
+    bands are eliminated again at every step, and the companion problem's
+    Neumann datum is zero."""
+
+    def _thomas(self, rhs):
+        th, r, n = self.grid.theta, self._r, len(rhs)
+        lower = np.zeros(n)
+        diag = np.ones(n)
+        upper = np.zeros(n)
+        lower[1:-1] = -th * r
+        diag[1:-1] = 1.0 + 2.0 * th * r
+        upper[1:-1] = -th * r
+        if self.tilde:
+            diag[0] = 1.0 + 2.0 * th * r
+            upper[0] = -2.0 * th * r
+        cp = np.empty(n)
+        dp = np.empty(n)
+        cp[0] = upper[0] / diag[0]
+        dp[0] = rhs[0] / diag[0]
+        for i in range(1, n):
+            denom = diag[i] - lower[i] * cp[i - 1]
+            cp[i] = upper[i] / denom
+            dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
+        out = np.empty(n)
+        out[-1] = dp[-1]
+        for i in range(n - 2, -1, -1):
+            out[i] = dp[i] - cp[i] * out[i + 1]
+        return out
+
+    def step(self):
+        g = self.grid
+        u = self.state.values
+        t_now = self.state.time
+        t_next = t_now + g.dt
+        r = self._r
+        th = g.theta
+
+        Fv = self.spec.flux_eval(self.state.boundary_var, t_now if t_now > 0 else g.dt * 1e-9)
+        source = -self.phi_vals * Fv
+
+        rhs = np.empty_like(u)
+        lap = np.zeros_like(u)
+        lap[1:-1] = u[:-2] - 2.0 * u[1:-1] + u[2:]
+        rhs[1:-1] = u[1:-1] + (1.0 - th) * r * lap[1:-1] + g.dt * source[1:-1]
+        if self.tilde:
+            gt_now = gt_next = 0.0
+            lap0 = 2.0 * u[1] - 2.0 * u[0] - 2.0 * g.dx * gt_now
+            rhs[0] = (
+                u[0]
+                + (1.0 - th) * r * lap0
+                + g.dt * source[0]
+                - th * r * 2.0 * g.dx * gt_next
+            )
+        else:
+            rhs[0] = 0.0
+        rhs[-1] = self._far_value(t_next)
+
+        new = self._thomas(rhs)
+        self.state = DiscreteField(values=new, time=t_next)
+        self.state.boundary_var = self._boundary_var(new)
+        self.history.append(new.copy())
+        self.boundary_series.append(self.state.boundary_var)
+        return self.state
+
+
+class TestFactoredStepper:
+    @pytest.mark.parametrize("flux_order", [1, 2])
+    @pytest.mark.parametrize("theta, nt", [(0.0, 80), (0.5, 32), (1.0, 32)])
+    @pytest.mark.parametrize(
+        "case_id",
+        ["ir-phi1-m3", "separated-sin-decay", "tilde-ir-phi1-m1", "tilde-separated", "tilde-constant"],
+    )
+    def test_bitwise_equal_to_per_step_elimination(self, case_id, theta, nt, flux_order):
+        # Phi(0) = 0 on each of these shapes, so the companion datum Phi(0) F is zero
+        spec = spec_from_dict(load_case(case_id)["case"])
+        field = solution_for(spec)
+        g = Grid1D(L=8.0, nx=64, t_end=0.5, nt=nt, theta=theta)
+        solver, final = solve(spec, g, reference=field, flux_order=flux_order)
+        ref = PerStepElimination(spec, g, reference=field, flux_order=flux_order)
+        ref_final = ref.run()
+        assert final.values.tobytes() == ref_final.values.tobytes()
+        assert np.array(solver.boundary_series).tobytes() == np.array(ref.boundary_series).tobytes()
+
+    def test_companion_neumann_datum_from_spec(self):
+        # Phi == 1 and F = nu: v_x(0, t) = nu, and v = nu x + a is stationary
+        cfg = load_case("tilde-stationary-quadratic")
+        spec = spec_from_dict(cfg["case"])
+        for theta in (0.5, 1.0):
+            g = Grid1D(L=8.0, nx=64, t_end=1.0, nt=64, theta=theta)
+            solver, _ = solve(spec, g, reference=solution_for(spec))
+            exact = spec.flux.nu * g.x + spec.h.a
+            assert max(np.max(np.abs(level - exact)) for level in solver.history) <= 1e-12
+        lines, ok = bench.convergence({**cfg, "ladder": {"nx": [64, 128, 256]}})
+        assert ok
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert len(rows) == 3 and all(float(row["error_max"]) <= 1e-12 for row in rows)
+
+    def test_solve_steps_nt_times_and_keeps_every_level(self, monkeypatch):
+        # the per-layer FD metrics count FDSolver.step calls and read solver.history
+        calls = []
+        real_step = FDSolver.step
+
+        def counted(self):
+            calls.append(self)
+            return real_step(self)
+
+        monkeypatch.setattr(FDSolver, "step", counted)
+        spec = monomial_spec(linear_shape(1.0), 1.0, 1)
+        g = Grid1D(L=6.0, nx=48, t_end=0.5, nt=20)
+        solver, final = solve(spec, g, reference=integral_rep_solution(spec))
+        assert len(calls) == g.nt and all(s is solver for s in calls)
+        assert len(solver.history) == g.nt + 1
+        assert all(level.shape == (g.nx + 1,) and level.dtype == np.float64 for level in solver.history)
+        assert sum(level.nbytes for level in solver.history) == (g.nt + 1) * (g.nx + 1) * 8
+        assert solver.history[-1].tobytes() == final.values.tobytes()
 
 
 def per_term_residual(field, spec, x, t, delta):
