@@ -52,7 +52,6 @@ from .problem import (
     derive_parameters,
     spec_from_dict,
     spec_to_dict,
-    transform_to_tilde,
     validate,
 )
 from .specfun import erf, exp_moment, gamma_half

@@ -41,7 +41,6 @@ __all__ = [
     "CaseResult",
     "run_case",
     "sweep",
-    "sweep_with_reasons",
     "convergence",
     "format_float",
 ]
@@ -369,8 +368,8 @@ def _control_checks(spec, field, scale, records, x_obs: float = 1.0):
 
 
 def _tilde_checks(spec, field, scale, records):
-    base = spec.as_p()
-    h_tilde = base.h.derivative
+    base = field.base
+    h_tilde = spec.h.derivative
 
     xs, ts = _sample_points(n=10, seed=21)
     worst = max(abs(field.u(x, 0.0) - h_tilde(x)) / (1.0 + abs(h_tilde(x))) for x in xs)
@@ -379,27 +378,22 @@ def _tilde_checks(spec, field, scale, records):
     )
 
     # v must equal the x-derivative of the underlying solution
-    try:
-        base_field = closed_form.solution_for(base)
-    except closed_form.ConstructionError:
-        base_field = None
-    if base_field is not None:
-        def ux(x, t):
-            u = base_field.u
-            return fd.richardson(lambda d: (u(x + d, t) - u(x - d, t)) / (2.0 * d), 1e-4)
+    def ux(x, t):
+        u = base.u
+        return fd.richardson(lambda d: (u(x + d, t) - u(x - d, t)) / (2.0 * d), 1e-4)
 
-        worst = max(
-            abs(field.u(x, t) - ux(x, t)) / (1.0 + abs(field.u(x, t)))
-            for x, t in zip(xs, ts)
-        )
-        records.append(
-            CheckRecord("tilde_matches_ux", worst, 0.0, _tol("tilde_matches_ux", scale))
-        )
+    worst = max(
+        abs(field.u(x, t) - ux(x, t)) / (1.0 + abs(field.u(x, t)))
+        for x, t in zip(xs, ts)
+    )
+    records.append(
+        CheckRecord("tilde_matches_ux", worst, 0.0, _tol("tilde_matches_ux", scale))
+    )
 
     # Neumann datum: v_x(0,t) = Phi(0) F(V(t), t)
     worst = 0.0
     for t in (0.3, 1.0, 2.0):
-        g_t = base.phi(0.0) * base.flux(float(base_field.V(t)) if base_field else 0.0, t)
+        g_t = spec.phi(0.0) * spec.flux(float(base.V(t)), t)
         worst = max(worst, abs(_dx_at_zero(field.u, t) - g_t) / (1.0 + abs(g_t)))
     records.append(CheckRecord("tilde_neumann", worst, 0.0, _tol("tilde_neumann", scale)))
 
@@ -509,23 +503,15 @@ def _worker_count(jobs: int) -> int:
 
 def sweep(
     config: dict, tol_scale: float = 1.0, slow_oracles: bool = False, jobs: int = 1
-) -> tuple[list[str], bool]:
-    """Run a cartesian parameter grid; returns (CSV lines, all passed).
+) -> tuple[list[str], bool, list[tuple[str, str]]]:
+    """Run a cartesian parameter grid; returns (CSV lines, all passed, reasons).
 
     Rows are ordered lexicographically in the parameter values regardless of
-    execution order, so concurrent runs stay deterministic.  ``jobs`` is
-    capped at the CPU count; a value below 1 is a configuration error.
-    """
-    lines, all_pass, _ = sweep_with_reasons(config, tol_scale, slow_oracles, jobs)
-    return lines, all_pass
-
-
-def sweep_with_reasons(
-    config: dict, tol_scale: float = 1.0, slow_oracles: bool = False, jobs: int = 1
-) -> tuple[list[str], bool, list[tuple[str, str]]]:
-    """:func:`sweep`, plus the (case_id, reason) of every case that ended on a
-    configuration or numerical failure, in row order: the cause its row
-    (no checks, infinite margin) does not carry.
+    execution order, so concurrent runs stay deterministic.  ``reasons`` holds
+    the (case_id, reason) of every case that ended on a configuration or
+    numerical failure, in row order: the cause its row (no checks, infinite
+    margin) does not carry.  ``jobs`` is capped at the CPU count; a value
+    below 1 is a configuration error.
     """
     workers = _worker_count(jobs)
     base = config.get("base")

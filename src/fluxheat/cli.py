@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import CSV_HEADER, convergence, run_case, sweep_with_reasons
+from .bench import CSV_HEADER, convergence, run_case, sweep
 from .problem import SchemaError
 
 __all__ = ["main"]
@@ -83,7 +83,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    lines, all_pass, reasons = sweep_with_reasons(
+    lines, all_pass, reasons = sweep(
         config,
         tol_scale=args.tol_scale,
         slow_oracles=args.slow_oracles,

@@ -3,14 +3,17 @@
 Three families admit closed forms: stationary solutions u = h(x), separated
 solutions u = X(x) T(t), and the integral-representation solutions built from
 the explicit boundary fluxes for the linear coupling law with Phi among
-lambda*x, -mu*sinh(lambda*x), -mu*sin(lambda*x).
+lambda*x, -mu*sinh(lambda*x), -mu*sin(lambda*x).  Each problem-P field also
+carries its x-derivative, and the companion problem's field for v = u_x is
+that derivative of the problem-P field for the same data, not a fourth
+construction.
 
 The flux polynomials and exponential amplitudes for every odd monomial
 exponent come out of one coefficient-generation routine based on the
 antiderivative of tau^n exp(a tau); the expanded low-degree forms serve as
-test vectors in the suite.  Construction optionally re-checks each trajectory
-against the governing Volterra equation (exact convolution), which guards
-against sign mistakes in the coefficients.
+test vectors in the suite.  :func:`flux_closed_form` re-checks each trajectory
+against the governing Volterra equation (exact convolution, unless
+``check=False``), which guards against sign mistakes in the coefficients.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from scipy.integrate import quad
 from .green import u0_quadratic_closed, u0_separable_closed
 from .green import weighted_flux_integral as _weighted_flux_integral
 from .problem import (
-    INTEGRAL_REP_SHAPES,
     FluxKind,
     InitialProfile,
     ProblemSpec,
@@ -74,10 +76,12 @@ class SolutionField:
 
     For problem P the trajectory is the boundary flux u_x(0,t); for the
     companion problem it is the boundary value v(0,t) (the variable the
-    coupling law sees in either case).  A problem-P field of a control
-    family also carries its source-free baseline ``u0(x, t)``: the erf form,
+    coupling law sees in either case, so both are the same trajectory).  A
+    problem-P field carries its x-derivative ``ux(x, t)``, and a field of a
+    control family also its source-free baseline ``u0(x, t)``: the erf form,
     h(x) exp(sigma t), or :func:`baseline_u0_polynomial` with its
-    coefficients bound once; other fields have ``u0 = None``.
+    coefficients bound once; other fields have ``u0 = None``.  A companion
+    field is the ``ux`` view of its problem-P field, kept as ``base``.
     """
 
     u: Callable[[float, float], float]
@@ -85,6 +89,8 @@ class SolutionField:
     provenance: Provenance
     spec: ProblemSpec
     u0: Callable[[float, float], float] | None = None
+    ux: Callable[[float, float], float] | None = None
+    base: SolutionField | None = None
 
     def __call__(self, x: float, t: float) -> float:
         return self.u(x, t)
@@ -132,12 +138,14 @@ def stationary_solution(spec: ProblemSpec) -> SolutionField:
         raise ConstructionError("stationary family requires F == 0 or F == nu")
 
     traj = ClosedFormTrajectory(poly=(slope,))
+    hp = h.derivative
     return SolutionField(
         u=lambda x, t: h(x),
         V=traj,
         provenance=Provenance.STATIONARY,
         spec=spec,
         u0=u0,
+        ux=lambda x, t: hp(x),
     )
 
 
@@ -245,6 +253,7 @@ def separated_solution(spec: ProblemSpec) -> SolutionField:
         provenance=Provenance.SEPARATED,
         spec=spec,
         u0=functools.partial(u0_separable_closed, spec.h),
+        ux=lambda x, t: separated_x_tilde(comps.sigma, delta, x) * comps.T(t),
     )
 
 
@@ -390,16 +399,16 @@ def _time_factor(spec: ProblemSpec, traj) -> Callable[[float], float]:
     return weighted
 
 
-def integral_rep_solution(spec: ProblemSpec, check: bool = True) -> SolutionField:
+def integral_rep_solution(spec: ProblemSpec) -> SolutionField:
     """Explicit solution u = u0 - nu Phi(x) * (weighted time integral of V).
 
     The weight of the time integral is the Green weight exp(rho (t-tau)) of
     the shape (rho = 0, lambda^2 or -lambda^2), evaluated in closed form.
     The field computes that time factor once per distinct t (a small cache
     of the last few t) and the baseline's polynomial coefficients once; the
-    baseline is the field's ``u0``.
+    baseline is the field's ``u0``, and ``ux`` shares both.
     """
-    traj = flux_closed_form(spec, check=check)
+    traj = flux_closed_form(spec)
     phi, nu = spec.phi, spec.flux.nu
     coeffs = _u0_coeffs(spec.h)
     weighted = _time_factor(spec, traj)
@@ -408,82 +417,47 @@ def integral_rep_solution(spec: ProblemSpec, check: bool = True) -> SolutionFiel
     def u(x: float, t: float) -> float:
         return _u0_sum(coeffs, x, t) - nu * phi_at(x) * weighted(t)
 
+    def ux(x: float, t: float) -> float:
+        return _u0_dx_sum(coeffs, x, t) - nu * phi.derivative(x) * weighted(t)
+
     return SolutionField(
         u=u,
         V=traj,
         provenance=Provenance.INTEGRAL_REP,
         spec=spec,
         u0=functools.partial(_u0_sum, coeffs),
+        ux=ux,
     )
 
 
-def _integral_rep_dx(spec: ProblemSpec, traj) -> Callable[[float, float], float]:
-    phi, nu = spec.phi, spec.flux.nu
-    coeffs = _u0_coeffs(spec.h)
-    weighted = _time_factor(spec, traj)
-
-    def v(x: float, t: float) -> float:
-        return _u0_dx_sum(coeffs, x, t) - nu * phi.derivative(x) * weighted(t)
-
-    return v
-
-
 # ---------------------------------------------------------------------------
-# Companion-problem families
+# Companion problem
 
 
-def tilde_solution(spec: ProblemSpec, check: bool = True) -> SolutionField:
+def tilde_solution(spec: ProblemSpec) -> SolutionField:
     """Explicit solution of the companion problem satisfied by v = u_x.
 
-    Families: constant in time (v = h'(x), Neumann datum g = Phi(0)*F), the
-    separated family with the cosh/cos/constant X branches, and the
-    x-derivative of an integral-representation solution.  The boundary
-    trajectory returned is v(0,t), the variable the coupling law sees.
+    The companion field is the x-derivative view of the problem-P field for
+    the same data, built once and kept as ``base``: v = ``base.ux``, and the
+    boundary trajectory v(0,t) is the problem-P flux ``base.V``.  Each family
+    of problem P thus gives one: constant in time (v = h'(x), Neumann datum
+    g = Phi(0)*F), the separated family with the cosh/cos/constant X
+    branches, and the integral-representation family.
     """
     if spec.variant is not Variant.P_TILDE:
         raise ConstructionError("tilde_solution expects a companion-problem spec")
-    base = spec.as_p()
-    flux, h, phi = spec.flux, spec.h, spec.phi
-
-    if flux.kind in (FluxKind.ZERO, FluxKind.CONSTANT):
-        stationary_solution(base)  # validates the admissible pairing
-        hp = h.derivative
-        return SolutionField(
-            u=lambda x, t: hp(x),
-            V=ClosedFormTrajectory(poly=(hp(0.0),)),
-            provenance=Provenance.STATIONARY,
-            spec=spec,
-        )
-
-    if phi.kind is ShapeKind.SCALED_SEPARABLE:
-        comps = separated_components(base)
-        xt = lambda x: separated_x_tilde(comps.sigma, comps.delta, x)  # noqa: E731
-        sep = separated_solution(base)
-        return SolutionField(
-            u=lambda x, t: xt(x) * comps.T(t),
-            V=sep.V,  # v(0,t) = delta*T(t), same as the problem-P flux
-            provenance=Provenance.SEPARATED,
-            spec=spec,
-        )
-
-    if phi.kind in INTEGRAL_REP_SHAPES:
-        traj = flux_closed_form(base, check=check)
-        return SolutionField(
-            u=_integral_rep_dx(base, traj),
-            V=traj,
-            provenance=Provenance.INTEGRAL_REP,
-            spec=spec,
-        )
-
-    raise ConstructionError("spec is outside the three companion families")
+    base = solution_for(spec.as_p())
+    return SolutionField(
+        u=base.ux, V=base.V, provenance=base.provenance, spec=spec, base=base
+    )
 
 
-def solution_for(spec: ProblemSpec, check: bool = True) -> SolutionField:
+def solution_for(spec: ProblemSpec) -> SolutionField:
     """Dispatch to the closed-form family matching the spec."""
     if spec.variant is Variant.P_TILDE:
-        return tilde_solution(spec, check=check)
+        return tilde_solution(spec)
     if spec.flux.kind in (FluxKind.ZERO, FluxKind.CONSTANT):
         return stationary_solution(spec)
     if spec.phi.kind is ShapeKind.SCALED_SEPARABLE:
         return separated_solution(spec)
-    return integral_rep_solution(spec, check=check)
+    return integral_rep_solution(spec)

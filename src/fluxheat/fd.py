@@ -291,7 +291,9 @@ def convergence_order(
 
     The reference is any object with ``u(x, t)``, or the string ``"self"``
     for self-convergence against the finest ladder member (grids must nest).
-    Non-monotone errors set the degraded-confidence flag.
+    Non-monotone errors set the degraded-confidence flag.  A ladder whose
+    every max error is round-off, at most 1e-12 (1 + max |reference|), is
+    exact: it has no order (nan) and is not degraded.
     """
     if len(grids) < 3:
         raise ValueError("need at least 3 grids to estimate an order")
@@ -303,6 +305,7 @@ def convergence_order(
         fields.append((g, final.values))
 
     errors_max, errors_l2, dxs, dts = [], [], [], []
+    ref_max = 0.0
     if self_ref:
         g_fine, u_fine = fields[-1]
         compare = fields[:-1]
@@ -315,12 +318,16 @@ def convergence_order(
             exact = u_fine[::ratio]
         else:
             exact = np.array([reference.u(xi, g.t_end) for xi in x])
+        ref_max = max(ref_max, float(np.max(np.abs(exact))))
         diff = u - exact
         errors_max.append(float(np.max(np.abs(diff))))
         errors_l2.append(float(math.sqrt(g.dx) * np.linalg.norm(diff)))
         dxs.append(g.dx)
         dts.append(g.dt)
 
+    round_off = 1e-12 * (1.0 + ref_max)
+    if math.isfinite(round_off) and all(e <= round_off for e in errors_max):
+        return ConvergenceResult(dxs, dts, errors_max, errors_l2, math.nan, math.nan)
     mono = all(e1 > e2 for e1, e2 in zip(errors_max, errors_max[1:]))
     return ConvergenceResult(
         dxs=dxs,

@@ -36,10 +36,8 @@ __all__ = [
     "ProblemSpec",
     "TimeFunction",
     "DerivedParams",
-    "TildeData",
     "validate",
     "derive_parameters",
-    "transform_to_tilde",
     "separated_x",
     "separated_x_tilde",
     "spec_from_dict",
@@ -503,41 +501,6 @@ def validate(spec: ProblemSpec, closed_form: bool = False) -> list[str]:
             v.append("m must be odd for polynomial flux")
 
     return v
-
-
-@dataclass(frozen=True)
-class TildeData:
-    """Exact transform of a problem-P spec into companion-problem data."""
-
-    spec: ProblemSpec
-    phi_tilde: Callable[[float], float]
-    h_tilde: Callable[[float], float]
-    x_tilde_branch: str = ""
-
-
-def transform_to_tilde(spec: ProblemSpec) -> TildeData:
-    """Map a problem-P spec to the companion problem solved by v = u_x.
-
-    The transformed data are Phi' and h' with the flux law unchanged; the
-    separated X branches become delta*cosh, delta*cos or the constant delta.
-    """
-    if spec.variant is not Variant.P:
-        raise ValueError("transform_to_tilde expects a problem-P spec")
-    tilde_spec = ProblemSpec(spec.phi, spec.flux, spec.h, Variant.P_TILDE)
-    branch = ""
-    if spec.phi.kind is ShapeKind.SCALED_SEPARABLE:
-        if spec.phi.sigma > 0:
-            branch = "delta*cosh(sqrt(sigma) x)"
-        elif spec.phi.sigma < 0:
-            branch = "delta*cos(sqrt(|sigma|) x)"
-        else:
-            branch = "delta (constant)"
-    return TildeData(
-        spec=tilde_spec,
-        phi_tilde=spec.phi.derivative,
-        h_tilde=spec.h.derivative,
-        x_tilde_branch=branch,
-    )
 
 
 # ---------------------------------------------------------------------------

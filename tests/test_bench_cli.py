@@ -63,6 +63,22 @@ class TestRunCase:
         assert result.passed and {"control_u", "control_ratio"} <= {r.name for r in result.records}
         assert len(calls) == 1
 
+    def test_companion_checks_reuse_the_base_field(self, monkeypatch):
+        from fluxheat import closed_form
+
+        calls = []
+        real = closed_form.flux_closed_form
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(closed_form, "flux_closed_form", counting)
+        cfg = load_case("tilde-ir-phi1-m1")
+        result = run_case(cfg["case"], case_id="tilde-ir-phi1-m1")
+        assert result.passed and "tilde_matches_ux" in {r.name for r in result.records}
+        assert len(calls) == 1
+
     def test_baseline_coefficients_built_once_per_case(self, monkeypatch):
         # the u0_polynomial check and the control u0 probe read the field's baseline
         from fluxheat import closed_form
@@ -159,18 +175,18 @@ class TestSweep:
         return {"id": "s", "base": base_case(), "grid": {"h.m": [1, 3, 5, 7], "phi.kind": ["linear_x", "neg_sinh", "neg_sin"]}}
 
     def test_cartesian_count(self):
-        lines, ok = sweep(self.sweep_config())
+        lines, ok, _ = sweep(self.sweep_config())
         assert ok
         assert len(lines) == 1 + 12
 
     def test_deterministic_output(self):
-        a, _ = sweep(self.sweep_config())
-        b, _ = sweep(self.sweep_config())
+        a, _, _ = sweep(self.sweep_config())
+        b, _, _ = sweep(self.sweep_config())
         assert a == b
 
     def test_parallel_matches_serial(self):
-        a, _ = sweep(self.sweep_config())
-        b, _ = sweep(self.sweep_config(), jobs=3)
+        a, _, _ = sweep(self.sweep_config())
+        b, _, _ = sweep(self.sweep_config(), jobs=3)
         assert a == b
 
     def test_jobs_capped_at_cpu_count(self, monkeypatch):
@@ -204,11 +220,11 @@ class TestSweep:
         fails = [line for line in out if line.startswith("[FAIL]")]
         assert len(fails) == 1
         assert fails[0].startswith("[FAIL] ns-m=7: closed-form flux fails its Volterra residual")
-        lines, ok = sweep(config)
+        lines, ok, _ = sweep(config)
         assert not ok and "\n".join(lines) + "\n" == text
 
     def test_empty_grid_header_only(self):
-        lines, ok = sweep({"id": "s", "base": base_case(), "grid": {}})
+        lines, ok, _ = sweep({"id": "s", "base": base_case(), "grid": {}})
         assert ok and len(lines) == 1
 
     def test_delta_zero_row_routes_to_resonant_form(self):
@@ -218,12 +234,12 @@ class TestSweep:
             "base": base_case(kind="neg_sin"),
             "grid": {"phi.lambda": [0.5, 1.0, 2.0]},
         }
-        lines, ok = sweep(cfg)
+        lines, ok, _ = sweep(cfg)
         assert ok  # the lambda = 1 row (delta = 0) passes via its own branch
 
     def test_failure_sets_flag(self):
         cfg = {"id": "f", "base": base_case(), "grid": {"h.m": [2]}}
-        lines, ok = sweep(cfg)
+        lines, ok, _ = sweep(cfg)
         assert not ok
         assert lines[1].split(",")[2] == "0"
 

@@ -20,7 +20,9 @@ from fluxheat.fd import pde_residual
 from fluxheat.closed_form import (
     ConstructionError,
     Provenance,
+    _time_factor,
     _u0_coeffs,
+    _u0_dx_sum,
     _weighted_flux_integral,
     baseline_u0_polynomial,
     baseline_u0_polynomial_dx,
@@ -43,6 +45,7 @@ from fluxheat.problem import (
     TimeFunction,
     Variant,
     derive_parameters,
+    separated_x_tilde,
     spec_from_dict,
 )
 from fluxheat.trajectory import ClosedFormTrajectory
@@ -532,6 +535,71 @@ class TestTilde:
     def test_rejects_p_variant(self):
         with pytest.raises(ConstructionError):
             tilde_solution(monomial_spec(linear_shape(), 1.0, 1))
+
+
+def per_family_companion_u(spec):
+    """The companion field's v(x, t) as each family once derived it by hand,
+    before the companion field became the x-derivative view of its base."""
+    base = spec.as_p()
+    if spec.flux.kind in (FluxKind.ZERO, FluxKind.CONSTANT):
+        hp = spec.h.derivative
+        return lambda x, t: hp(x)
+    if spec.phi.kind is ShapeKind.SCALED_SEPARABLE:
+        comps = separated_components(base)
+        return lambda x, t: separated_x_tilde(comps.sigma, comps.delta, x) * comps.T(t)
+    traj = flux_closed_form(base)
+    phi, nu = base.phi, base.flux.nu
+    coeffs = _u0_coeffs(base.h)
+    weighted = _time_factor(base, traj)
+    return lambda x, t: _u0_dx_sum(coeffs, x, t) - nu * phi.derivative(x) * weighted(t)
+
+
+def companion_view_specs():
+    specs = [
+        pytest.param(spec_from_dict(cfg["case"]), id=cid)
+        for cid, cfg in catalog.iter_cases()
+        if cid.startswith("tilde-")
+    ]
+    shapes = {"phi1": linear_shape(1.3), "phi2": sinh_shape(0.5, 1.0), "phi3": sin_shape(2.0, 1.0)}
+    for name, shape in shapes.items():
+        for m in (1, 3, 5, 7):
+            spec = monomial_spec(shape, 0.8, m, nu=0.9, variant=Variant.P_TILDE)
+            specs.append(pytest.param(spec, id=f"{name}-m{m}"))
+    laws = {
+        "linear": linear_law(0.7),
+        "power": FluxLaw(FluxKind.POWER_LAW, nu=0.7, n=0.5, f=TimeFunction.constant(0.7)),
+    }
+    for sigma in (-2.0, 0.0, 0.7):
+        for law, flux in laws.items():
+            spec = separated_spec(sigma, 0.8, 1.2, 1.1, flux, variant=Variant.P_TILDE)
+            specs.append(pytest.param(spec, id=f"separated-{sigma}-{law}"))
+    return specs
+
+
+class TestCompanionView:
+    @pytest.mark.parametrize("spec", companion_view_specs())
+    def test_view_equals_per_family_formula(self, spec):
+        field = tilde_solution(spec)
+        want = per_family_companion_u(spec)
+        # t = 10 takes the pre-scaled branch of the sine shape
+        ts = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 0.3, np.float64(0.7)]
+        for t in ts:
+            for x in (0.0, 0.4, 1.7, np.float64(0.9)):
+                assert float(field.u(x, t)).hex() == float(want(x, t)).hex(), (x, t)
+
+    @pytest.mark.parametrize("spec", companion_view_specs())
+    def test_base_is_the_problem_p_field(self, spec):
+        field = tilde_solution(spec)
+        assert field.base.spec == spec.as_p()
+        assert field.base.base is None
+        assert field.V is field.base.V
+        assert field.u is field.base.ux
+        assert field.provenance is field.base.provenance
+
+    def test_out_of_family_spec_names_the_problem_p_reason(self):
+        spec = ProblemSpec(CONSTANT_ONE, linear_law(1.0), monomial(1.0, 1), Variant.P_TILDE)
+        with pytest.raises(ConstructionError, match="closed-form flux requires Phi in"):
+            tilde_solution(spec)
 
 
 class TestDispatch:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,23 @@ class TestAccuracy:
         grids = [Grid1D(L=6.0, nx=n, t_end=0.5, nt=n) for n in (32, 64, 128, 256)]
         res = convergence_order(spec, grids, "self")
         assert res.order_max >= 1.0
+
+    @pytest.mark.parametrize(
+        "case_id", ["tilde-constant", "tilde-stationary-quadratic", "stationary-linear-h"]
+    )
+    def test_exact_ladder_has_no_order_and_is_not_degraded(self, case_id):
+        # the scheme reproduces these fields to round-off on every grid
+        cfg = load_case(case_id)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no log of a zero error
+            lines, ok = bench.convergence({**cfg, "ladder": {"nx": [64, 128, 256]}})
+        assert ok
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row["error_max"]) <= 1e-12
+            assert row["degraded"] == "0"
+            assert math.isnan(float(row["order_max"])) and math.isnan(float(row["order_l2"]))
 
     def test_needs_three_grids(self):
         spec = monomial_spec(linear_shape(1.0), 1.0, 1)

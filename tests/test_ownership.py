@@ -1,11 +1,13 @@
 """One owner per family decision.
 
 ``closed_form`` owns each control family's baseline ``u0`` (the field carries
-it), ``asymptotics`` owns the probe ladders, the field's provenance owns the
+it) and each companion field's problem-P ``base``, ``asymptotics`` owns the
+probe ladders, the field's provenance owns the
 integral-representation predicate and ``DerivedParams`` owns the rates;
 ``bench`` reads them and re-derives none.
 """
 
+import ast
 import re
 from pathlib import Path
 from unittest import mock
@@ -144,3 +146,19 @@ def test_each_family_decision_has_one_owner():
     asym_src = (PACKAGE / "asymptotics.py").read_text()
     assert not re.search(r"lam\s*-\s*nu\s*\*\s*mu", asym_src)
     assert not re.search(r"nu\s*\*\s*phi\.delta", asym_src)
+
+
+def test_bench_builds_a_field_only_per_case_and_per_reference():
+    # a companion case's checks read the field's base instead of building it again
+    tree = ast.parse((PACKAGE / "bench.py").read_text())
+    callers = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "solution_for"
+                ):
+                    callers.add(fn.name)
+    assert callers == {"run_case", "_reference_for"}

@@ -29,7 +29,6 @@ from fluxheat.problem import (
     separated_x,
     spec_from_dict,
     spec_to_dict,
-    transform_to_tilde,
     validate,
 )
 
@@ -192,35 +191,35 @@ class TestDeriveParameters:
         assert derive_parameters(spec).gamma == pytest.approx(3.0)
 
 
-class TestTransform:
+class TestCompanionData:
+    """A P_TILDE spec carries the companion problem's data: Phi' and h'."""
+
     def test_linear_shape_becomes_constant(self):
-        data = transform_to_tilde(monomial_spec(linear_shape(2.0), 1.0, 1))
+        spec = monomial_spec(linear_shape(2.0), 1.0, 1, variant=Variant.P_TILDE)
         for x in (0.0, 0.7, 3.0):
-            assert data.phi_tilde(x) == 2.0
+            assert spec.phi_eval(x) == 2.0
 
     def test_sinh_becomes_cosh(self):
-        data = transform_to_tilde(monomial_spec(sinh_shape(1.5, 2.0), 1.0, 1))
+        spec = monomial_spec(sinh_shape(1.5, 2.0), 1.0, 1, variant=Variant.P_TILDE)
         for x in (0.0, 0.9):
-            assert data.phi_tilde(x) == pytest.approx(-2.0 * 1.5 * math.cosh(1.5 * x))
+            assert spec.phi_eval(x) == pytest.approx(-2.0 * 1.5 * math.cosh(1.5 * x))
 
     def test_linear_h_becomes_constant(self):
-        data = transform_to_tilde(monomial_spec(linear_shape(), 3.0, 1))
-        assert data.h_tilde(0.4) == 3.0
+        spec = monomial_spec(linear_shape(), 3.0, 1, variant=Variant.P_TILDE)
+        assert spec.h_eval(0.4) == 3.0
 
-    def test_variant_flipped(self):
-        data = transform_to_tilde(monomial_spec(linear_shape(), 1.0, 1))
-        assert data.spec.variant is Variant.P_TILDE
+    def test_separated_becomes_delta_cos(self):
+        spec = separated_spec(-4.0, 1.5, 1.0, 1.0, linear_law(), variant=Variant.P_TILDE)
+        for x in (0.0, 0.6):
+            assert spec.phi_eval(x) == pytest.approx(1.5 * math.cos(2.0 * x))
+            assert spec.h_eval(x) == pytest.approx(1.5 * math.cos(2.0 * x))
 
-    def test_separated_branch_label(self):
-        spec = separated_spec(-4.0, 1.0, 1.0, 1.0, linear_law())
-        data = transform_to_tilde(spec)
-        assert "cos" in data.x_tilde_branch
-        assert data.phi_tilde(0.0) == pytest.approx(1.0)  # delta * cos(0)
-
-    def test_rejects_tilde_input(self):
+    def test_as_p_flips_the_variant_back(self):
         spec = monomial_spec(linear_shape(), 1.0, 1, variant=Variant.P_TILDE)
-        with pytest.raises(ValueError):
-            transform_to_tilde(spec)
+        base = spec.as_p()
+        assert base.variant is Variant.P
+        assert (base.phi, base.flux, base.h) == (spec.phi, spec.flux, spec.h)
+        assert base.phi_eval(0.7) == pytest.approx(0.7)
 
 
 class TestJsonSchema:
