@@ -287,19 +287,22 @@ def _ir_classes(spec: ProblemSpec, x: float) -> ControlClassification:
     return ControlClassification(u0, u, ratio, x, tuple(notes))
 
 
-def control_classification(spec: ProblemSpec, x: float = 1.0) -> ControlClassification:
+def control_classification(spec: ProblemSpec, x: float = 1.0) -> ControlClassification | None:
     """Long-time classes of u0, u and u/u0 for the three control settings.
 
     The settings are: constant law with the quadratic profile (Phi == 1),
-    the separated family with a one-variable law, and the linear-law
-    integral-representation family.  x-dependent limits are returned as
-    finite classes evaluated at the supplied observation point.
+    the separated family with a linear or power law, and the linear-law
+    integral-representation family with an odd monomial profile.  Any other
+    spec is outside them and gets ``None``.  x-dependent limits are returned
+    as finite classes evaluated at the supplied observation point.
     """
     phi, flux, h = spec.phi, spec.flux, spec.h
 
-    if phi.kind is ShapeKind.CONSTANT_ONE and flux.kind is FluxKind.CONSTANT:
-        if h.kind is not ProfileKind.QUADRATIC:
-            raise ValueError("the constant-law control setting uses the quadratic profile")
+    if (
+        phi.kind is ShapeKind.CONSTANT_ONE
+        and flux.kind is FluxKind.CONSTANT
+        and h.kind is ProfileKind.QUADRATIC
+    ):
         # u0 ~ 2 nu x sqrt(t/pi) -> signed infinity; u = h(x) forever
         u0 = LimitClass.infinity(flux.nu)
         u = LimitClass.finite(h(x))
@@ -310,13 +313,11 @@ def control_classification(spec: ProblemSpec, x: float = 1.0) -> ControlClassifi
             return _sv_linear_classes(spec, x)
         if flux.kind is FluxKind.POWER_LAW:
             return _sv_power_classes(spec, x)
-        raise ValueError("separated control setting requires a linear or power law")
 
-    if phi.kind in INTEGRAL_REP_SHAPES:
-        _require_integral_rep(spec)
+    if phi.kind in INTEGRAL_REP_SHAPES and flux.kind is FluxKind.LINEAR and h.is_odd_monomial:
         return _ir_classes(spec, x)
 
-    raise ValueError("spec is outside the three control settings")
+    return None
 
 
 DEFAULT_LADDER = (10.0, 20.0, 40.0, 80.0)

@@ -3,8 +3,9 @@
 ``run_case`` executes the cross-validation triangle applicable to a case's
 family: closed form against the Volterra equation, against finite
 differences, and against Green-function quadrature, plus the limit-class
-checks.  Every check record carries its tolerance; a case passes iff all of
-its records do.  Output formatting is deterministic (17 significant digits,
+checks.  The family checks yield their values; ``run_case`` alone gives each its
+pinned tolerance and builds the record, and a case passes iff all of its
+records do.  Output formatting is deterministic (17 significant digits,
 fixed ordering, no timestamps inside data rows) so repeated runs produce
 byte-identical CSV files.
 """
@@ -30,7 +31,6 @@ from .problem import (
     ProblemSpec,
     ProfileKind,
     SchemaError,
-    ShapeKind,
     Variant,
     spec_from_dict,
     validate,
@@ -182,44 +182,28 @@ _LIMIT_VALUES = {
 }
 
 
-def _class_check(name, symbolic, probe, tol) -> CheckRecord:
+def _class_check(symbolic, probe) -> tuple[float, float]:
     """Encode class agreement numerically: tags match and finite values agree."""
     if symbolic.tag is LimitTag.FINITE and probe.tag is LimitTag.FINITE:
         denom = 1.0 + max(abs(symbolic.value), abs(probe.value))
-        return CheckRecord(name, probe.value / denom, symbolic.value / denom, tol)
-    lhs = _LIMIT_VALUES.get(probe.tag, 1.0)
-    rhs = _LIMIT_VALUES.get(symbolic.tag, 1.0)
-    return CheckRecord(name, lhs, rhs, tol)
+        return probe.value / denom, symbolic.value / denom
+    return _LIMIT_VALUES.get(probe.tag, 1.0), _LIMIT_VALUES.get(symbolic.tag, 1.0)
 
 
-def _is_control_setting(spec: ProblemSpec, field) -> bool:
-    if spec.phi.kind is ShapeKind.CONSTANT_ONE and spec.flux.kind is FluxKind.CONSTANT:
-        return True
-    if spec.phi.kind is ShapeKind.SCALED_SEPARABLE and spec.flux.kind in (
-        FluxKind.LINEAR,
-        FluxKind.POWER_LAW,
-    ):
-        return True
-    return field.provenance is closed_form.Provenance.INTEGRAL_REP
+# Every family check below is a generator of (name, lhs) or (name, lhs, rhs),
+# rhs defaulting to 0; run_case attaches the tolerances and builds the records.
 
 
-def _common_field_checks(spec, field, scale, records):
+def _common_field_checks(spec, field):
     xs, ts = _sample_points()
     if spec.variant is Variant.P:
-        worst_bc = max(abs(field.u(0.0, t)) for t in ts)
-        records.append(
-            CheckRecord("boundary_condition", worst_bc, 0.0, _tol("boundary_condition", scale))
-        )
-    worst_ic = max(
+        yield "boundary_condition", max(abs(field.u(0.0, t)) for t in ts)
+    yield "initial_condition", max(
         abs(field.u(x, 0.0) - spec.h_eval(x)) / (1.0 + abs(spec.h_eval(x))) for x in xs
     )
-    records.append(
-        CheckRecord("initial_condition", worst_ic, 0.0, _tol("initial_condition", scale))
-    )
-    worst_res = max(
+    yield "pde_residual", max(
         abs(fd.pde_residual(field, spec, x, t, delta=1e-3)) for x, t in zip(xs, ts)
     )
-    records.append(CheckRecord("pde_residual", worst_res, 0.0, _tol("pde_residual", scale)))
 
 
 def _dx_at_zero(u, t: float, h: float = 1e-4) -> float:
@@ -229,66 +213,59 @@ def _dx_at_zero(u, t: float, h: float = 1e-4) -> float:
     )
 
 
-def _flux_consistency_check(field, scale, records):
+def _u0_quadrature_gap(spec, field, seed: int) -> float:
+    """Worst relative gap between the quadrature baseline and the field's u0."""
+    worst = 0.0
+    for x, t in zip(*_sample_points(n=3, t_hi=1.0, seed=seed)):
+        quadrature = green.baseline_u0(spec.h, x, t)
+        exact = field.u0(x, t)
+        worst = max(worst, abs(quadrature - exact) / (1.0 + abs(exact)))
+    return worst
+
+
+def _integral_rep_checks(spec, field, slow):
+    kernel = volterra.kernel_for(spec.phi)
+    forcing = volterra.forcing_for(spec.h)
+    t_samples = np.linspace(0.1, 5.0, 12)
+    yield "volterra_residual", volterra.volterra_residual(
+        field.V, kernel, forcing, spec.flux.nu, t_samples
+    )
+
     worst = 0.0
     for t in (0.1, 0.5, 1.0, 2.0, 5.0):
         v = float(field.V(t))
         worst = max(worst, abs(_dx_at_zero(field.u, t) - v) / (1.0 + abs(v)))
-    records.append(CheckRecord("flux_consistency", worst, 0.0, _tol("flux_consistency", scale)))
-
-
-def _integral_rep_checks(spec, field, scale, slow, records):
-    kernel = volterra.kernel_for(spec.phi)
-    forcing = volterra.forcing_for(spec.h)
-    t_samples = np.linspace(0.1, 5.0, 12)
-    res = volterra.volterra_residual(field.V, kernel, forcing, spec.flux.nu, t_samples)
-    records.append(
-        CheckRecord("volterra_residual", res, 0.0, _tol("volterra_residual", scale))
-    )
-
-    _flux_consistency_check(field, scale, records)
+    yield "flux_consistency", worst
 
     init = asymptotics.flux_initial_limit(spec)
     v0 = float(field.V(1e-8))
-    target = init.value if init.tag is LimitTag.FINITE else 0.0
-    records.append(
-        CheckRecord("flux_initial_limit", v0, target, _tol("flux_initial_limit", scale))
-    )
+    yield "flux_initial_limit", v0, init.value if init.tag is LimitTag.FINITE else 0.0
 
     limit = asymptotics.flux_limit(spec)
     probe = asymptotics.numeric_limit_probe(field.V, asymptotics.flux_probe_ladder(spec))
-    records.append(_class_check("flux_limit_probe", limit, probe, _tol("flux_limit_probe", scale)))
+    yield "flux_limit_probe", *_class_check(limit, probe)
 
     xs, ts = _sample_points(n=4)
-    worst = max(abs(green.baseline_u0(spec.h, x, t) - field.u0(x, t)) for x, t in zip(xs, ts))
-    records.append(CheckRecord("u0_polynomial", worst, 0.0, _tol("u0_polynomial", scale)))
+    yield "u0_polynomial", max(
+        abs(green.baseline_u0(spec.h, x, t) - field.u0(x, t)) for x, t in zip(xs, ts)
+    )
 
-    lhs, rhs, diff = green.verify_identity_phi(spec.phi, 1.0, 1.0, 0.25)
-    records.append(CheckRecord("green_identity", diff, 0.0, _tol("green_identity", scale)))
+    yield "green_identity", green.verify_identity_phi(spec.phi, 1.0, 1.0, 0.25)[2]
 
     worst = 0.0
     for x, t in zip(*_sample_points(n=3, seed=77)):
         ua = green.assemble_integral_representation(spec, x, t, field.V)
         worst = max(worst, abs(ua - field.u(x, t)) / (1.0 + abs(ua)))
-    records.append(
-        CheckRecord("assemble_consistency", worst, 0.0, _tol("assemble_consistency", scale))
-    )
+    yield "assemble_consistency", worst
 
     if slow:
         x, t = 1.0, 0.5
         fast = green.assemble_integral_representation(spec, x, t, field.V, slow=False)
         slow_val = green.assemble_integral_representation(spec, x, t, field.V, slow=True)
-        records.append(
-            CheckRecord(
-                "assemble_slow_oracle",
-                slow_val / (1.0 + abs(fast)),
-                fast / (1.0 + abs(fast)),
-                _tol("assemble_slow_oracle", scale),
-            )
-        )
+        yield "assemble_slow_oracle", slow_val / (1.0 + abs(fast)), fast / (1.0 + abs(fast))
 
 
-def _separated_checks(spec, field, scale, records):
+def _separated_checks(spec, field):
     comps = closed_form.separated_components(spec)
 
     def x_residual(x):
@@ -299,82 +276,59 @@ def _separated_checks(spec, field, scale, records):
         extrap = fd.richardson(second, 1e-2)
         return abs(extrap - comps.sigma * comps.X(x)) / (1.0 + abs(comps.X(x)))
 
-    worst = max(x_residual(x) for x in (0.3, 0.9, 1.7))
-    records.append(CheckRecord("x_ode_residual", worst, 0.0, _tol("x_ode_residual", scale)))
+    yield "x_ode_residual", max(x_residual(x) for x in (0.3, 0.9, 1.7))
 
-    worst = max(
+    yield "flux_is_delta_T", max(
         abs(float(field.V(t)) - comps.delta * comps.T(t))
         / (1.0 + abs(comps.delta * comps.T(t)))
         for t in (0.2, 1.0, 2.5)
     )
-    records.append(CheckRecord("flux_is_delta_T", worst, 0.0, _tol("flux_is_delta_T", scale)))
 
     from scipy.integrate import solve_ivp
 
-    flux = spec.flux
-    rhs = lambda t, y: [  # noqa: E731
-        comps.sigma * y[0] - comps.scale * flux(comps.delta * y[0], max(t, 1e-12))
-    ]
-    t_end = 2.0
-    sol = solve_ivp(
-        rhs, (0.0, t_end), [comps.eta], rtol=1e-10, atol=1e-12, dense_output=True
-    )
-    worst = max(
+    def rhs(t, y):
+        return [comps.sigma * y[0] - comps.scale * spec.flux(comps.delta * y[0], max(t, 1e-12))]
+
+    sol = solve_ivp(rhs, (0.0, 2.0), [comps.eta], rtol=1e-10, atol=1e-12, dense_output=True)
+    yield "T_ode_crosscheck", max(
         abs(comps.T(t) - sol.sol(t)[0]) / (1.0 + abs(sol.sol(t)[0]))
         for t in (0.5, 1.0, 2.0)
     )
-    records.append(CheckRecord("T_ode_crosscheck", worst, 0.0, _tol("T_ode_crosscheck", scale)))
 
-    worst = 0.0
-    for x, t in zip(*_sample_points(n=3, t_hi=1.0, seed=5)):
-        quadrature = green.baseline_u0(spec.h, x, t)
-        exact = field.u0(x, t)
-        worst = max(worst, abs(quadrature - exact) / (1.0 + abs(exact)))
-    records.append(CheckRecord("u0_separable", worst, 0.0, _tol("u0_separable", scale)))
+    yield "u0_separable", _u0_quadrature_gap(spec, field, seed=5)
 
 
-def _stationary_checks(spec, field, scale, records):
+def _stationary_checks(spec, field):
     if spec.h.kind is ProfileKind.QUADRATIC:
-        worst = 0.0
-        for x, t in zip(*_sample_points(n=3, t_hi=1.0, seed=9)):
-            quadrature = green.baseline_u0(spec.h, x, t)
-            exact = field.u0(x, t)
-            worst = max(worst, abs(quadrature - exact) / (1.0 + abs(exact)))
-        records.append(CheckRecord("u0_quadratic", worst, 0.0, _tol("u0_quadratic", scale)))
+        yield "u0_quadratic", _u0_quadrature_gap(spec, field, seed=9)
 
 
-def _control_checks(spec, field, scale, records, x_obs: float = 1.0):
+def _control_checks(spec, field, x_obs: float = 1.0):
     """Probe the long-time classes of u0, u and u/u0 at ``x_obs`` against the
     symbolic classification, on the ladders ``asymptotics`` picks; u0 and u
     are the case's own field's, so the control checks build no second field.
+    A spec outside the control settings (no classification) yields nothing.
     """
     classes = asymptotics.control_classification(spec, x=x_obs)
+    if classes is None:
+        return
     lad_u0, ladder = asymptotics.control_probe_ladders(spec)
     u0_fn = lambda t: field.u0(x_obs, t)  # noqa: E731
     u_fn = lambda t: field.u(x_obs, t)  # noqa: E731
-    probe_u0 = asymptotics.numeric_limit_probe(u0_fn, lad_u0)
-    records.append(
-        _class_check("control_u0", classes.u0_limit, probe_u0, _tol("control_u0", scale))
-    )
-    probe_u = asymptotics.numeric_limit_probe(u_fn, ladder)
-    records.append(
-        _class_check("control_u", classes.u_limit, probe_u, _tol("control_u", scale))
-    )
+    probe = asymptotics.numeric_limit_probe
+    yield "control_u0", *_class_check(classes.u0_limit, probe(u0_fn, lad_u0))
+    yield "control_u", *_class_check(classes.u_limit, probe(u_fn, ladder))
     ratio_fn = lambda t: u_fn(t) / u0_fn(t)  # noqa: E731
-    probe_r = asymptotics.numeric_limit_probe(ratio_fn, ladder)
-    records.append(
-        _class_check("control_ratio", classes.ratio_limit, probe_r, _tol("control_ratio", scale))
-    )
+    yield "control_ratio", *_class_check(classes.ratio_limit, probe(ratio_fn, ladder))
 
 
-def _tilde_checks(spec, field, scale, records):
+def _tilde_checks(spec, field):
     base = field.base
     h_tilde = spec.h.derivative
 
     xs, ts = _sample_points(n=10, seed=21)
-    worst = max(abs(field.u(x, 0.0) - h_tilde(x)) / (1.0 + abs(h_tilde(x))) for x in xs)
-    records.append(
-        CheckRecord("initial_condition", worst, 0.0, _tol("initial_condition", scale))
+    yield "initial_condition", max(
+        abs(field.u(x, 0.0) - h_tilde(x)) / (1.0 + abs(h_tilde(x))) for x in xs
     )
 
     # v must equal the x-derivative of the underlying solution
@@ -382,12 +336,9 @@ def _tilde_checks(spec, field, scale, records):
         u = base.u
         return fd.richardson(lambda d: (u(x + d, t) - u(x - d, t)) / (2.0 * d), 1e-4)
 
-    worst = max(
+    yield "tilde_matches_ux", max(
         abs(field.u(x, t) - ux(x, t)) / (1.0 + abs(field.u(x, t)))
         for x, t in zip(xs, ts)
-    )
-    records.append(
-        CheckRecord("tilde_matches_ux", worst, 0.0, _tol("tilde_matches_ux", scale))
     )
 
     # Neumann datum: v_x(0,t) = Phi(0) F(V(t), t)
@@ -395,18 +346,29 @@ def _tilde_checks(spec, field, scale, records):
     for t in (0.3, 1.0, 2.0):
         g_t = spec.phi(0.0) * spec.flux(float(base.V(t)), t)
         worst = max(worst, abs(_dx_at_zero(field.u, t) - g_t) / (1.0 + abs(g_t)))
-    records.append(CheckRecord("tilde_neumann", worst, 0.0, _tol("tilde_neumann", scale)))
+    yield "tilde_neumann", worst
 
     # constant family: the companion FD solver preserves it to round-off
     if spec.flux.kind is FluxKind.ZERO:
         grid = fd.Grid1D(L=4.0, nx=32, t_end=0.5, nt=20, theta=0.5)
         solver, final = fd.solve(spec, grid, far_field="manufactured", reference=field)
-        dev = float(np.max(np.abs(final.values - field.u(0.0, 0.0))))
-        records.append(
-            CheckRecord(
-                "tilde_constant_preserved", dev, 0.0, _tol("tilde_constant_preserved", scale)
-            )
-        )
+        yield "tilde_constant_preserved", float(np.max(np.abs(final.values - field.u(0.0, 0.0))))
+
+
+def _case_checks(spec, field, slow, extra_checks):
+    """Every check of the case's family after ``validate``, in report order."""
+    if spec.variant is Variant.P_TILDE:
+        yield from _tilde_checks(spec, field)
+        return
+    yield from _common_field_checks(spec, field)
+    if field.provenance is closed_form.Provenance.SEPARATED:
+        yield from _separated_checks(spec, field)
+    elif field.provenance is closed_form.Provenance.STATIONARY:
+        yield from _stationary_checks(spec, field)
+    else:
+        yield from _integral_rep_checks(spec, field, slow)
+    if "control" in extra_checks:
+        yield from _control_checks(spec, field)
 
 
 # Numerical failures of a case, recorded as its failing reason.
@@ -422,15 +384,19 @@ def run_case(
 ) -> CaseResult:
     """Execute every check applicable to the case family.
 
-    ``case`` is a JSON-schema dict or an already-built spec.  Check failures
-    are recorded, not raised; so is a numerical failure (a closed form that
+    ``case`` is a JSON-schema dict or an already-built spec.  The checks
+    yield their values and this is where each gets its pinned tolerance,
+    scaled by ``tol_scale``, and becomes a record.  Check failures are
+    recorded, not raised; so is a numerical failure (a closed form that
     cannot be built, a quadrature short of its tolerance, an arithmetic
     error), which ends the case as failing with its ``reason`` and the
-    records made before it.  Schema errors raise :class:`SchemaError`.
+    records made before it.  Schema errors, an unknown name among
+    ``extra_checks`` included, raise :class:`SchemaError`.
     """
     start = time.perf_counter()
+    if not isinstance(extra_checks, (list, tuple)) or any(c != "control" for c in extra_checks):
+        raise SchemaError(f"checks must be a list of names from ['control'], got {extra_checks!r}")
     spec = case if isinstance(case, ProblemSpec) else spec_from_dict(case)
-    records: list[CheckRecord] = []
 
     # a monomial profile under the linear law with one of the three shapes
     # requests the closed-form pipeline, so oddness of m is validated
@@ -440,24 +406,14 @@ def run_case(
         and spec.h.kind is ProfileKind.MONOMIAL
     )
     violations = validate(spec, closed_form=closed_requested)
-    records.append(CheckRecord("validate", float(len(violations)), 0.0, _tol("validate", tol_scale)))
+    records = [CheckRecord("validate", len(violations), 0.0, _tol("validate", tol_scale))]
     if violations:
         return CaseResult(case_id, records, time.perf_counter() - start, violations)
 
     try:
         field = closed_form.solution_for(spec)
-        if spec.variant is Variant.P_TILDE:
-            _tilde_checks(spec, field, tol_scale, records)
-        else:
-            _common_field_checks(spec, field, tol_scale, records)
-            if field.provenance is closed_form.Provenance.SEPARATED:
-                _separated_checks(spec, field, tol_scale, records)
-            elif field.provenance is closed_form.Provenance.STATIONARY:
-                _stationary_checks(spec, field, tol_scale, records)
-            else:
-                _integral_rep_checks(spec, field, tol_scale, slow_oracles, records)
-            if "control" in extra_checks and _is_control_setting(spec, field):
-                _control_checks(spec, field, tol_scale, records)
+        for name, lhs, *rhs in _case_checks(spec, field, slow_oracles, extra_checks):
+            records.append(CheckRecord(name, lhs, rhs[0] if rhs else 0.0, _tol(name, tol_scale)))
     except _NUMERICAL_ERRORS as exc:
         return CaseResult(case_id, records, time.perf_counter() - start, reason=str(exc))
 
@@ -585,7 +541,7 @@ def _reference_for(spec: ProblemSpec, kind: str):
     return closed_form.solution_for(spec)
 
 
-def convergence(config: dict, tol_scale: float = 1.0) -> tuple[list[str], bool]:
+def convergence(config: dict) -> tuple[list[str], bool]:
     """Refinement-ladder study; returns (CSV lines, succeeded).
 
     The time grid keeps the scheme balance along the ladder: dt scales with

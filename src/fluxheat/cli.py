@@ -4,9 +4,10 @@
     fluxheat sweep <config.json>        cartesian parameter grid -> CSV
     fluxheat convergence <config.json>  refinement-ladder study -> CSV
 
-Common flags: --out DIR (default benchmark_out), --tol-scale FLOAT,
---slow-oracles (enable raw double-quadrature paths).  ``sweep`` also takes
---jobs N (parallel cases, capped at the CPU count).
+Every subcommand takes --out DIR (default benchmark_out).  ``run`` and
+``sweep``, which run checks, also take --tol-scale FLOAT (multiply every
+tolerance) and --slow-oracles (enable raw double-quadrature paths); ``sweep``
+alone takes --jobs N (parallel cases, capped at the CPU count).
 
 Exit codes: 0 all checks passed, 1 check failure (including a numerical
 failure, whose reason is printed and, for ``run``, goes in the report),
@@ -56,7 +57,7 @@ def _cmd_run(args) -> int:
             raise SchemaError("run config needs a 'case'")
         case = config["case"]
         case_id = config.get("id", Path(args.config).stem)
-        extra = tuple(config.get("checks", ()))
+        extra = config.get("checks", ())
 
     result = run_case(
         case,
@@ -99,7 +100,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_convergence(args) -> int:
     config = _load_config(args.config)
-    lines, ok = convergence(config, tol_scale=args.tol_scale)
+    lines, ok = convergence(config)
     stem = config.get("id", Path(args.config).stem)
     target = _write(Path(args.out), f"{stem}-convergence.csv", "\n".join(lines) + "\n")
     print(f"wrote {target}")
@@ -110,14 +111,6 @@ def _cmd_convergence(args) -> int:
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="benchmark_out", help="output directory")
-    common.add_argument(
-        "--tol-scale", type=float, default=1.0, help="multiply all check tolerances"
-    )
-    common.add_argument(
-        "--slow-oracles",
-        action="store_true",
-        help="enable the raw double-quadrature oracle paths",
-    )
     parser = argparse.ArgumentParser(
         prog="fluxheat",
         description="Verification benchmarks for the flux-coupled half-line heat equation",
@@ -127,6 +120,15 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, parents=[common])
         p.add_argument("config", help="JSON config path")
         p.set_defaults(fn=fn)
+        if name != "convergence":
+            p.add_argument(
+                "--tol-scale", type=float, default=1.0, help="multiply all check tolerances"
+            )
+            p.add_argument(
+                "--slow-oracles",
+                action="store_true",
+                help="enable the raw double-quadrature oracle paths",
+            )
         if name == "sweep":
             p.add_argument(
                 "--jobs", type=int, default=1, help="parallel cases (capped at the CPU count)"
@@ -135,13 +137,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaError as exc:
+    except ValueError as exc:  # SchemaError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -198,9 +198,8 @@ def test_criterion_9_control_classifications():
         if "control" not in cfg.get("checks", ()):
             continue
         spec = spec_from_dict(cfg["case"])
-        records = []
-        bench._control_checks(spec, solution_for(spec), 1.0, records)
-        for r in records:
+        for name, lhs, rhs in bench._control_checks(spec, solution_for(spec)):
+            r = bench.CheckRecord(name, lhs, rhs, bench.TOLERANCES[name])
             assert r.passed, (cid, r.name, r.abs_diff)
         checked += 1
     report(9, checked >= 10, f"{checked} control configurations confirmed")

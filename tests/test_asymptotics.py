@@ -206,8 +206,14 @@ class TestControlClassification:
 
     def test_outside_settings_rejected(self):
         spec = separated_spec(1.0, 1.0, 1.0, 1.0, FluxLaw(FluxKind.ZERO))
-        with pytest.raises(ValueError):
-            control_classification(spec)
+        assert control_classification(spec) is None
+
+    def test_integral_rep_shapes_outside_the_setting(self):
+        # the setting needs the linear law and an odd monomial profile
+        even = monomial_spec(linear_shape(1.0), 1.0, 2)
+        zero_law = ProblemSpec(even.phi, FluxLaw(FluxKind.ZERO), monomial_spec(even.phi, 1.0, 1).h)
+        assert control_classification(even) is None
+        assert control_classification(zero_law) is None
 
 
 class TestNumericProbe:

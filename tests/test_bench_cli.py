@@ -128,6 +128,20 @@ class TestRunCase:
         assert not result.passed
         assert result.reason == reason
 
+    def test_failure_partway_keeps_the_earlier_records(self):
+        # the flux-consistency check overflows: the records made before it stay, in order
+        case = base_case(m=1, kind="neg_sin")
+        case["phi"].update({"lambda": 3.0, "mu": 100.0})
+        result = run_case(case, case_id="overflow")
+        assert [r.name for r in result.records] == [
+            "validate",
+            "boundary_condition",
+            "initial_condition",
+            "pde_residual",
+            "volterra_residual",
+        ]
+        assert result.reason == "time factor exp(291 t) overflows at t = 5"
+
     def test_sample_points_are_read_only_constants(self):
         xs, ts = bench._sample_points(n=4)
         assert bench._sample_points(n=4)[0] is xs
@@ -168,6 +182,11 @@ class TestRunCase:
         bad["bogus"] = 1
         with pytest.raises(SchemaError):
             run_case(bad)
+
+    @pytest.mark.parametrize("checks", [("controls",), "control", ("control", "volterra")])
+    def test_unknown_check_name_raised(self, checks):
+        with pytest.raises(SchemaError, match="checks must be a list of names"):
+            run_case(base_case(m=3), extra_checks=checks)
 
 
 class TestSweep:
@@ -367,6 +386,23 @@ class TestCli:
         )
         assert cli.main(["convergence", cfg, "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "c-convergence.csv").exists()
+
+    @pytest.mark.parametrize("checks", [["controls"], "control", 1, [{"control": True}]])
+    def test_run_unknown_check_exit_two(self, tmp_path, capsys, checks):
+        payload = {"id": "ck", "case": base_case(m=3), "checks": checks}
+        cfg = self.write(tmp_path, "case.json", payload)
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "configuration error: checks must be a list" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [["--tol-scale", "10"], ["--slow-oracles"]])
+    def test_check_flags_not_on_convergence(self, tmp_path, capsys, flag):
+        cfg = self.write(tmp_path, "conv.json", {"id": "c", "case": base_case(), "ladder": {}})
+        with pytest.raises(SystemExit) as info:
+            cli.main(["convergence", cfg, "--out", str(tmp_path / "out"), *flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_tol_scale_flag(self, tmp_path):
         cfg = self.write(tmp_path, "case.json", {"id": "ok", "case": base_case(m=3)})

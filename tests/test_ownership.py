@@ -2,9 +2,10 @@
 
 ``closed_form`` owns each control family's baseline ``u0`` (the field carries
 it) and each companion field's problem-P ``base``, ``asymptotics`` owns the
-probe ladders, the field's provenance owns the
+probe ladders and the control setting, the field's provenance owns the
 integral-representation predicate and ``DerivedParams`` owns the rates;
-``bench`` reads them and re-derives none.
+``bench`` reads them and re-derives none.  Within ``bench``, ``run_case``
+alone owns the tolerances and builds the check records.
 """
 
 import ast
@@ -112,7 +113,7 @@ def test_control_checks_probe_on_the_asymptotics_ladders(case_id):
 
     field = closed_form.solution_for(spec)
     with mock.patch.object(asymptotics, "numeric_limit_probe", probe):
-        bench._control_checks(spec, field, 1.0, [])
+        list(bench._control_checks(spec, field))
     lad_u0, lad_u = asymptotics.control_probe_ladders(spec)
     assert ladders == [lad_u0, lad_u, lad_u]
     separated = spec.phi.kind is ShapeKind.SCALED_SEPARABLE
@@ -162,3 +163,28 @@ def test_bench_builds_a_field_only_per_case_and_per_reference():
                 ):
                     callers.add(fn.name)
     assert callers == {"run_case", "_reference_for"}
+
+
+def test_only_run_case_builds_records_and_reads_tolerances():
+    # the family checks yield bare values; run_case attaches the tolerances
+    tree = ast.parse((PACKAGE / "bench.py").read_text())
+    callers = {"CheckRecord": set(), "_tol": set()}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    callers.get(node.func.id, set()).add(fn.name)
+    assert callers == {"CheckRecord": {"run_case"}, "_tol": {"run_case"}}
+
+
+def test_asymptotics_alone_picks_the_control_setting():
+    tree = ast.parse((PACKAGE / "bench.py").read_text())
+    named = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "ShapeKind"
+    }
+    assert not named & {"CONSTANT_ONE", "SCALED_SEPARABLE"}
+    assert not hasattr(bench, "_is_control_setting")

@@ -292,7 +292,7 @@ def control_ladder(spec):
         return LimitClass.zero()
 
     with mock.patch.object(asymptotics, "numeric_limit_probe", probe):
-        bench._control_checks(spec, SimpleNamespace(u=lambda x, t: 0.0), 1.0, [])
+        list(bench._control_checks(spec, SimpleNamespace(u=lambda x, t: 0.0)))
     u0_ladder, u_ladder, ratio_ladder = ladders
     assert ratio_ladder == u_ladder
     return u_ladder
