@@ -19,6 +19,7 @@ from .problem import (
     ProblemSpec,
     ProfileKind,
     ShapeKind,
+    Variant,
     derive_parameters,
     separated_x,
 )
@@ -292,11 +293,14 @@ def control_classification(spec: ProblemSpec, x: float = 1.0) -> ControlClassifi
 
     The settings are: constant law with the quadratic profile (Phi == 1),
     the separated family with a linear or power law, and the linear-law
-    integral-representation family with an odd monomial profile.  Any other
-    spec is outside them and gets ``None``.  x-dependent limits are returned
-    as finite classes evaluated at the supplied observation point.
+    integral-representation family with an odd monomial profile, all three
+    for problem P.  Any other spec, every companion (P~) spec included, is
+    outside them and gets ``None``.  x-dependent limits are returned as
+    finite classes evaluated at the supplied observation point.
     """
     phi, flux, h = spec.phi, spec.flux, spec.h
+    if spec.variant is Variant.P_TILDE:
+        return None
 
     if (
         phi.kind is ShapeKind.CONSTANT_ONE

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,15 +302,13 @@ def _stationary_checks(spec, field):
         yield "u0_quadratic", _u0_quadrature_gap(spec, field, seed=9)
 
 
-def _control_checks(spec, field, x_obs: float = 1.0):
-    """Probe the long-time classes of u0, u and u/u0 at ``x_obs`` against the
-    symbolic classification, on the ladders ``asymptotics`` picks; u0 and u
-    are the case's own field's, so the control checks build no second field.
-    A spec outside the control settings (no classification) yields nothing.
+def _control_checks(spec, field, classes):
+    """Probe the long-time classes of u0, u and u/u0 at ``classes.x`` against
+    the symbolic classification ``classes``, on the ladders ``asymptotics``
+    picks; u0 and u are the case's own field's, so the control checks build
+    no second field.
     """
-    classes = asymptotics.control_classification(spec, x=x_obs)
-    if classes is None:
-        return
+    x_obs = classes.x
     lad_u0, ladder = asymptotics.control_probe_ladders(spec)
     u0_fn = lambda t: field.u0(x_obs, t)  # noqa: E731
     u_fn = lambda t: field.u(x_obs, t)  # noqa: E731
@@ -355,8 +352,9 @@ def _tilde_checks(spec, field):
         yield "tilde_constant_preserved", float(np.max(np.abs(final.values - field.u(0.0, 0.0))))
 
 
-def _case_checks(spec, field, slow, extra_checks):
-    """Every check of the case's family after ``validate``, in report order."""
+def _case_checks(spec, field, slow, controls):
+    """Every check of the case's family after ``validate``, in report order;
+    the control checks too when ``controls`` holds the spec's classification."""
     if spec.variant is Variant.P_TILDE:
         yield from _tilde_checks(spec, field)
         return
@@ -367,8 +365,8 @@ def _case_checks(spec, field, slow, extra_checks):
         yield from _stationary_checks(spec, field)
     else:
         yield from _integral_rep_checks(spec, field, slow)
-    if "control" in extra_checks:
-        yield from _control_checks(spec, field)
+    if controls is not None:
+        yield from _control_checks(spec, field, controls)
 
 
 # Numerical failures of a case, recorded as its failing reason.
@@ -390,8 +388,9 @@ def run_case(
     recorded, not raised; so is a numerical failure (a closed form that
     cannot be built, a quadrature short of its tolerance, an arithmetic
     error), which ends the case as failing with its ``reason`` and the
-    records made before it.  Schema errors, an unknown name among
-    ``extra_checks`` included, raise :class:`SchemaError`.
+    records made before it.  Schema errors raise :class:`SchemaError`: an
+    unknown name among ``extra_checks`` included, and ``"control"`` for a
+    valid spec outside the control settings that ``asymptotics`` decides.
     """
     start = time.perf_counter()
     if not isinstance(extra_checks, (list, tuple)) or any(c != "control" for c in extra_checks):
@@ -409,10 +408,19 @@ def run_case(
     records = [CheckRecord("validate", len(violations), 0.0, _tol("validate", tol_scale))]
     if violations:
         return CaseResult(case_id, records, time.perf_counter() - start, violations)
+    controls = None
+    if "control" in extra_checks:
+        controls = asymptotics.control_classification(spec)
+        if controls is None:
+            raise SchemaError(
+                "control checks requested for a case outside the control settings: "
+                f"variant {spec.variant.value}, phi {spec.phi.kind.value}, "
+                f"flux {spec.flux.kind.value}, h {spec.h.kind.value}"
+            )
 
     try:
         field = closed_form.solution_for(spec)
-        for name, lhs, *rhs in _case_checks(spec, field, slow_oracles, extra_checks):
+        for name, lhs, *rhs in _case_checks(spec, field, slow_oracles, controls):
             records.append(CheckRecord(name, lhs, rhs[0] if rhs else 0.0, _tol(name, tol_scale)))
     except _NUMERICAL_ERRORS as exc:
         return CaseResult(case_id, records, time.perf_counter() - start, reason=str(exc))
@@ -498,6 +506,8 @@ def sweep(
         tasks.append((base, combo, keys, case_id, tol_scale, slow_oracles))
 
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_task, tasks))
     else:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from scipy.integrate import quad
-
 from .green import u0_quadratic_closed, u0_separable_closed
 from .green import weighted_flux_integral as _weighted_flux_integral
 from .problem import (
@@ -172,6 +170,8 @@ def _separated_T(spec: ProblemSpec) -> Callable[[float], float]:
         def g1(t: float) -> float:
             if t == 0.0:
                 return eta
+            from scipy.integrate import quad
+
             integrand = lambda tau: f1(tau) * math.exp(  # noqa: E731
                 scale * delta * f2.antiderivative(tau) - sigma * tau
             )
@@ -196,6 +196,8 @@ def _separated_T(spec: ProblemSpec) -> Callable[[float], float]:
                 return f.antiderivative(t)
             if f.constant_value is not None:
                 return f.constant_value * exp_moment(0, beta, t)
+            from scipy.integrate import quad
+
             val, _ = quad(
                 lambda tau: f(tau) * math.exp(beta * tau),
                 0.0,

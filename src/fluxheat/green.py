@@ -8,7 +8,8 @@ with K the fundamental solution of the heat equation.  All the semi-infinite
 integrals of the explicit-solution machinery (baseline solution, Volterra
 kernel and forcing, the inner integrals of the solution representation) are
 evaluated here by adaptive quadrature on a truncated interval:
-``quad_semiinfinite`` for one integral (QUADPACK through ``scipy``), and
+``quad_semiinfinite`` for one integral (QUADPACK through ``scipy``, imported
+where it is called, so that no other path loads it), and
 ``quad_semiinfinite_nodes`` for a whole node vector of Gaussian-weighted
 integrals, an adaptive GK21 rule batched over panels and nodes that makes one
 vectorised integrand call per refinement round.
@@ -20,7 +21,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import specfun
 from .problem import (
@@ -186,6 +186,8 @@ def quad_semiinfinite(
     Adaptive Gauss-Kronrod refinement to absolute-plus-relative tolerance
     ``tol``; raises :class:`QuadratureError` when the estimate stays above it.
     """
+    from scipy.integrate import quad
+
     if tvar <= 0.0:
         raise ValueError("quad_semiinfinite requires tvar > 0")
     upper = max(center, 0.0) + 2.0 * max(growth, 0.0) * tvar
@@ -414,6 +416,8 @@ def assemble_integral_representation(
     if not slow:
         time_int = weighted_flux_integral(spec.phi, V, t)
         return u0 - nu * spec.phi(x) * time_int
+
+    from scipy.integrate import quad
 
     phi = spec.phi.scalar_evaluator()
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from . import green
 from .problem import (
@@ -180,8 +179,8 @@ def solve_volterra(
     separable form kappa * exp(rho * t) turns the history sum into a
     one-term linear recurrence, scanned as array code in blocks of 64 steps;
     for the quadrature kernel, one vector quadrature for R on the n + 1 grid
-    offsets (a Toeplitz table) plus one lower-triangular Toeplitz solve,
-    O(n^2) flops in LAPACK.  The
+    offsets (a Toeplitz table) plus one lower-triangular Toeplitz solve by
+    blocked forward substitution in numpy, O(n^2) flops.  The
     forcing is tabulated on all n nodes before the steps: one array
     expression for the power law, one vector quadrature for the quadrature
     kind.  A vector quadrature makes one vectorised integrand call per GK21
@@ -204,12 +203,14 @@ def solve_volterra(
     return SampledTrajectory(t=t, values=v)
 
 
-# Steps per block of the recurrence scan of _solve_separable, the exponents
-# 0 ... B of its multiplier, and the lag |i - j| and lower-triangle mask
-# j <= i of one block's Toeplitz matrix a^{i-j} (sliced for a shorter block).
+# Steps per block of the recurrence scan of _solve_separable (and rows per
+# block of the forward substitution of _solve_tabulated), the exponents
+# 0 ... B of the scan's multiplier, and the lag |i - j| and lower-triangle
+# mask j <= i of one block's Toeplitz matrix a^{i-j} (sliced for a shorter
+# block).
 _SCAN_BLOCK = 64
 _SCAN_STEPS = np.arange(_SCAN_BLOCK + 1)
-_SCAN_LAG = scipy.linalg.toeplitz(_SCAN_STEPS[:-1])
+_SCAN_LAG = np.abs(np.subtract.outer(_SCAN_STEPS[:-1], _SCAN_STEPS[:-1]))
 _SCAN_LOWER = np.tri(_SCAN_BLOCK, dtype=bool)
 
 
@@ -240,7 +241,10 @@ def _solve_separable(
     v = np.empty(len(t))
     v[0] = v0
     # v_i = (V0(t_i) - nu * w_left * e^{rho t_i} v_0 - nu * (w_left + w_right) * A_i) / denom
-    known = (forcing - nu * w_left * v[0] * np.exp(rho * t[1:])) / denom
+    if v0 == 0.0:  # every profile but m = 1: no v_0 term to subtract
+        known = forcing / denom
+    else:
+        known = (forcing - nu * w_left * v0 * np.exp(rho * t[1:])) / denom
     damp = nu * (w_left + w_right) / denom
     # A_{i+1} = g (A_i + v_i) = a A_i + g known_i with a = g (1 - damp).  The
     # powers of a come from its logarithm: a rounded to a double would carry
@@ -293,8 +297,8 @@ def _solve_tabulated(
         (1 + nu dt R_0 / 2) v_i + nu dt sum_{0<j<i} R_{i-j} v_j
             = V0(t_i) - nu dt R_i v_0 / 2,
 
-    so v_1 ... v_n solve one lower-triangular Toeplitz system, taken in a
-    single LAPACK triangular solve: O(n^2) flops and no per-step loop.
+    so v_1 ... v_n solve one lower-triangular Toeplitz system, taken by
+    :func:`_toeplitz_forward_substitution`: O(n^2) flops and no per-step loop.
     """
     r = kernel_values(k, t)
     n = len(t) - 1
@@ -303,10 +307,27 @@ def _solve_tabulated(
     system[np.diag_indices(n)] = 1.0 + nu * 0.5 * dt * float(r[0])
     v = np.empty(n + 1)
     v[0] = v0
-    v[1:] = scipy.linalg.solve_triangular(
-        system, forcing - nu * 0.5 * dt * r[1:] * v0, lower=True, check_finite=False
-    )
+    v[1:] = _toeplitz_forward_substitution(system, forcing - nu * 0.5 * dt * r[1:] * v0)
     return v
+
+
+def _toeplitz_forward_substitution(system: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with ``system @ x = b`` for a lower-triangular Toeplitz ``system``.
+
+    Blocked forward substitution in blocks of ``_SCAN_BLOCK`` rows.  Every
+    diagonal block of a Toeplitz matrix is its leading block, so each block
+    of x is one small dense ``numpy.linalg.solve`` against that block, after
+    one matmul takes the rows already solved off its right side: O(n^2)
+    flops in the matmuls, O(n B^2) in the block solves.
+    """
+    n = len(b)
+    lead = system[:_SCAN_BLOCK, :_SCAN_BLOCK]
+    x = np.empty(n)
+    for start in range(0, n, _SCAN_BLOCK):
+        end = min(start + _SCAN_BLOCK, n)
+        rhs = b[start:end] - system[start:end, :start] @ x[:start]
+        x[start:end] = np.linalg.solve(lead[: end - start, : end - start], rhs)
+    return x
 
 
 def solve_resolvent(
@@ -325,8 +346,8 @@ def solve_resolvent(
     taken from q + 1 nested prefix sums P_0 = cumsum(r),
     P_k = cumsum(P_{k-1}) (see :func:`_prefix_sum_weights`): O(p n) on top
     of the ``solve_volterra`` cost for r (O(n) for an analytic kernel; one
-    vector kernel quadrature plus one O(n^2) triangular solve for the
-    quadrature kernel).  Each node's sum keeps its error relative to its own
+    vector kernel quadrature plus one O(n^2) blocked forward substitution in
+    numpy for the quadrature kernel).  Each node's sum keeps its error relative to its own
     terms, about 1e-15 even where V is many decades below its maximum, where
     a transform-based convolution errs relative to the whole vector.
     """

@@ -12,7 +12,12 @@ import numpy as np
 
 from conftest import linear_shape, monomial, monomial_spec, sin_shape, sinh_shape
 from fluxheat import bench
-from fluxheat.asymptotics import LimitTag, flux_probe_ladder, numeric_limit_probe
+from fluxheat.asymptotics import (
+    LimitTag,
+    control_classification,
+    flux_probe_ladder,
+    numeric_limit_probe,
+)
 from fluxheat.catalog import case_ids, load_case
 from fluxheat.closed_form import (
     baseline_u0_polynomial,
@@ -198,7 +203,8 @@ def test_criterion_9_control_classifications():
         if "control" not in cfg.get("checks", ()):
             continue
         spec = spec_from_dict(cfg["case"])
-        for name, lhs, rhs in bench._control_checks(spec, solution_for(spec)):
+        classes = control_classification(spec)
+        for name, lhs, rhs in bench._control_checks(spec, solution_for(spec), classes):
             r = bench.CheckRecord(name, lhs, rhs, bench.TOLERANCES[name])
             assert r.passed, (cid, r.name, r.abs_diff)
         checked += 1

@@ -32,6 +32,7 @@ from fluxheat.problem import (
     ShapeKind,
     SourceShape,
     TimeFunction,
+    Variant,
 )
 
 
@@ -214,6 +215,12 @@ class TestControlClassification:
         zero_law = ProblemSpec(even.phi, FluxLaw(FluxKind.ZERO), monomial_spec(even.phi, 1.0, 1).h)
         assert control_classification(even) is None
         assert control_classification(zero_law) is None
+
+    def test_companion_specs_outside_the_settings(self):
+        # the control classes are problem P's; a P~ spec of a setting has none
+        assert control_classification(monomial_spec(linear_shape(1.0), 1.0, 3)) is not None
+        tilde = monomial_spec(linear_shape(1.0), 1.0, 3, variant=Variant.P_TILDE)
+        assert control_classification(tilde) is None
 
 
 class TestNumericProbe:

@@ -188,6 +188,21 @@ class TestRunCase:
         with pytest.raises(SchemaError, match="checks must be a list of names"):
             run_case(base_case(m=3), extra_checks=checks)
 
+    @pytest.mark.parametrize(
+        "case_id, family",
+        [
+            ("tilde-ir-phi1-m1", "variant PTilde, phi linear_x, flux linear, h monomial"),
+            ("stationary-linear-h", "variant P, phi linear_x, flux zero, h monomial"),
+        ],
+    )
+    def test_control_outside_the_settings_raised(self, case_id, family):
+        # a valid spec with no control classification cannot run the checks
+        # it asks for; the error names the case family
+        case = load_case(case_id)["case"]
+        assert run_case(case, case_id=case_id).passed
+        with pytest.raises(SchemaError, match="outside the control settings: " + family):
+            run_case(case, case_id=case_id, extra_checks=("control",))
+
 
 class TestSweep:
     def sweep_config(self):
@@ -393,6 +408,15 @@ class TestCli:
         cfg = self.write(tmp_path, "case.json", payload)
         assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "configuration error: checks must be a list" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case_id", ["tilde-ir-phi1-m1", "stationary-linear-h"])
+    def test_run_control_outside_the_settings_exit_two(self, tmp_path, capsys, case_id):
+        payload = {"id": case_id, "case": load_case(case_id)["case"], "checks": ["control"]}
+        cfg = self.write(tmp_path, "case.json", payload)
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: control checks requested for a case outside" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", [["--tol-scale", "10"], ["--slow-oracles"]])

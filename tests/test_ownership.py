@@ -113,7 +113,7 @@ def test_control_checks_probe_on_the_asymptotics_ladders(case_id):
 
     field = closed_form.solution_for(spec)
     with mock.patch.object(asymptotics, "numeric_limit_probe", probe):
-        list(bench._control_checks(spec, field))
+        list(bench._control_checks(spec, field, asymptotics.control_classification(spec)))
     lad_u0, lad_u = asymptotics.control_probe_ladders(spec)
     assert ladders == [lad_u0, lad_u, lad_u]
     separated = spec.phi.kind is ShapeKind.SCALED_SEPARABLE

@@ -291,8 +291,9 @@ def control_ladder(spec):
         ladders.append(ladder)
         return LimitClass.zero()
 
+    field = SimpleNamespace(u=lambda x, t: 0.0)
     with mock.patch.object(asymptotics, "numeric_limit_probe", probe):
-        list(bench._control_checks(spec, SimpleNamespace(u=lambda x, t: 0.0)))
+        list(bench._control_checks(spec, field, asymptotics.control_classification(spec)))
     u0_ladder, u_ladder, ratio_ladder = ladders
     assert ratio_ladder == u_ladder
     return u_ladder

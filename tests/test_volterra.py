@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -186,12 +187,18 @@ class TestResolvent:
             solve_resolvent(k, f, 1.0, 1.0, 100)
 
 
+@functools.cache
+def _kernel_at(k, s):
+    """``kernel_eval`` remembered by offset: later steps meet the same offsets again."""
+    return kernel_eval(k, s)
+
+
 def _reference_moments(k, dt, offsets):
     """Per-step product-trapezoid weights, rebuilt for every step."""
     if k.quadrature:
-        limit = kernel_eval(k, 1e-12)
-        r_right = np.array([kernel_eval(k, s) if s > 0 else limit for s in offsets])
-        r_left = np.array([kernel_eval(k, s + dt) for s in offsets])
+        limit = _kernel_at(k, 1e-12)
+        r_right = np.array([_kernel_at(k, s) if s > 0 else limit for s in offsets])
+        r_left = np.array([_kernel_at(k, s + dt) for s in offsets])
         return 0.5 * dt * r_left, 0.5 * dt * r_right
     kappa, rho = k.exp_parts
     if rho == 0.0:
@@ -264,6 +271,12 @@ class TestFastPathsMatchReference:
         k, f = kernel_for(shape), forcing_for(monomial(0.8, m))
         got = solve_resolvent(k, f, 1.0, 2.0, 300).values
         assert rel_diff(got, reference_resolvent(k, f, 1.0, 2.0, 300)) <= 1e-12
+
+    def test_resolvent_quadrature_kernel(self):
+        # n = 200 spans four blocks of the tabulated solve's forward substitution
+        k, f = kernel_for(sin_shape(1.0, 2.0), quadrature=True), forcing_for(monomial(0.8, 5))
+        got = solve_resolvent(k, f, 1.0, 2.0, 200).values
+        assert rel_diff(got, reference_resolvent(k, f, 1.0, 2.0, 200)) <= 1e-12
 
     def test_quadrature_kernel_tabulated_once(self, monkeypatch):
         # one vector quadrature per table, and no per-node quadrature at all
@@ -342,14 +355,15 @@ def per_step_tabulated(k, f, nu, t_end, n):
 
 
 class TestArrayKernels:
-    @pytest.mark.parametrize("n", [16, 32, 400])
+    @pytest.mark.parametrize("n", [16, 32, 63, 64, 65, 129, 400])
     @pytest.mark.parametrize(
         "shape, m",
         [(linear_shape(1.0), 3), (sinh_shape(1.0, 1.0), 1), (sin_shape(1.0, 2.0), 1)],
         ids=["phi1-m3", "phi2-m1", "phi3-m1"],
     )
     def test_triangular_solve_matches_per_step_loop(self, shape, m, n):
-        # m = 1 starts from V(0+) = eta, which enters every row's right side
+        # m = 1 starts from V(0+) = eta, which enters every row's right side;
+        # n = 63, 64, 65 and 129 sit at the edges of the 64-row substitution blocks
         k, f = kernel_for(shape, quadrature=True), forcing_for(monomial(1.0, m))
         got = solve_volterra(k, f, 1.0, 1.5, n).values
         assert rel_diff(got, per_step_tabulated(k, f, 1.0, 1.5, n)) <= 1e-13
