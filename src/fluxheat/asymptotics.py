@@ -86,44 +86,37 @@ def _require_integral_rep(spec: ProblemSpec):
         raise ValueError("flux limits require an odd monomial profile")
 
 
+def _transfer(spec: ProblemSpec) -> tuple[float, float, float, int, float]:
+    """(kappa, rho, b, p, c) of the flux's transfer function
+    V^(s) = c p! (s - rho) / (s^{p+1} (s - b)); the time factor W^(s) is
+    V^(s) / (s - rho).  ``b`` is ``DerivedParams.rate``, whose operation order
+    keeps an exactly resonant sine spec at b = 0, and c = eta * (m!/p!) exactly.
+    """
+    kappa, rho = spec.phi.semigroup
+    params = derive_parameters(spec)
+    c = spec.h.eta * (math.factorial(int(spec.h.m)) // math.factorial(params.p))
+    return kappa, rho, params.rate, params.p, c
+
+
 def flux_limit(spec: ProblemSpec) -> LimitClass:
     """t -> +infinity class of the boundary flux for the closed-form family.
 
-    The sinh shape keeps sigma = lambda + nu*mu > 0 for admissible data, so
-    its finite row (sigma < 0) is implemented as written but unreachable.
-    For the sine shape with m >= 3 the class follows the closed form: the
-    sign of eta alone decides, for either sign of delta.
+    A pole b > 0 dominates (residue -nu kappa c p!/b^{p+1}); at b = 0 the flux
+    is c t^p - rho c t^{p+1}/(p+1).  For b < 0 the first nonzero term of
+    (s - rho)/(s - b) = rho/b + sum_k (rho/b - 1) s^k / b^k decides.
     """
     _require_integral_rep(spec)
-    eta, m = spec.h.eta, int(spec.h.m)
-    lam, nu = spec.phi.lam, spec.flux.nu
-    params = derive_parameters(spec)
-
-    if spec.phi.kind is ShapeKind.LINEAR_X:
-        if m == 1:
-            return LimitClass.zero()
-        if m == 3:
-            return LimitClass.finite(6.0 * eta / (nu * lam))
-        return LimitClass.infinity(eta)
-
-    if spec.phi.kind is ShapeKind.NEG_SINH:
-        sigma = params.sigma
-        if sigma == 0.0:
-            return LimitClass.infinity(-eta)
-        if m == 1:
-            if sigma < 0.0:  # unreachable for admissible mu, nu, lambda > 0
-                return LimitClass.finite(eta * lam / sigma)
-            return LimitClass.infinity(eta)
-        return LimitClass.infinity(sigma * eta)
-
-    delta = params.delta
-    if delta == 0.0:
-        return LimitClass.infinity(eta)
-    if m == 1:
-        if delta > 0.0:
-            return LimitClass.finite(eta * lam / delta)
-        return LimitClass.infinity(eta)
-    return LimitClass.infinity(eta)
+    kappa, rho, b, p, c = _transfer(spec)
+    if b > 0.0:
+        return LimitClass.infinity(-kappa * c)
+    if b == 0.0:
+        return LimitClass.infinity(-rho * c)
+    lead, degree = (c * rho / b, p) if rho != 0.0 else (-c * p / b, p - 1)
+    if degree < 0:
+        return LimitClass.zero()
+    if degree == 0:
+        return LimitClass.finite(lead)
+    return LimitClass.infinity(lead)
 
 
 def flux_initial_limit(spec: ProblemSpec) -> LimitClass:
@@ -233,58 +226,56 @@ def _sv_power_classes(spec: ProblemSpec, x: float) -> ControlClassification:
 
 
 def _ir_classes(spec: ProblemSpec, x: float) -> ControlClassification:
-    phi, h = spec.phi, spec.h
-    eta, m = h.eta, int(h.m)
-    lam, mu, nu = phi.lam, phi.mu, spec.flux.nu
-    hx = h(x)
-    notes: list[str] = []
+    """u0 ~ c x t^p and u = u0 - nu Phi(x) W(t), classed by :func:`_transfer`.
 
-    if m == 1:
+    At x = 0 both vanish for every t (the Dirichlet face), so u reads zero
+    there, and u/u0, 0/0 at every t, takes its x -> 0+ limit, in which
+    Phi(x)/x -> Phi'(0) = kappa.
+    """
+    kappa, rho, b, p, c = _transfer(spec)
+    eta, nu = spec.h.eta, spec.flux.nu
+    hx, phix = spec.h(x), spec.phi(x)
+    notes: list[str] = []
+    if p == 0:
         u0 = LimitClass.finite(hx)
     else:
         u0 = LimitClass.infinity(eta * x) if x != 0.0 else LimitClass.zero()
 
-    if phi.kind is ShapeKind.LINEAR_X:
-        if m == 1:
+    if b >= 0.0:  # W outgrows every t^p: the source term's sign decides
+        s = -phix * eta
+        u = LimitClass.infinity(s) if s != 0.0 else LimitClass.zero()
+        slope = s / (eta * x) if x != 0.0 else -kappa  # -Phi(x)/x
+        ratio = LimitClass.infinity(slope) if slope != 0.0 else LimitClass.zero()
+    elif rho == 0.0:  # nu Phi(x) W = c x t^p + ...: the top t-powers cancel
+        ratio = LimitClass.zero()
+        if p == 0:
             u = LimitClass.zero()
-            ratio = LimitClass.zero()
-        elif m == 3:
-            u = LimitClass.finite(eta * x ** 3 + 6.0 * eta * x / (nu * lam))
-            ratio = LimitClass.zero()
+        elif p == 1:
+            u = LimitClass.finite(hx + c * x / (nu * kappa))
             notes.append(
                 "the top t-powers of the baseline and the source integral cancel "
                 "exactly, so the m = 3 solution converges to "
                 "eta*x^3 + 6*eta*x/(nu*lambda)"
             )
-        else:
-            u = LimitClass.infinity(eta)
-            ratio = LimitClass.zero()
+        else:  # u ~ eta t^{p-1} P(x), P odd with positive coefficients
+            u = LimitClass.infinity(eta * x) if x != 0.0 else LimitClass.zero()
             notes.append(
                 "the controlled solution grows one power of t slower than the "
                 "baseline (top-power cancellation), so the ratio vanishes"
             )
-    elif phi.kind is ShapeKind.NEG_SINH:
-        u = LimitClass.infinity(eta)   # sinh(lambda x) > 0 for x > 0
-        ratio = LimitClass.infinity(+1.0)
-    else:
-        delta = derive_parameters(spec).delta
-        sin_term = math.sin(lam * x)
-        if delta > 0.0:
-            coeff = 1.0 + nu * mu * sin_term / (lam * delta * x) if x != 0 else 1.0
-            if m == 1:
-                u = LimitClass.finite(eta * x + nu * mu * eta * sin_term / (lam * delta))
-                notes.append(
-                    "for m = 1 and delta > 0 the source integral saturates and the "
-                    "solution converges"
-                )
-            else:
-                growth = eta * (x + nu * mu * sin_term / (lam * delta))
-                u = LimitClass.infinity(growth) if growth != 0.0 else LimitClass.zero()
-            ratio = LimitClass.finite(coeff)
+    else:  # W -> -c t^p / b, so u ~ c (x + nu Phi(x)/b) t^p
+        top = x + nu * phix / b
+        if p == 0:
+            u = LimitClass.finite(c * top)
+            notes.append(
+                "for m = 1 and delta > 0 the source integral saturates and the "
+                "solution converges"
+            )
         else:
-            sign = eta * sin_term
-            u = LimitClass.infinity(sign) if sign != 0.0 else LimitClass.zero()
-            ratio = LimitClass.infinity(sign / (eta * x)) if sign != 0.0 else LimitClass.zero()
+            u = LimitClass.infinity(c * top) if top != 0.0 else LimitClass.zero()
+        ratio = LimitClass.finite(
+            1.0 + nu * phix / (b * x) if x != 0.0 else 1.0 + nu * kappa / b
+        )
     return ControlClassification(u0, u, ratio, x, tuple(notes))
 
 

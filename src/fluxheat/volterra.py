@@ -179,8 +179,8 @@ def solve_volterra(
     separable form kappa * exp(rho * t) turns the history sum into a
     one-term linear recurrence, scanned as array code in blocks of 64 steps;
     for the quadrature kernel, one vector quadrature for R on the n + 1 grid
-    offsets (a Toeplitz table) plus one lower-triangular Toeplitz solve by
-    blocked forward substitution in numpy, O(n^2) flops.  The
+    offsets (the first column of a Toeplitz system) plus one lower-triangular
+    Toeplitz solve by blocked forward substitution in numpy, O(n^2) flops.  The
     forcing is tabulated on all n nodes before the steps: one array
     expression for the power law, one vector quadrature for the quadrature
     kind.  A vector quadrature makes one vectorised integrand call per GK21
@@ -206,8 +206,8 @@ def solve_volterra(
 # Steps per block of the recurrence scan of _solve_separable (and rows per
 # block of the forward substitution of _solve_tabulated), the exponents
 # 0 ... B of the scan's multiplier, and the lag |i - j| and lower-triangle
-# mask j <= i of one block's Toeplitz matrix a^{i-j} (sliced for a shorter
-# block).
+# mask j <= i of one block's Toeplitz matrix (a^{i-j} of the scan, the
+# leading block of the substitution; sliced for a shorter block).
 _SCAN_BLOCK = 64
 _SCAN_STEPS = np.arange(_SCAN_BLOCK + 1)
 _SCAN_LAG = np.abs(np.subtract.outer(_SCAN_STEPS[:-1], _SCAN_STEPS[:-1]))
@@ -298,34 +298,37 @@ def _solve_tabulated(
             = V0(t_i) - nu dt R_i v_0 / 2,
 
     so v_1 ... v_n solve one lower-triangular Toeplitz system, taken by
-    :func:`_toeplitz_forward_substitution`: O(n^2) flops and no per-step loop.
+    :func:`_toeplitz_forward_substitution` from its first column: O(n^2)
+    flops and no per-step loop.
     """
     r = kernel_values(k, t)
-    n = len(t) - 1
-    lag = np.arange(n)[:, None] - np.arange(n)
-    system = np.where(lag > 0, nu * dt * r[np.abs(lag)], 0.0)
-    system[np.diag_indices(n)] = 1.0 + nu * 0.5 * dt * float(r[0])
-    v = np.empty(n + 1)
+    column = nu * dt * r[:-1]
+    column[0] = 1.0 + nu * 0.5 * dt * float(r[0])
+    v = np.empty(len(t))
     v[0] = v0
-    v[1:] = _toeplitz_forward_substitution(system, forcing - nu * 0.5 * dt * r[1:] * v0)
+    v[1:] = _toeplitz_forward_substitution(column, forcing - nu * 0.5 * dt * r[1:] * v0)
     return v
 
 
-def _toeplitz_forward_substitution(system: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with ``system @ x = b`` for a lower-triangular Toeplitz ``system``.
+def _toeplitz_forward_substitution(column: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with ``T @ x = b``, T lower-triangular Toeplitz with first column ``column``.
 
     Blocked forward substitution in blocks of ``_SCAN_BLOCK`` rows.  Every
-    diagonal block of a Toeplitz matrix is its leading block, so each block
-    of x is one small dense ``numpy.linalg.solve`` against that block, after
-    one matmul takes the rows already solved off its right side: O(n^2)
-    flops in the matmuls, O(n B^2) in the block solves.
+    diagonal block of T is its leading block, so each block of x is one small
+    dense ``numpy.linalg.solve`` against that block, after its history
+    sum_{j<start} T[i, j] x_j, one ``valid`` convolution of the column with
+    the rows already solved, comes off its right side: O(n^2) flops in the
+    convolutions, O(n B^2) in the block solves.
     """
     n = len(b)
-    lead = system[:_SCAN_BLOCK, :_SCAN_BLOCK]
+    block = min(_SCAN_BLOCK, n)
+    lead = np.where(_SCAN_LOWER[:block, :block], column[_SCAN_LAG[:block, :block]], 0.0)
     x = np.empty(n)
-    for start in range(0, n, _SCAN_BLOCK):
-        end = min(start + _SCAN_BLOCK, n)
-        rhs = b[start:end] - system[start:end, :start] @ x[:start]
+    for start in range(0, n, block):
+        end = min(start + block, n)
+        rhs = b[start:end]
+        if start:
+            rhs = rhs - np.convolve(column[1:end], x[:start], "valid")
         x[start:end] = np.linalg.solve(lead[: end - start, : end - start], rhs)
     return x
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     linear_law,
@@ -13,6 +15,7 @@ from conftest import (
 from fluxheat.asymptotics import (
     ALGEBRAIC_LADDER,
     DEFAULT_LADDER,
+    ControlClassification,
     LimitClass,
     LimitTag,
     control_classification,
@@ -21,6 +24,7 @@ from fluxheat.asymptotics import (
     flux_probe_ladder,
     numeric_limit_probe,
 )
+from fluxheat.catalog import case_ids, load_case
 from fluxheat.closed_form import flux_closed_form, integral_rep_solution, separated_solution
 from fluxheat.green import u0_separable_closed
 from fluxheat.problem import (
@@ -33,6 +37,8 @@ from fluxheat.problem import (
     SourceShape,
     TimeFunction,
     Variant,
+    derive_parameters,
+    spec_from_dict,
 )
 
 
@@ -50,8 +56,8 @@ class TestFluxLimit:
         assert flux_limit(monomial_spec(sinh_shape(0.5, 1.0), 1.0, 5)).tag is LimitTag.PLUS_INFINITY
 
     def test_phi2_sigma_negative_row_unreachable_but_implemented(self):
-        # sigma < 0 cannot occur for admissible mu, nu, lambda > 0; the row
-        # is implemented as written (finite value eta*lambda/sigma)
+        # sigma < 0 cannot occur for admissible mu, nu, lambda > 0; the rule
+        # still reads b = lambda*sigma < 0 and the finite value c*rho/b
         spec = monomial_spec(
             SourceShape(ShapeKind.NEG_SINH, lam=1.0, mu=-2.0), 1.0, 1
         )  # inadmissible mu < 0 gives sigma = -1
@@ -256,3 +262,174 @@ class TestNumericProbe:
         b = LimitClass.finite(2.0005)
         assert a.agrees_with(b, rtol=1e-3)
         assert not a.agrees_with(LimitClass.zero())
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-shape limit tables that the transfer-function rule replaced
+
+
+def oracle_flux_limit(spec):
+    eta, m = spec.h.eta, int(spec.h.m)
+    lam, nu = spec.phi.lam, spec.flux.nu
+    params = derive_parameters(spec)
+    if spec.phi.kind is ShapeKind.LINEAR_X:
+        if m == 1:
+            return LimitClass.zero()
+        if m == 3:
+            return LimitClass.finite(6.0 * eta / (nu * lam))
+        return LimitClass.infinity(eta)
+    if spec.phi.kind is ShapeKind.NEG_SINH:
+        sigma = params.sigma
+        if sigma == 0.0:
+            return LimitClass.infinity(-eta)
+        if m == 1:
+            if sigma < 0.0:
+                return LimitClass.finite(eta * lam / sigma)
+            return LimitClass.infinity(eta)
+        return LimitClass.infinity(sigma * eta)
+    delta = params.delta
+    if delta == 0.0:
+        return LimitClass.infinity(eta)
+    if m == 1 and delta > 0.0:
+        return LimitClass.finite(eta * lam / delta)
+    return LimitClass.infinity(eta)
+
+
+def oracle_ir_classes(spec, x):
+    phi, h = spec.phi, spec.h
+    eta, m = h.eta, int(h.m)
+    lam, mu, nu = phi.lam, phi.mu, spec.flux.nu
+    hx = h(x)
+    notes = []
+    if m == 1:
+        u0 = LimitClass.finite(hx)
+    else:
+        u0 = LimitClass.infinity(eta * x) if x != 0.0 else LimitClass.zero()
+    if phi.kind is ShapeKind.LINEAR_X:
+        ratio = LimitClass.zero()
+        if m == 1:
+            u = LimitClass.zero()
+        elif m == 3:
+            u = LimitClass.finite(eta * x ** 3 + 6.0 * eta * x / (nu * lam))
+            notes.append(
+                "the top t-powers of the baseline and the source integral cancel "
+                "exactly, so the m = 3 solution converges to "
+                "eta*x^3 + 6*eta*x/(nu*lambda)"
+            )
+        else:
+            u = LimitClass.infinity(eta)
+            notes.append(
+                "the controlled solution grows one power of t slower than the "
+                "baseline (top-power cancellation), so the ratio vanishes"
+            )
+    elif phi.kind is ShapeKind.NEG_SINH:
+        u = LimitClass.infinity(eta)
+        ratio = LimitClass.infinity(+1.0)
+    else:
+        delta = derive_parameters(spec).delta
+        sin_term = math.sin(lam * x)
+        if delta > 0.0:
+            coeff = 1.0 + nu * mu * sin_term / (lam * delta * x) if x != 0 else 1.0
+            if m == 1:
+                u = LimitClass.finite(eta * x + nu * mu * eta * sin_term / (lam * delta))
+                notes.append(
+                    "for m = 1 and delta > 0 the source integral saturates and the "
+                    "solution converges"
+                )
+            else:
+                growth = eta * (x + nu * mu * sin_term / (lam * delta))
+                u = LimitClass.infinity(growth) if growth != 0.0 else LimitClass.zero()
+            ratio = LimitClass.finite(coeff)
+        else:
+            sign = eta * sin_term
+            u = LimitClass.infinity(sign) if sign != 0.0 else LimitClass.zero()
+            ratio = LimitClass.infinity(sign / (eta * x)) if sign != 0.0 else LimitClass.zero()
+    return ControlClassification(u0, u, ratio, x, tuple(notes))
+
+
+def same_class(got, want):
+    if got.tag is not want.tag:
+        return False
+    if got.tag is LimitTag.FINITE:
+        return abs(got.value - want.value) <= 1e-12 * max(abs(got.value), abs(want.value))
+    return True
+
+
+CATALOG_IR = [cid for cid in case_ids() if cid.startswith("ir-")]
+OBSERVATION_XS = (0.3, 1.0, 1.7, 3.0, 5.0)
+WIDE = st.floats(min_value=1e-3, max_value=3.0)
+
+
+@st.composite
+def wide_ir_specs(draw):
+    """The admissible box, wider than perfbench's sweep: negative eta, lambda,
+    mu, nu down to 1e-3, m up to 9, and the exact resonant sine line
+    lambda = fl(nu*mu) on a third of the sine draws."""
+    kind = draw(st.sampled_from(["linear", "sinh", "sin"]))
+    lam, mu, nu = draw(WIDE), draw(WIDE), draw(WIDE)
+    if kind == "sin" and draw(st.integers(0, 2)) == 0:
+        lam = nu * mu
+    eta = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(min_value=0.01, max_value=3.0))
+    m = draw(st.sampled_from([1, 3, 5, 7, 9]))
+    if kind == "linear":
+        shape = linear_shape(lam)
+    else:
+        shape = (sinh_shape if kind == "sinh" else sin_shape)(lam, mu)
+    return monomial_spec(shape, eta, m, nu=nu)
+
+
+class TestTransferFunctionRule:
+    @pytest.mark.parametrize("case_id", CATALOG_IR)
+    def test_equals_the_per_shape_tables_on_the_catalog(self, case_id):
+        spec = spec_from_dict(load_case(case_id)["case"])
+        assert flux_limit(spec) == oracle_flux_limit(spec)
+        assert control_classification(spec, x=1.0) == oracle_ir_classes(spec, 1.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(wide_ir_specs())
+    def test_agrees_with_the_per_shape_tables(self, spec):
+        assert same_class(flux_limit(spec), oracle_flux_limit(spec))
+        for x in OBSERVATION_XS:
+            got, want = control_classification(spec, x=x), oracle_ir_classes(spec, x)
+            assert got.notes == want.notes
+            assert same_class(got.u0_limit, want.u0_limit)
+            assert same_class(got.u_limit, want.u_limit)
+            assert same_class(got.ratio_limit, want.ratio_limit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_ir_specs())
+    def test_face_reads_zero_and_the_ratio_its_limit(self, spec):
+        # at x = 0, where u0 = u = 0 for every t, u reads zero and u/u0 the
+        # x -> 0+ limit of the tables' ratio; the tables' own x = 0 rows
+        # differ by shape (sinh +inf, sine zero or 1.0)
+        got, want = control_classification(spec, x=0.0), oracle_ir_classes(spec, 0.0)
+        assert got.notes == want.notes
+        assert same_class(got.u0_limit, want.u0_limit)
+        u = got.u_limit
+        assert u.tag is LimitTag.ZERO or (u.tag is LimitTag.FINITE and u.value == 0.0)
+        near = oracle_ir_classes(spec, 1e-9).ratio_limit
+        assert got.ratio_limit.tag is near.tag
+        if near.tag is LimitTag.FINITE:
+            assert got.ratio_limit.value == pytest.approx(near.value, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "shape, m", [(sinh_shape(0.5, 1.0), 3), (linear_shape(1.0), 5)], ids=["sinh", "linear"]
+    )
+    def test_solution_vanishes_on_the_face(self, shape, m):
+        # the tables read +inf here; the Dirichlet face holds u(0, t) = 0
+        spec = monomial_spec(shape, 1.0, m)
+        assert oracle_ir_classes(spec, 0.0).u_limit.tag is LimitTag.PLUS_INFINITY
+        assert control_classification(spec, x=0.0).u_limit.tag is LimitTag.ZERO
+        field = integral_rep_solution(spec)
+        assert all(field.u(0.0, t) == 0.0 for t in (1.0, 10.0, 40.0))
+
+    def test_sine_ratio_on_the_face_is_its_limit(self):
+        # delta = 1 > 0: u/u0 -> 1 + nu*kappa/b = lambda/delta = 2 as x -> 0+,
+        # where the table read 1.0 at x = 0
+        spec = monomial_spec(sin_shape(2.0, 1.0), 1.0, 3)
+        assert oracle_ir_classes(spec, 0.0).ratio_limit == LimitClass.finite(1.0)
+        got = control_classification(spec, x=0.0).ratio_limit
+        assert got.tag is LimitTag.FINITE and got.value == pytest.approx(2.0)
+        field = integral_rep_solution(spec)
+        x, t = 1e-4, 1e5
+        assert field.u(x, t) / field.u0(x, t) == pytest.approx(2.0, rel=1e-4)

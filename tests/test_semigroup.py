@@ -361,12 +361,12 @@ def test_kernel_lower_bound_is_the_per_shape_f(shape):
         )
 
 
-def test_only_problem_closed_form_and_asymptotics_name_the_three_shapes():
+def test_only_problem_and_closed_form_name_the_three_shapes():
     # every other module reaches them through (kappa, rho) or DerivedParams.rate
     pattern = re.compile(r"ShapeKind\.(LINEAR_X|NEG_SINH|NEG_SIN)\b")
     package = Path(fluxheat.__file__).resolve().parent
     naming = {p.name for p in package.glob("*.py") if pattern.search(p.read_text())}
-    assert naming <= {"problem.py", "closed_form.py", "asymptotics.py"}
+    assert naming <= {"problem.py", "closed_form.py"}
     assert not hasattr(fluxheat, "KernelKind") and not hasattr(volterra, "KernelKind")
     assert not hasattr(closed_form, "_PHI_PROVENANCE")
     # one provenance for the three shapes; the shape stays on field.spec.phi

@@ -355,7 +355,7 @@ def per_step_tabulated(k, f, nu, t_end, n):
 
 
 class TestArrayKernels:
-    @pytest.mark.parametrize("n", [16, 32, 63, 64, 65, 129, 400])
+    @pytest.mark.parametrize("n", [16, 32, 63, 64, 65, 129, 400, 1000])
     @pytest.mark.parametrize(
         "shape, m",
         [(linear_shape(1.0), 3), (sinh_shape(1.0, 1.0), 1), (sin_shape(1.0, 2.0), 1)],
@@ -363,7 +363,8 @@ class TestArrayKernels:
     )
     def test_triangular_solve_matches_per_step_loop(self, shape, m, n):
         # m = 1 starts from V(0+) = eta, which enters every row's right side;
-        # n = 63, 64, 65 and 129 sit at the edges of the 64-row substitution blocks
+        # n = 63, 64, 65 and 129 sit at the edges of the 64-row substitution
+        # blocks; n = 1000 carries 15 blocks of history through the convolution
         k, f = kernel_for(shape, quadrature=True), forcing_for(monomial(1.0, m))
         got = solve_volterra(k, f, 1.0, 1.5, n).values
         assert rel_diff(got, per_step_tabulated(k, f, 1.0, 1.5, n)) <= 1e-13
