@@ -31,6 +31,7 @@ from .problem import (
     ProfileKind,
     SchemaError,
     Variant,
+    number_field,
     spec_from_dict,
     validate,
 )
@@ -437,6 +438,8 @@ def _set_path(cfg: dict, dotted: str, value):
     node = cfg
     for part in parts[:-1]:
         node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise SchemaError(f"grid key {dotted!r} does not name a field of the case")
     node[parts[-1]] = value
 
 
@@ -487,6 +490,9 @@ def sweep(
     unknown = set(config) - {"id", "base", "grid"}
     if unknown:
         raise SchemaError(f"unknown fields in sweep config: {sorted(unknown)}")
+
+    if not all(isinstance(values, list) for values in grid.values()):
+        raise SchemaError("sweep 'grid' values must be lists")
 
     keys = sorted(grid.keys())
     header = ",".join(["case_id", *keys, "pass", "n_checks", "worst_margin"])
@@ -572,12 +578,14 @@ def convergence(config: dict) -> tuple[list[str], bool]:
 
     spec = spec_from_dict(case)
     nxs = ladder.get("nx", [])
+    if not isinstance(nxs, list) or not all(type(nx) is int and nx > 0 for nx in nxs):
+        raise SchemaError(f"ladder 'nx' must be a list of positive integers, got {nxs!r}")
     if len(nxs) < 3:
         raise SchemaError("need at least 3 ladder grids")
-    L = float(ladder.get("L", 8.0))
-    t_end = float(ladder.get("t_end", 1.0))
-    theta = float(ladder.get("theta", 0.5))
-    nt0 = int(ladder.get("nt0", nxs[0]))
+    L = number_field(ladder, "L", 8.0, "ladder")
+    t_end = number_field(ladder, "t_end", 1.0, "ladder")
+    theta = number_field(ladder, "theta", 0.5, "ladder")
+    nt0 = int(number_field(ladder, "nt0", nxs[0], "ladder"))
     far_field = ladder.get("far_field", "manufactured")
     reference = _reference_for(spec, ladder.get("reference", "closed_form"))
 
@@ -585,7 +593,7 @@ def convergence(config: dict) -> tuple[list[str], bool]:
     for nx in nxs:
         factor = nx / nxs[0]
         nt = int(round(nt0 * (factor if theta >= 0.5 else factor ** 2)))
-        grids.append(fd.Grid1D(L=L, nx=int(nx), t_end=t_end, nt=max(nt, 1), theta=theta))
+        grids.append(fd.Grid1D(L=L, nx=nx, t_end=t_end, nt=max(nt, 1), theta=theta))
 
     result = fd.convergence_order(spec, grids, reference, far_field=far_field)
 

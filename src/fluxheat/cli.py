@@ -30,11 +30,14 @@ __all__ = ["main"]
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise SchemaError(f"config must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:

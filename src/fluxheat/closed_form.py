@@ -307,58 +307,42 @@ def baseline_u0_polynomial_dx(h: InitialProfile, x: float, t: float) -> float:
 def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTrajectory:
     """Exact boundary flux for the linear law and odd monomial profiles.
 
-    One generator covers all odd m: the polynomial and exponential pieces are
-    read off the antiderivative of tau^(p-1) exp(-r tau), with r the flux
-    rate ``DerivedParams.rate``.  The sinh and sine shapes share one branch:
-    with s = +1, d = sigma (sinh) or s = -1, d = delta (sine), r = s lambda d
-    and the amplitudes carry s / d.  The resonant lines d = 0 switch to the
-    purely polynomial forms.  With ``check=True`` the trajectory is verified
-    against the Volterra equation before being returned; a residual above
-    the tolerance, nan, or out of double range at a sample t raises
-    ``ConstructionError``.
+    One formula for the three shapes, over (kappa, rho) = ``phi.semigroup``,
+    b = ``DerivedParams.rate``, p = (m-1)/2 and c (eta for m = 1): the
+    transfer function V^(s) = c p! (s - rho) / (s^{p+1} (s - b)).  Its
+    partial fractions give c rho/b t^p, the polynomial of the antiderivative
+    of tau^(p-1) exp(-b tau) and one exp(b t); at b == 0, the resonant test
+    the limit classes use, V = c t^p - rho c t^{p+1}/(p+1).  With
+    ``check=True`` the trajectory is verified against the Volterra equation
+    before being returned; a residual above the tolerance, nan, or out of
+    double range at a sample t raises ``ConstructionError``.
     """
     violations = validate(spec, closed_form=True)
     if violations:
         raise ConstructionError("; ".join(violations))
-    phi, h = spec.phi, spec.h
     nu = spec.flux.nu
-    lam, mu = phi.lam, phi.mu
+    kappa, rho = spec.phi.semigroup
     params = derive_parameters(spec)
-    c, p = params.c, params.p
-    m = int(h.m)
-    eta = h.eta
+    b, p = params.rate, params.p
+    c = spec.h.eta if p == 0 else params.c
 
-    if phi.kind is ShapeKind.LINEAR_X:
-        if p == 0:
-            traj = ClosedFormTrajectory(poly=(0.0,), exps=((eta, params.rate),))
-        else:
-            q, const = exp_moment_parts(p - 1, -params.rate)
-            cp = c * p
-            traj = ClosedFormTrajectory(
-                poly=tuple(cp * coef for coef in q),
-                exps=((cp * const, params.rate),),
-            )
-    elif phi.kind in (ShapeKind.NEG_SINH, ShapeKind.NEG_SIN):
-        s, d = (1.0, params.sigma) if phi.kind is ShapeKind.NEG_SINH else (-1.0, params.delta)
-        if d == 0.0:
-            traj = _resonant_flux(c, p, lam, m, sign=-s, eta=eta)
-        elif p == 0:
-            traj = ClosedFormTrajectory(
-                poly=(eta * lam / d,), exps=((s * (eta * nu * mu / d), params.rate),)
-            )
-        else:
-            q, const = exp_moment_parts(p - 1, -params.rate)
-            amp = s * (c * p * nu * mu / d)
-            traj = ClosedFormTrajectory(
-                poly=(*(amp * coef for coef in q), c * lam / d),
-                exps=((amp * const, params.rate),),
-            )
+    if b == 0.0:
+        traj = ClosedFormTrajectory(poly=(0.0,) * p + (c, -rho * c / (p + 1)))
     else:
-        raise ConstructionError(f"no closed-form flux for shape {phi.kind}")
+        gain = -nu * kappa
+        top = (c * rho / b,) if rho else ()
+        if p == 0:
+            traj = ClosedFormTrajectory(poly=top or (0.0,), exps=((c * gain / b, b),))
+        else:
+            q, const = exp_moment_parts(p - 1, -b)
+            amp = c * p * gain / b
+            traj = ClosedFormTrajectory(
+                poly=(*(amp * k for k in q), *top), exps=((amp * const, b),)
+            )
 
     if check:
-        kernel = _volterra.kernel_for(phi)
-        forcing = _volterra.forcing_for(h)
+        kernel = _volterra.kernel_for(spec.phi)
+        forcing = _volterra.forcing_for(spec.h)
         samples = (0.5, 1.0, 2.0)
         scale = 1.0 + max(abs(traj(t)) for t in samples)
         try:
@@ -373,16 +357,6 @@ def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTraject
                 f"closed-form flux fails its Volterra residual check: {res:.3e}"
             )
     return traj
-
-
-def _resonant_flux(c, p, lam, m, sign, eta) -> ClosedFormTrajectory:
-    # sigma = 0 (sign -1) or delta = 0 (sign +1): purely polynomial flux
-    if p == 0:
-        return ClosedFormTrajectory(poly=(eta, sign * eta * lam ** 2))
-    poly = [0.0] * (p + 2)
-    poly[p] = c
-    poly[p + 1] = sign * 2.0 * c * lam ** 2 / (m + 1)
-    return ClosedFormTrajectory(poly=tuple(poly))
 
 
 def _time_factor(spec: ProblemSpec, traj) -> Callable[[float], float]:

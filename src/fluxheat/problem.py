@@ -364,8 +364,6 @@ class ProblemSpec:
 class DerivedParams:
     """Scalars the closed forms are built from; absent fields are None."""
 
-    sigma: float | None = None     # lambda + nu*mu  (neg_sinh)
-    delta: float | None = None     # lambda - nu*mu  (neg_sin)
     gamma: float | None = None     # scale * nu * delta (separated, linear F)
     c: float | None = None         # monomial forcing constant
     p: int | None = None           # (m-1)/2 for odd m
@@ -387,7 +385,7 @@ def monomial_forcing_constant(eta: float, m: float) -> float:
 
 def derive_parameters(spec: ProblemSpec) -> DerivedParams:
     """Every derived scalar the closed forms need, from a validated spec."""
-    sigma = delta = gamma = c = rate = None
+    gamma = c = rate = None
     p = None
     phi, flux, h = spec.phi, spec.flux, spec.h
     linear = flux.kind is FluxKind.LINEAR
@@ -399,18 +397,15 @@ def derive_parameters(spec: ProblemSpec) -> DerivedParams:
     if phi.kind is ShapeKind.NEG_SIN and linear:
         delta = phi.lam - flux.nu * phi.mu
         rate = -(phi.lam * delta)
-    if phi.kind is ShapeKind.SCALED_SEPARABLE:
-        sigma = phi.sigma
-        delta = phi.delta
-        if linear:
-            gamma = phi.scale * flux.nu * phi.delta
-            rate = sigma - gamma
+    if phi.kind is ShapeKind.SCALED_SEPARABLE and linear:
+        gamma = phi.scale * flux.nu * phi.delta
+        rate = phi.sigma - gamma
     # m = 0 (a companion-problem datum) has no forcing constant: Gamma(0)
     if h.kind is ProfileKind.MONOMIAL and h.m != 0.0:
         c = monomial_forcing_constant(h.eta, h.m)
         if h.is_odd_monomial:
             p = (int(h.m) - 1) // 2
-    return DerivedParams(sigma=sigma, delta=delta, gamma=gamma, c=c, p=p, rate=rate)
+    return DerivedParams(gamma=gamma, c=c, p=p, rate=rate)
 
 
 def validate(spec: ProblemSpec, closed_form: bool = False) -> list[str]:
@@ -516,11 +511,21 @@ class SchemaError(ValueError):
 
 
 def _check_fields(obj: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be a JSON object, got {type(obj).__name__}")
     unknown = set(obj) - allowed
     if unknown:
         raise SchemaError(f"unknown fields in {where}: {sorted(unknown)}")
     if "kind" not in obj:
         raise SchemaError(f"missing 'kind' in {where}")
+
+
+def number_field(obj: dict, key: str, default: float, where: str) -> float:
+    """``obj[key]``, or ``default`` when absent, as a float; a non-number is a SchemaError."""
+    try:
+        return float(obj.get(key, default))
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where} '{key}' must be a number, got {obj[key]!r}") from None
 
 
 def spec_from_dict(data: dict) -> ProblemSpec:
@@ -551,23 +556,23 @@ def spec_from_dict(data: dict) -> ProblemSpec:
 
     phi = SourceShape(
         kind=phi_kind,
-        lam=float(pd.get("lambda", 1.0)),
-        mu=float(pd.get("mu", 1.0)),
-        sigma=float(pd.get("sigma", 0.0)),
-        delta=float(pd.get("delta", 1.0)),
-        scale=float(pd.get("scale", 1.0)),
+        lam=number_field(pd, "lambda", 1.0, "phi"),
+        mu=number_field(pd, "mu", 1.0, "phi"),
+        sigma=number_field(pd, "sigma", 0.0, "phi"),
+        delta=number_field(pd, "delta", 1.0, "phi"),
+        scale=number_field(pd, "scale", 1.0, "phi"),
     )
-    nu = float(fd.get("nu", 1.0))
-    flux_kwargs = {"nu": nu, "n": float(fd.get("n", 0.0))}
+    nu = number_field(fd, "nu", 1.0, "flux")
+    flux_kwargs = {"nu": nu, "n": number_field(fd, "n", 0.0, "flux")}
     if flux_kind is FluxKind.POWER_LAW:
         # JSON power law carries a constant time factor f == nu.
         flux_kwargs["f"] = TimeFunction.constant(nu)
     flux = FluxLaw(kind=flux_kind, **flux_kwargs)
     h = InitialProfile(
         kind=h_kind,
-        eta=float(hd.get("eta", 1.0)),
-        m=float(hd.get("m", 1.0)),
-        a=float(hd.get("a", 0.0)),
+        eta=number_field(hd, "eta", 1.0, "h"),
+        m=number_field(hd, "m", 1.0, "h"),
+        a=number_field(hd, "a", 0.0, "h"),
         nu=nu if h_kind is ProfileKind.QUADRATIC else 1.0,
         sigma=phi.sigma if h_kind is ProfileKind.SCALED_SEPARABLE else 0.0,
         delta=phi.delta if h_kind is ProfileKind.SCALED_SEPARABLE else 1.0,

@@ -37,7 +37,6 @@ from fluxheat.problem import (
     SourceShape,
     TimeFunction,
     Variant,
-    derive_parameters,
     spec_from_dict,
 )
 
@@ -270,8 +269,7 @@ class TestNumericProbe:
 
 def oracle_flux_limit(spec):
     eta, m = spec.h.eta, int(spec.h.m)
-    lam, nu = spec.phi.lam, spec.flux.nu
-    params = derive_parameters(spec)
+    lam, mu, nu = spec.phi.lam, spec.phi.mu, spec.flux.nu
     if spec.phi.kind is ShapeKind.LINEAR_X:
         if m == 1:
             return LimitClass.zero()
@@ -279,7 +277,7 @@ def oracle_flux_limit(spec):
             return LimitClass.finite(6.0 * eta / (nu * lam))
         return LimitClass.infinity(eta)
     if spec.phi.kind is ShapeKind.NEG_SINH:
-        sigma = params.sigma
+        sigma = lam + nu * mu
         if sigma == 0.0:
             return LimitClass.infinity(-eta)
         if m == 1:
@@ -287,7 +285,7 @@ def oracle_flux_limit(spec):
                 return LimitClass.finite(eta * lam / sigma)
             return LimitClass.infinity(eta)
         return LimitClass.infinity(sigma * eta)
-    delta = params.delta
+    delta = lam - nu * mu
     if delta == 0.0:
         return LimitClass.infinity(eta)
     if m == 1 and delta > 0.0:
@@ -326,7 +324,7 @@ def oracle_ir_classes(spec, x):
         u = LimitClass.infinity(eta)
         ratio = LimitClass.infinity(+1.0)
     else:
-        delta = derive_parameters(spec).delta
+        delta = lam - nu * mu
         sin_term = math.sin(lam * x)
         if delta > 0.0:
             coeff = 1.0 + nu * mu * sin_term / (lam * delta * x) if x != 0 else 1.0

@@ -373,6 +373,69 @@ class TestCli:
         b = (tmp_path / "b" / "sw.csv").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            (
+                "sweep",
+                {"id": "sw", "base": base_case(), "grid": {"h.m": 3}},
+                "sweep 'grid' values must be lists",
+            ),
+            (
+                "sweep",
+                {"id": "sw", "base": base_case(), "grid": {"h.m.x": [1]}},
+                "grid key 'h.m.x' does not name a field of the case",
+            ),
+            (
+                "convergence",
+                {"id": "c", "case": base_case(), "ladder": {"nx": [None, 64, 128]}},
+                "ladder 'nx' must be a list of positive integers",
+            ),
+            (
+                "convergence",
+                {"id": "c", "case": base_case(), "ladder": {"nx": [32.5, 64, 128]}},
+                "ladder 'nx' must be a list of positive integers",
+            ),
+            (
+                "convergence",
+                {"id": "c", "case": base_case(), "ladder": {"nx": [0, 64, 128]}},
+                "ladder 'nx' must be a list of positive integers",
+            ),
+            (
+                "convergence",
+                {"id": "c", "case": base_case(), "ladder": {"nx": [64, 128, 256], "L": [8]}},
+                "ladder 'L' must be a number",
+            ),
+            ("sweep", ["an", "not", "object"], "config must be a JSON object, got list"),
+            ("convergence", ["an", "not", "object"], "config must be a JSON object, got list"),
+            ("run", ["an", "not", "object"], "config must be a JSON object, got list"),
+            ("run", {**base_case(), "h": "oops"}, "h must be a JSON object, got str"),
+            (
+                "run",
+                {**base_case(), "phi": {"kind": "linear_x", "lambda": [1.0]}},
+                "phi 'lambda' must be a number",
+            ),
+        ],
+        ids=[
+            "grid-value-not-a-list",
+            "grid-key-through-a-number",
+            "ladder-nx-null",
+            "ladder-nx-fraction",
+            "ladder-nx-zero",
+            "ladder-L-list",
+            "sweep-array",
+            "convergence-array",
+            "run-array",
+            "h-string",
+            "lambda-list",
+        ],
+    )
+    def test_malformed_config_exit_two(self, tmp_path, capsys, command, payload, message):
+        cfg = self.write(tmp_path, "config.json", payload)
+        assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_sweep_bad_jobs_exit_two(self, tmp_path, capsys, jobs):
         payload = {"id": "sw", "base": base_case(), "grid": {"h.m": [1]}}

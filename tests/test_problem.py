@@ -164,12 +164,13 @@ class TestValidate:
 
 class TestDeriveParameters:
     def test_sigma(self):
+        # lam * sigma with sigma = lam + nu*mu
         spec = monomial_spec(sinh_shape(1.0, 1.0), 1.0, 1, nu=1.0)
-        assert derive_parameters(spec).sigma == 2.0
+        assert derive_parameters(spec).rate == 2.0
 
     def test_resonant_delta(self):
         spec = monomial_spec(sin_shape(2.0, 1.0), 1.0, 1, nu=2.0)
-        assert derive_parameters(spec).delta == 0.0
+        assert derive_parameters(spec).rate == 0.0
 
     def test_forcing_constant_m3(self):
         spec = monomial_spec(linear_shape(), 1.0, 3)
@@ -184,7 +185,7 @@ class TestDeriveParameters:
     def test_absent_fields_are_none(self):
         spec = monomial_spec(linear_shape(), 1.0, 3)
         p = derive_parameters(spec)
-        assert p.sigma is None and p.delta is None and p.gamma is None
+        assert p.gamma is None
 
     def test_gamma_separated(self):
         spec = separated_spec(1.0, 2.0, 3.0, 1.0, linear_law(0.5))

@@ -4,17 +4,20 @@ lambda*x, -mu*sinh(lambda*x) and -mu*sin(lambda*x) are eigenfunctions of the
 Dirichlet heat semigroup, so the kernel, the Green weight, the time factor and
 the flux rate all follow from ``SourceShape.semigroup`` and
 ``DerivedParams.rate``.  The per-shape formulas the library used before are
-kept here as oracles; the shared code must reproduce them bit for bit across
-the admissible box lambda, mu, nu in [0.01, 3], m in {1, 3, 5, 7}, including
-the resonant lines.
+kept here as oracles over the admissible box lambda, mu, nu in [0.01, 3],
+m in {1, 3, 5, 7}, including the resonant lines.  The shared code reproduces
+them bit for bit, except the flux coefficients: the one transfer-function
+formula rounds differently, so off the catalog they agree to a few ulp.
 """
 
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,8 +34,10 @@ from conftest import (
 )
 from fluxheat import asymptotics, bench, closed_form, fd, green, volterra
 from fluxheat.asymptotics import ALGEBRAIC_LADDER, DEFAULT_LADDER, LimitClass
+from fluxheat.catalog import case_ids, load_case
 from fluxheat.closed_form import _separated_T, flux_closed_form, separated_solution
 from fluxheat.problem import (
+    DerivedParams,
     FluxKind,
     FluxLaw,
     ProblemSpec,
@@ -40,8 +45,12 @@ from fluxheat.problem import (
     SourceShape,
     Variant,
     derive_parameters,
+    spec_from_dict,
 )
 from fluxheat.specfun import exp_moment_parts
+from reference import flux_reference
+
+EPS = 2.0 ** -52
 
 # ---------------------------------------------------------------------------
 # Oracles: the per-shape formulas, one branch per shape
@@ -190,6 +199,17 @@ def outcome(fn, *args):
         return type(exc).__name__
 
 
+def flux_parts(spec):
+    """(poly, exps) of the library's closed-form flux."""
+    traj = flux_closed_form(spec, check=False)
+    return traj.poly, traj.exps
+
+
+def within_ulps(a, b, n):
+    a, b = float.fromhex(a), float.fromhex(b)
+    return abs(a - b) <= n * math.ulp(max(abs(a), abs(b)))
+
+
 # ---------------------------------------------------------------------------
 # The admissible box
 
@@ -216,6 +236,7 @@ def ir_specs(draw):
 
 
 SWEEP = settings(max_examples=300, deadline=None)
+CATALOG_IR = [cid for cid in case_ids() if cid.startswith("ir-")]
 
 
 class TestAgainstPerShapeFormulas:
@@ -230,13 +251,29 @@ class TestAgainstPerShapeFormulas:
                 oracle_green_phi_factor, shape, dt
             )
 
+    @pytest.mark.parametrize("case_id", CATALOG_IR)
+    def test_flux_poly_and_exps_on_the_catalog(self, case_id):
+        spec = spec_from_dict(load_case(case_id)["case"])
+        assert bits(flux_parts(spec)) == bits(oracle_flux_parts(spec))
+
     @SWEEP
     @given(ir_specs())
     def test_flux_poly_and_exps(self, spec):
-        traj = flux_closed_form(spec, check=False)
-        poly, exps = oracle_flux_parts(spec)
-        assert bits(traj.poly) == bits(poly)
-        assert bits(traj.exps) == bits(exps)
+        # one formula over (kappa, rho, b, p, c) rounds differently from the
+        # per-shape branches; it moves a coefficient by at most a few ulp
+        got = outcome(flux_parts, spec)
+        want = outcome(oracle_flux_parts, spec)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+            return
+        (poly, exps), (want_poly, want_exps) = got, want
+        assert len(poly) == len(want_poly) and len(exps) == len(want_exps)
+        for (amp, rate), (want_amp, want_rate) in zip(exps, want_exps):
+            assert rate == want_rate
+            assert within_ulps(amp, want_amp, 8)
+        for coef, want_coef in zip(poly, want_poly):
+            assert within_ulps(coef, want_coef, 8)
 
     @SWEEP
     @given(ir_specs())
@@ -281,6 +318,25 @@ class TestAgainstPerShapeFormulas:
             )
         assert fd.solution_grows(spec) == oracle_solution_grows(spec)
         assert control_ladder(spec) == DEFAULT_LADDER
+
+
+class TestAgainstTheMpmathReference:
+    @SWEEP
+    @given(ir_specs())
+    def test_flux_within_its_round_off_bound(self, spec):
+        # the expanded form cancels near the resonant lines, so its error is
+        # bounded by the size of its terms, not of V
+        traj = flux_closed_form(spec, check=False)
+        b = derive_parameters(spec).rate
+        for t in (0.5, 1.0, 2.0, 5.0):
+            value = traj(t)
+            if math.isinf(value):
+                continue  # the sinh shape at lambda = nu*mu near 9 leaves the double range
+            terms = sum(abs(coef) * t ** j for j, coef in enumerate(traj.poly))
+            terms += sum(abs(amp) * mpmath.exp(rate * t) for amp, rate in traj.exps)
+            err = abs(mpmath.mpf(value) - flux_reference(spec, t))
+            # the floor covers V = eta exp(b t) underflowing at nu = lam/mu, mu -> 0.01
+            assert err <= 256 * (EPS * (1.0 + abs(b) * t) * terms + math.ulp(0.0))
 
 
 def control_ladder(spec):
@@ -361,12 +417,14 @@ def test_kernel_lower_bound_is_the_per_shape_f(shape):
         )
 
 
-def test_only_problem_and_closed_form_name_the_three_shapes():
+def test_only_problem_names_the_three_shapes():
     # every other module reaches them through (kappa, rho) or DerivedParams.rate
     pattern = re.compile(r"ShapeKind\.(LINEAR_X|NEG_SINH|NEG_SIN)\b")
     package = Path(fluxheat.__file__).resolve().parent
     naming = {p.name for p in package.glob("*.py") if pattern.search(p.read_text())}
-    assert naming <= {"problem.py", "closed_form.py"}
+    assert naming <= {"problem.py"}
+    assert not hasattr(closed_form, "_resonant_flux")
+    assert not {"sigma", "delta"} & {f.name for f in fields(DerivedParams)}
     assert not hasattr(fluxheat, "KernelKind") and not hasattr(volterra, "KernelKind")
     assert not hasattr(closed_form, "_PHI_PROVENANCE")
     # one provenance for the three shapes; the shape stays on field.spec.phi
