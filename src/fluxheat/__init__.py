@@ -51,7 +51,6 @@ from .problem import (
     Variant,
     derive_parameters,
     spec_from_dict,
-    spec_to_dict,
     validate,
 )
 from .specfun import erf, exp_moment, gamma_half
@@ -60,7 +59,6 @@ from .volterra import (
     Forcing,
     Kernel,
     forcing_for,
-    kernel_bound_check,
     kernel_eval,
     kernel_for,
     solve_resolvent,

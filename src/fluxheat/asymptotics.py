@@ -175,16 +175,15 @@ def _sv_power_classes(spec: ProblemSpec, x: float) -> ControlClassification:
     hx = h(x)
     notes: list[str] = []
     u0 = _sv_u0_class(sigma, hx)
+    k = scale * nu_f * delta ** n  # T' = sigma T - k T^n
 
     if sigma > 0.0:
         # unstable equilibrium T* = (scale*nu*delta^n / sigma)^(1/(1-n));
-        # growth happens only above it
-        t_star = (scale * nu_f * delta ** n / sigma) ** (1.0 / (1.0 - n))
+        # growth happens only above it, and always when the source feeds T (k < 0)
+        t_star = (k / sigma) ** (1.0 / (1.0 - n)) if k >= 0.0 else -math.inf
         if eta > t_star:
             u = LimitClass.infinity(hx) if hx != 0.0 else LimitClass.zero()
-            ratio_val = (1.0 - scale * nu_f * delta ** n / (sigma * eta ** (1.0 - n))) ** (
-                1.0 / (1.0 - n)
-            )
+            ratio_val = (1.0 - k / (sigma * eta ** (1.0 - n))) ** (1.0 / (1.0 - n))
             ratio = LimitClass.finite(ratio_val)
             notes.append(
                 "the limiting ratio carries the 1/(1-n) exponent: "
@@ -200,6 +199,11 @@ def _sv_power_classes(spec: ProblemSpec, x: float) -> ControlClassification:
                 "eta below the unstable equilibrium: the solution quenches "
                 "despite sigma >= 0"
             )
+    elif sigma == 0.0 and (k < 0.0 or (n == 0.0 and k > 0.0)):
+        # T^(1-n) = eta^(1-n) - (1-n) k t grows without bound (k < 0), and at
+        # n = 0 T = eta - k t crosses zero and keeps falling (k > 0)
+        u = LimitClass.infinity(-k * hx) if hx != 0.0 else LimitClass.zero()
+        ratio = LimitClass.infinity(-k)
     elif sigma == 0.0:
         u = LimitClass.zero()
         ratio = LimitClass.zero()
@@ -214,6 +218,10 @@ def _sv_power_classes(spec: ProblemSpec, x: float) -> ControlClassification:
                 "the limit constant theta_1 = scale*nu/(sigma*eta) is the "
                 "equilibrium of the T equation scaled by eta"
             )
+        elif k < 0.0:
+            # the source feeds T, which settles on T* = (k/sigma)^(1/(1-n))
+            u = LimitClass.finite((k / sigma) ** (1.0 / (1.0 - n)) * separated_x(sigma, delta, x))
+            ratio = LimitClass.infinity(1.0)
         else:
             u = LimitClass.zero()
             ratio = LimitClass.zero()

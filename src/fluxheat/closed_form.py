@@ -50,7 +50,6 @@ __all__ = [
     "stationary_solution",
     "separated_solution",
     "baseline_u0_polynomial",
-    "baseline_u0_polynomial_dx",
     "flux_closed_form",
     "integral_rep_solution",
     "tilde_solution",
@@ -89,9 +88,6 @@ class SolutionField:
     u0: Callable[[float, float], float] | None = None
     ux: Callable[[float, float], float] | None = None
     base: SolutionField | None = None
-
-    def __call__(self, x: float, t: float) -> float:
-        return self.u(x, t)
 
 
 @dataclass(frozen=True)
@@ -297,11 +293,6 @@ def baseline_u0_polynomial(h: InitialProfile, x: float, t: float) -> float:
     power of x).
     """
     return _u0_sum(_u0_coeffs(h), x, t)
-
-
-def baseline_u0_polynomial_dx(h: InitialProfile, x: float, t: float) -> float:
-    """x-derivative of the polynomial baseline."""
-    return _u0_dx_sum(_u0_coeffs(h), x, t)
 
 
 def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTrajectory:

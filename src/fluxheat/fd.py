@@ -119,7 +119,6 @@ class FDSolver:
         grid: Grid1D,
         far_field: str = "manufactured",
         reference=None,
-        flux_order: int = 2,
     ):
         if far_field not in ("manufactured", "homogeneous"):
             raise ValueError(f"unknown far-field policy {far_field!r}")
@@ -130,8 +129,6 @@ class FDSolver:
                 "homogeneous far-field data is invalid for a growing solution; "
                 "use the manufactured policy"
             )
-        if flux_order not in (1, 2):
-            raise ValueError("flux extraction order must be 1 or 2")
         if grid.dt > grid.stability_limit() * (1.0 + 1e-12):
             raise ValueError(
                 f"stability bound violated: dt={grid.dt:.3e} exceeds "
@@ -141,7 +138,6 @@ class FDSolver:
         self.grid = grid
         self.far_field = far_field
         self.reference = reference
-        self.flux_order = flux_order
         self.tilde = spec.variant is Variant.P_TILDE
         self._phi0 = float(spec.phi(0.0))  # companion Neumann datum g = Phi(0) F
 
@@ -201,8 +197,6 @@ class FDSolver:
         dx = self.grid.dx
         if self.tilde:
             return float(u[0])
-        if self.flux_order == 1:
-            return float((u[1] - u[0]) / dx)
         return float((-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx))
 
     def _far_value(self, t: float) -> float:
@@ -221,7 +215,7 @@ class FDSolver:
         r = self._r
         th = g.theta
 
-        Fv = self.spec.flux_eval(self.state.boundary_var, t_now if t_now > 0 else g.dt * 1e-9)
+        Fv = self.spec.flux(self.state.boundary_var, t_now if t_now > 0 else g.dt * 1e-9)
         source = -self.phi_vals * Fv
 
         rhs = np.empty_like(u)
@@ -246,13 +240,6 @@ class FDSolver:
         for _ in range(self.grid.nt):
             self.step()
         return self.state
-
-    def boundary_trajectory(self):
-        from .trajectory import SampledTrajectory
-
-        t = np.linspace(0.0, self.grid.dt * (len(self.boundary_series) - 1),
-                        len(self.boundary_series))
-        return SampledTrajectory(t=t, values=np.array(self.boundary_series))
 
 
 def solve(spec: ProblemSpec, grid: Grid1D, **options):
@@ -363,7 +350,7 @@ def pde_residual(field, spec: ProblemSpec, x: float, t: float, delta: float = 1e
     """
     u = field.u
     u_c = u(x, t)
-    source = spec.phi_eval(x) * spec.flux_eval(float(field.V(t)), t)
+    source = spec.phi_eval(x) * spec.flux(float(field.V(t)), t)
     u_xx = {}
 
     def resid(d: float) -> float:

@@ -45,8 +45,6 @@ __all__ = [
     "solve_volterra",
     "solve_resolvent",
     "volterra_residual",
-    "kernel_bound_check",
-    "kernel_lower_bound",
 ]
 
 
@@ -433,28 +431,3 @@ def volterra_residual(traj, k: Kernel, f: Forcing, nu: float, t_samples) -> floa
             return math.nan
         worst = max(worst, abs(res))
     return worst
-
-
-def kernel_lower_bound(k: Kernel, dt: float) -> float:
-    """The comparison function f(dt) of the solvability hypothesis:
-    -|kappa| dt at rho = 0, kappa (exp(rho dt) - 1) / rho otherwise."""
-    kappa, rho = k.exp_parts
-    if rho == 0.0:
-        return -abs(kappa) * dt
-    return kappa * math.expm1(rho * dt) / rho
-
-
-def kernel_bound_check(k: Kernel, t1: float, t2: float) -> bool:
-    """Whether int_{t1}^{t2} R(t2 - tau) dtau >= f(t2 - t1).
-
-    Both sides are evaluated analytically; the inequality holds for every
-    built-in kernel (with equality for the sinh/sin ones), so this exists to
-    document and regression-test the hypothesis.
-    """
-    if not (0.0 < t1 < t2):
-        raise ValueError("kernel_bound_check requires 0 < t1 < t2")
-    dt = t2 - t1
-    kappa, rho = k.exp_parts
-    lhs = kappa * dt if rho == 0.0 else kappa * (math.exp(rho * dt) - 1.0) / rho
-    rhs = kernel_lower_bound(k, dt)
-    return lhs >= rhs - 1e-12 * (1.0 + abs(rhs))

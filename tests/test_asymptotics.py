@@ -24,6 +24,7 @@ from fluxheat.asymptotics import (
     flux_probe_ladder,
     numeric_limit_probe,
 )
+from fluxheat import bench
 from fluxheat.catalog import case_ids, load_case
 from fluxheat.closed_form import flux_closed_form, integral_rep_solution, separated_solution
 from fluxheat.green import u0_separable_closed
@@ -184,6 +185,41 @@ class TestControlClassification:
         assert any("quenches" in note for note in cc.notes)
         field = separated_solution(spec)
         assert field.u(1.0, 60.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "sigma, nu, n, u_tag, ratio_tag",
+        [
+            (1.0, -0.25, 0.05, LimitTag.PLUS_INFINITY, LimitTag.FINITE),
+            (0.0, -0.25, 0.5, LimitTag.PLUS_INFINITY, LimitTag.PLUS_INFINITY),
+            (-1.0, -0.25, 0.5, LimitTag.FINITE, LimitTag.PLUS_INFINITY),
+            (0.0, 0.25, 0.0, LimitTag.MINUS_INFINITY, LimitTag.MINUS_INFINITY),
+            (1.0, -0.25, 0.5, LimitTag.PLUS_INFINITY, LimitTag.FINITE),
+            (-1.0, -0.25, 0.0, LimitTag.FINITE, LimitTag.PLUS_INFINITY),
+        ],
+        ids=["growth", "sigma0-growth", "settles-on-T*", "sigma0-n0-falls", "growth-n-half", "n0-settles"],
+    )
+    def test_power_law_classes_agree_with_the_probe(self, sigma, nu, n, u_tag, ratio_tag):
+        # nu < 0 feeds T, which never quenches; at sigma = n = 0, T = eta - nu t
+        case = {
+            "phi": {"kind": "scaled_separable", "sigma": sigma, "delta": 1.0, "scale": 1.0},
+            "flux": {"kind": "power_law", "nu": nu, "n": n},
+            "h": {"kind": "scaled_separable", "eta": 1.0},
+        }
+        cc = control_classification(spec_from_dict(case), x=1.0)
+        assert (cc.u_limit.tag, cc.ratio_limit.tag) == (u_tag, ratio_tag)
+        result = bench.run_case(case, extra_checks=("control",))
+        names = {r.name for r in result.records if r.passed}
+        assert result.passed and {"control_u", "control_ratio"} <= names
+
+    def test_power_law_feeding_source_limits(self):
+        def classes(sigma, n):
+            law = FluxLaw(FluxKind.POWER_LAW, n=n, f=TimeFunction.constant(-0.25))
+            return control_classification(separated_spec(sigma, 1.0, 1.0, 1.0, law), x=1.0)
+
+        # (1 - scale*nu*delta^n/(sigma*eta^(1-n)))^(1/(1-n)) at nu = -0.25
+        assert classes(1.0, 0.05).ratio_limit.value == pytest.approx(1.25 ** (1.0 / 0.95), rel=1e-14)
+        # T* = (scale*nu*delta^n/sigma)^(1/(1-n)) = 0.0625, times X(1) = sin 1
+        assert classes(-1.0, 0.5).u_limit.value == pytest.approx(0.0625 * math.sin(1.0), rel=1e-14)
 
     def test_lim_ir_phi1_m3_converges(self):
         spec = monomial_spec(linear_shape(1.0), 1.0, 3)

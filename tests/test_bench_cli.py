@@ -257,6 +257,18 @@ class TestSweep:
         lines, ok, _ = sweep(config)
         assert not ok and "\n".join(lines) + "\n" == text
 
+    def test_negative_m_is_a_failing_row(self):
+        lines, ok, _ = sweep({"id": "s", "base": base_case(), "grid": {"h.m": [-3, 1, 3]}})
+        assert not ok
+        assert [line.split(",")[2] for line in lines[1:]] == ["0", "1", "1"]
+
+    def test_non_finite_grid_value_is_a_failing_row(self):
+        # a NaN from the grid fails the schema in its own row; the rest run
+        lines, ok, _ = sweep({"id": "s", "base": base_case(), "grid": {"flux.nu": [float("nan"), 1.0]}})
+        assert not ok
+        rows = dict(line.split(",", 2)[::2] for line in lines[1:])
+        assert rows == {"s-nu=1.0": "1,11,0", "s-nu=nan": "0,0,inf"}
+
     def test_empty_grid_header_only(self):
         lines, ok, _ = sweep({"id": "s", "base": base_case(), "grid": {}})
         assert ok and len(lines) == 1
@@ -337,6 +349,17 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "bad.json").read_text())
         assert report["violations"]
 
+    @pytest.mark.parametrize("m", [-3, -1.5, 0.5])
+    def test_run_m_below_one_is_a_failing_validate_row(self, tmp_path, capsys, m):
+        # h = x^m overflows at the face probe h(1e-300) for m <= -2; every
+        # m < 1 is a validate row, not a configuration error
+        cfg = self.write(tmp_path, "case.json", {"id": "neg", "case": base_case(m=m)})
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "neg.json").read_text())
+        assert "monomial exponent m must be >= 1" in report["violations"]
+        assert (tmp_path / "out" / "neg.csv").read_text().splitlines()[1].startswith("neg,validate,")
+        assert "configuration error" not in capsys.readouterr().err
+
     def test_run_numerical_failure_exit_one(self, tmp_path, capsys):
         # near the resonant line the m = 7 closed form fails its Volterra
         # residual check: a failing case with its reason, not a config error
@@ -415,6 +438,36 @@ class TestCli:
                 {**base_case(), "phi": {"kind": "linear_x", "lambda": [1.0]}},
                 "phi 'lambda' must be a number",
             ),
+            (
+                "run",
+                {**base_case(), "phi": {"kind": "linear_x", "lambda": float("nan")}},
+                "phi 'lambda' must be finite, got nan",
+            ),
+            (
+                "run",
+                {**base_case(), "flux": {"kind": "linear", "nu": float("-inf")}},
+                "flux 'nu' must be finite, got -inf",
+            ),
+            (
+                "convergence",
+                {"id": "c", "case": base_case(), "ladder": {"nx": [64, 128, 256], "nt0": float("inf")}},
+                "ladder 'nt0' must be finite, got inf",
+            ),
+            (
+                "run",
+                {**base_case(), "h": {"kind": "monomial", "eta": float("inf"), "m": 1}},
+                "h 'eta' must be finite, got inf",
+            ),
+            (
+                "convergence",
+                {"id": "c", "case": base_case(), "ladder": {"nx": [64, 128, 256], "t_end": float("inf")}},
+                "ladder 't_end' must be finite, got inf",
+            ),
+            (
+                "convergence",
+                {"id": "c", "case": base_case(), "ladder": {"nx": [64, 128, 256], "L": float("nan")}},
+                "ladder 'L' must be finite, got nan",
+            ),
         ],
         ids=[
             "grid-value-not-a-list",
@@ -428,6 +481,12 @@ class TestCli:
             "run-array",
             "h-string",
             "lambda-list",
+            "lambda-nan",
+            "nu-minus-infinity",
+            "ladder-nt0-infinity",
+            "eta-infinity",
+            "ladder-t_end-infinity",
+            "ladder-L-nan",
         ],
     )
     def test_malformed_config_exit_two(self, tmp_path, capsys, command, payload, message):

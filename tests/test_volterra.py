@@ -25,10 +25,8 @@ from fluxheat.volterra import (
     forcing_eval,
     forcing_for,
     forcing_values,
-    kernel_bound_check,
     kernel_eval,
     kernel_for,
-    kernel_lower_bound,
     kernel_values,
     solve_resolvent,
     solve_volterra,
@@ -685,26 +683,6 @@ class TestResidual:
             want = max(want, abs(float(traj(s)) - forcing_eval(f, s) + conv))
         got = volterra_residual(traj, k, f, 1.0, samples)
         assert got == pytest.approx(want, rel=1e-12)
-
-
-class TestBoundCheck:
-    def test_constant_kernel(self):
-        assert kernel_bound_check(kernel_for(linear_shape(1.0)), 1.0, 2.0)
-
-    def test_decaying_kernel(self):
-        assert kernel_bound_check(kernel_for(sin_shape(1.0, 1.0)), 0.5, 1.0)
-
-    def test_growing_kernel_equality(self):
-        # the bound holds with equality for the sinh kernel
-        assert kernel_bound_check(kernel_for(sinh_shape(1.0, 1.0)), 0.25, 1.75)
-
-    def test_comparison_function_vanishes_at_zero(self):
-        for shape in (linear_shape(1.0), sinh_shape(1.0, 1.0), sin_shape(1.0, 1.0)):
-            assert abs(kernel_lower_bound(kernel_for(shape), 1e-14)) <= 1e-10
-
-    def test_ordering_required(self):
-        with pytest.raises(ValueError):
-            kernel_bound_check(kernel_for(linear_shape(1.0)), 2.0, 1.0)
 
 
 class TestSampledTrajectory:
