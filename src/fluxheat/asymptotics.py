@@ -347,14 +347,16 @@ def control_probe_ladders(spec: ProblemSpec) -> tuple[tuple[float, ...], tuple[f
     Exponentially dominated solutions (the separated family, or a flux
     growing at a positive ``DerivedParams.rate``) settle on the default
     ladder; the algebraically approached limits (polynomial growth, 1/t or
-    1/sqrt(t) drifts) need geometrically much larger times.  Outside the
-    separated family the baseline grows at most polynomially, so its probe
-    takes the long ladder (an exponential baseline merely overflows there,
-    which the probe reads as the correct infinity).
+    1/sqrt(t) drifts) need geometrically much larger times.  So does a
+    separated power law at sigma = 0, whose T grows or falls algebraically.
+    Outside the separated family the baseline grows at most polynomially,
+    so its probe takes the long ladder (an exponential baseline merely
+    overflows there, which the probe reads as the correct infinity).
     """
     separated = spec.phi.kind is ShapeKind.SCALED_SEPARABLE
     rate = derive_parameters(spec).rate
-    exponential = separated or (rate is not None and rate > 0.0)
+    algebraic_t = spec.flux.kind is FluxKind.POWER_LAW and spec.phi.sigma == 0.0
+    exponential = (separated and not algebraic_t) or (rate is not None and rate > 0.0)
     return (
         DEFAULT_LADDER if separated else ALGEBRAIC_LADDER,
         DEFAULT_LADDER if exponential else ALGEBRAIC_LADDER,

@@ -34,8 +34,7 @@ from .problem import (
     ShapeKind,
     Variant,
     derive_parameters,
-    separated_x,
-    separated_x_tilde,
+    separated_evaluators,
     validate,
 )
 from .specfun import SQRT_PI, exp_moment, exp_moment_parts, gamma_half
@@ -132,9 +131,9 @@ def stationary_solution(spec: ProblemSpec) -> SolutionField:
         raise ConstructionError("stationary family requires F == 0 or F == nu")
 
     traj = ClosedFormTrajectory(poly=(slope,))
-    hp = h.derivative
+    h_at, hp = h.scalar_evaluator(), h.derivative
     return SolutionField(
-        u=lambda x, t: h(x),
+        u=lambda x, t: h_at(x),
         V=traj,
         provenance=Provenance.STATIONARY,
         spec=spec,
@@ -229,7 +228,7 @@ def separated_components(spec: ProblemSpec) -> SeparatedComponents:
     if h.sigma != phi.sigma or h.delta != phi.delta:
         raise ConstructionError("separated h and Phi must share (sigma, delta)")
     T = _separated_T(spec)
-    X = lambda x: separated_x(phi.sigma, phi.delta, x)  # noqa: E731
+    X = separated_evaluators(phi.sigma, phi.delta)[0]
     return SeparatedComponents(
         sigma=phi.sigma, delta=phi.delta, scale=phi.scale, eta=h.eta, X=X, T=T
     )
@@ -239,6 +238,7 @@ def separated_solution(spec: ProblemSpec) -> SolutionField:
     """u(x,t) = X(x) T(t); the flux is V(t) = X'(0) T(t) = delta T(t)."""
     comps = separated_components(spec)
     delta = comps.delta
+    X_tilde = separated_evaluators(comps.sigma, delta)[1]
     if spec.flux.kind is FluxKind.LINEAR:
         traj: Callable[[float], float] = ClosedFormTrajectory(
             poly=(0.0,), exps=((delta * comps.eta, derive_parameters(spec).rate),)
@@ -251,7 +251,7 @@ def separated_solution(spec: ProblemSpec) -> SolutionField:
         provenance=Provenance.SEPARATED,
         spec=spec,
         u0=functools.partial(u0_separable_closed, spec.h),
-        ux=lambda x, t: separated_x_tilde(comps.sigma, delta, x) * comps.T(t),
+        ux=lambda x, t: X_tilde(x) * comps.T(t),
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "derive_parameters",
     "separated_x",
     "separated_x_tilde",
+    "separated_evaluators",
     "spec_from_dict",
 ]
 
@@ -117,47 +119,84 @@ class TimeFunction:
         )
 
 
+# The library a data function is written over: ``math`` for a scalar, where a
+# constant stays a Python float, and ``numpy`` elementwise for an array, where
+# a constant broadcasts to the array's shape.
+_SCALAR_MATH = SimpleNamespace(
+    sinh=math.sinh, cosh=math.cosh, sin=math.sin, cos=math.cos, const=lambda value, x: value
+)
+_ARRAY_MATH = SimpleNamespace(
+    sinh=np.sinh, cosh=np.cosh, sin=np.sin, cos=np.cos,
+    const=lambda value, x: np.full(x.shape, value),
+)
+
+
 def _lib(x):
-    """``numpy`` for an array argument, ``math`` otherwise: scalar callers keep Python floats."""
-    return np if isinstance(x, np.ndarray) else math
+    return _ARRAY_MATH if isinstance(x, np.ndarray) else _SCALAR_MATH
 
 
-def _constant(value: float, x):
-    """``value`` broadcast to the shape of an array ``x``; ``value`` itself for a scalar."""
-    return np.full(x.shape, value) if isinstance(x, np.ndarray) else value
+def _separated_pair(factor: float, sigma: float, delta: float, lib):
+    """(factor*X, factor*X') over ``lib``, the branch of sigma chosen once.
+
+    X solves X'' = sigma*X, X(0) = 0, X'(0) = delta: delta/r sinh(r x) for
+    sigma = r^2 > 0, delta/r sin(r x) for sigma = -r^2 < 0, delta*x at 0.
+    """
+    if sigma > 0.0:
+        r, fn, dfn = math.sqrt(sigma), lib.sinh, lib.cosh
+    elif sigma < 0.0:
+        r, fn, dfn = math.sqrt(-sigma), lib.sin, lib.cos
+    else:
+        const = lib.const
+        return (lambda x: factor * (delta * x)), (lambda x: factor * const(delta, x))
+    c = delta / r
+    return (lambda x: factor * (c * fn(r * x))), (lambda x: factor * (delta * dfn(r * x)))
 
 
 def separated_x(sigma: float, delta: float, x):
     """X(x) solving X'' = sigma*X, X(0) = 0, X'(0) = delta; elementwise on arrays."""
-    if sigma > 0.0:
-        r = math.sqrt(sigma)
-        return delta / r * _lib(x).sinh(r * x)
-    if sigma < 0.0:
-        r = math.sqrt(-sigma)
-        return delta / r * _lib(x).sin(r * x)
-    return delta * x
+    return _separated_pair(1.0, sigma, delta, _lib(x))[0](x)
 
 
 def separated_x_tilde(sigma: float, delta: float, x):
     """X'(x) for the separated profile: delta*cosh, delta*cos or constant delta."""
-    if sigma > 0.0:
-        return delta * _lib(x).cosh(math.sqrt(sigma) * x)
-    if sigma < 0.0:
-        return delta * _lib(x).cos(math.sqrt(-sigma) * x)
-    return _constant(delta, x)
+    return _separated_pair(1.0, sigma, delta, _lib(x))[1](x)
 
 
-def _scaled_separated_x(factor: float, sigma: float, delta: float) -> Callable[[float], float]:
-    """x -> factor * separated_x(sigma, delta, x) at a scalar x, the branch chosen once."""
-    if sigma > 0.0:
-        r = math.sqrt(sigma)
-        c = delta / r
-        return lambda x: factor * (c * math.sinh(r * x))
-    if sigma < 0.0:
-        r = math.sqrt(-sigma)
-        c = delta / r
-        return lambda x: factor * (c * math.sin(r * x))
-    return lambda x: factor * (delta * x)
+def separated_evaluators(sigma: float, delta: float):
+    """(X, X') at a scalar x with the branch of sigma chosen once, for fields
+    that call them at many points; bit-identical to ``separated_x`` and
+    ``separated_x_tilde``."""
+    return _separated_pair(1.0, sigma, delta, _SCALAR_MATH)
+
+
+def _shape_pair(shape: "SourceShape", lib):
+    """(Phi, Phi') of ``shape`` over ``lib``, the kind dispatched once."""
+    k = shape.kind
+    const = lib.const
+    if k is ShapeKind.LINEAR_X:
+        lam = shape.lam
+        return (lambda x: lam * x), (lambda x: const(lam, x))
+    if k is ShapeKind.NEG_SINH or k is ShapeKind.NEG_SIN:
+        neg_mu, lam = -shape.mu, shape.lam
+        slope = neg_mu * lam
+        fn, dfn = (lib.sinh, lib.cosh) if k is ShapeKind.NEG_SINH else (lib.sin, lib.cos)
+        return (lambda x: neg_mu * fn(lam * x)), (lambda x: slope * dfn(lam * x))
+    if k is ShapeKind.SCALED_SEPARABLE:
+        return _separated_pair(shape.scale, shape.sigma, shape.delta, lib)
+    return (lambda x: const(1.0, x)), (lambda x: const(0.0, x))
+
+
+def _profile_pair(h: "InitialProfile", lib):
+    """(h, h') of ``h`` over ``lib``, the kind dispatched once."""
+    eta = h.eta
+    if h.kind is ProfileKind.MONOMIAL:
+        m = h.m
+        eta_m, m1 = eta * m, m - 1.0
+        return (lambda x: eta * x ** m), (lambda x: eta_m * x ** m1)
+    if h.kind is ProfileKind.QUADRATIC:
+        half_nu, nu, a = 0.5 * h.nu, h.nu, h.a
+        return (lambda x: half_nu * x * x + a * x), (lambda x: nu * x + a)
+    return _separated_pair(eta, h.sigma, h.delta, lib)
 
 
 @dataclass(frozen=True)
@@ -173,47 +212,17 @@ class SourceShape:
 
     def __call__(self, x):
         """Phi(x); elementwise on arrays."""
-        k = self.kind
-        if k is ShapeKind.LINEAR_X:
-            return self.lam * x
-        if k is ShapeKind.NEG_SINH:
-            return -self.mu * _lib(x).sinh(self.lam * x)
-        if k is ShapeKind.NEG_SIN:
-            return -self.mu * _lib(x).sin(self.lam * x)
-        if k is ShapeKind.SCALED_SEPARABLE:
-            return self.scale * separated_x(self.sigma, self.delta, x)
-        return _constant(1.0, x)
+        return _shape_pair(self, _lib(x))[0](x)
+
+    def derivative(self, x):
+        """Phi'(x); elementwise on arrays."""
+        return _shape_pair(self, _lib(x))[1](x)
 
     def scalar_evaluator(self) -> Callable[[float], float]:
-        """Phi as a function of a scalar x with the kind dispatched once.
-
-        Each branch is the expression ``__call__`` evaluates, so the values
-        are bit-identical; for quadrature loops and fields that call Phi at
-        many points.
-        """
-        k = self.kind
-        if k is ShapeKind.LINEAR_X:
-            lam = self.lam
-            return lambda x: lam * x
-        if k is ShapeKind.NEG_SINH or k is ShapeKind.NEG_SIN:
-            neg_mu, lam = -self.mu, self.lam
-            fn = math.sinh if k is ShapeKind.NEG_SINH else math.sin
-            return lambda x: neg_mu * fn(lam * x)
-        if k is ShapeKind.SCALED_SEPARABLE:
-            return _scaled_separated_x(self.scale, self.sigma, self.delta)
-        return lambda x: 1.0
-
-    def derivative(self, x: float) -> float:
-        k = self.kind
-        if k is ShapeKind.LINEAR_X:
-            return self.lam
-        if k is ShapeKind.NEG_SINH:
-            return -self.mu * self.lam * math.cosh(self.lam * x)
-        if k is ShapeKind.NEG_SIN:
-            return -self.mu * self.lam * math.cos(self.lam * x)
-        if k is ShapeKind.SCALED_SEPARABLE:
-            return self.scale * separated_x_tilde(self.sigma, self.delta, x)
-        return 0.0
+        """Phi at a scalar x with the kind dispatched once, for quadrature
+        loops and fields that call Phi at many points; bit-identical to
+        ``__call__``, which evaluates the same expression."""
+        return _shape_pair(self, _SCALAR_MATH)[0]
 
     @property
     def semigroup(self) -> tuple[float, float]:
@@ -278,39 +287,18 @@ class InitialProfile:
     sigma: float = 0.0        # separated branch (must match the source shape)
     delta: float = 1.0
 
-    def __call__(self, x: float) -> float:
-        k = self.kind
-        if k is ProfileKind.MONOMIAL:
-            return self.eta * x ** self.m
-        if k is ProfileKind.QUADRATIC:
-            return 0.5 * self.nu * x * x + self.a * x
-        return self.eta * separated_x(self.sigma, self.delta, x)
-
-    def scalar_evaluator(self) -> Callable[[float], float]:
-        """h as a function of a scalar x with the kind dispatched once.
-
-        Each branch is the expression ``__call__`` evaluates, so the values
-        are bit-identical; for quadrature loops that call h at many points.
-        """
-        eta = self.eta
-        if self.kind is ProfileKind.MONOMIAL:
-            m = self.m
-            return lambda x: eta * x ** m
-        if self.kind is ProfileKind.QUADRATIC:
-            nu, a = self.nu, self.a
-            return lambda x: 0.5 * nu * x * x + a * x
-        return _scaled_separated_x(eta, self.sigma, self.delta)
+    def __call__(self, x):
+        """h(x); elementwise on arrays."""
+        return _profile_pair(self, _lib(x))[0](x)
 
     def derivative(self, x):
         """h'(x); elementwise on arrays."""
-        k = self.kind
-        if k is ProfileKind.MONOMIAL:
-            if self.m == 1.0:
-                return _constant(self.eta, x)
-            return self.eta * self.m * x ** (self.m - 1.0)
-        if k is ProfileKind.QUADRATIC:
-            return self.nu * x + self.a
-        return self.eta * separated_x_tilde(self.sigma, self.delta, x)
+        return _profile_pair(self, _lib(x))[1](x)
+
+    def scalar_evaluator(self) -> Callable[[float], float]:
+        """h at a scalar x with the kind dispatched once, for quadrature
+        loops that call h at many points; bit-identical to ``__call__``."""
+        return _profile_pair(self, _SCALAR_MATH)[0]
 
     @property
     def growth_rate(self) -> float:
@@ -473,6 +461,8 @@ def validate(spec: ProblemSpec, closed_form: bool = False) -> list[str]:
             elif not fpart.locally_integrable:
                 v.append(f"affine flux law requires locally integrable {name}")
     if flux.kind is FluxKind.POWER_LAW:
+        if flux.nu == 0.0 or (flux.f is not None and flux.f.constant_value == 0.0):
+            v.append("power-law flux law requires nu != 0")
         if flux.n >= 1.0:
             v.append("power-law exponent must satisfy n < 1")
         if flux.f is None:

@@ -19,6 +19,7 @@ from fluxheat.asymptotics import (
     LimitClass,
     LimitTag,
     control_classification,
+    control_probe_ladders,
     flux_initial_limit,
     flux_limit,
     flux_probe_ladder,
@@ -210,6 +211,42 @@ class TestControlClassification:
         result = bench.run_case(case, extra_checks=("control",))
         names = {r.name for r in result.records if r.passed}
         assert result.passed and {"control_u", "control_ratio"} <= names
+
+    @pytest.mark.parametrize(
+        "nu, n, eta",
+        [
+            (-0.25, 0.0, 1.0),
+            (-0.25, -1.0, 1.0),
+            (-1.0, 0.0, 0.1),
+            (0.25, 0.5, 1.0),
+            (-0.25, 0.5, 1.0),
+            (0.25, 0.0, 1.0),
+            (-2.0, 0.9, 1.0),
+        ],
+        ids=["n0-grows", "n-1-grows", "n0-small-eta", "quenches", "n-half-grows", "n0-falls", "n0.9"],
+    )
+    def test_sigma0_power_law_probes_on_the_algebraic_ladder(self, nu, n, eta):
+        # at sigma = 0, T grows or falls algebraically: by less than 2x per
+        # step of the default ladder, too little for the probe to read
+        case = {
+            "phi": {"kind": "scaled_separable", "sigma": 0.0, "delta": 1.0, "scale": 1.0},
+            "flux": {"kind": "power_law", "nu": nu, "n": n},
+            "h": {"kind": "scaled_separable", "eta": eta},
+        }
+        assert control_probe_ladders(spec_from_dict(case)) == (DEFAULT_LADDER, ALGEBRAIC_LADDER)
+        result = bench.run_case(case, extra_checks=("control",))
+        names = {r.name for r in result.records if r.passed}
+        assert result.passed and {"control_u", "control_ratio"} <= names
+
+    def test_sigma0_power_law_that_ceases_keeps_its_reason(self):
+        case = {
+            "phi": {"kind": "scaled_separable", "sigma": 0.0, "delta": 1.0, "scale": 1.0},
+            "flux": {"kind": "power_law", "nu": 0.25, "n": -1.0},
+            "h": {"kind": "scaled_separable", "eta": 1.0},
+        }
+        result = bench.run_case(case, extra_checks=("control",))
+        assert not result.passed
+        assert result.reason == "separated power-law solution ceased before t=2.5"
 
     def test_power_law_feeding_source_limits(self):
         def classes(sigma, n):

@@ -360,6 +360,24 @@ class TestCli:
         assert (tmp_path / "out" / "neg.csv").read_text().splitlines()[1].startswith("neg,validate,")
         assert "configuration error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sigma, n", [(0.0, 0.0), (0.0, 0.5), (-1.0, 0.0), (-1.0, 0.5), (1.0, 0.0)]
+    )
+    def test_run_power_law_nu_zero_is_a_failing_validate_row(self, tmp_path, capsys, sigma, n):
+        # F = 0 * V^n leaves T = eta e^{sigma t}, which the power-law classes do not describe
+        case = {
+            "phi": {"kind": "scaled_separable", "sigma": sigma, "delta": 1.0, "scale": 1.0},
+            "flux": {"kind": "power_law", "nu": 0.0, "n": n},
+            "h": {"kind": "scaled_separable", "eta": 1.0},
+        }
+        cfg = self.write(tmp_path, "case.json", {"id": "nu0", "case": case, "checks": ["control"]})
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "nu0.json").read_text())
+        assert report["violations"] == ["power-law flux law requires nu != 0"]
+        assert (tmp_path / "out" / "nu0.csv").read_text().splitlines()[1].startswith("nu0,validate,")
+        err = capsys.readouterr().err
+        assert "configuration error" not in err and "Traceback" not in err
+
     def test_run_numerical_failure_exit_one(self, tmp_path, capsys):
         # near the resonant line the m = 7 closed form fails its Volterra
         # residual check: a failing case with its reason, not a config error

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,10 +27,35 @@ from fluxheat.problem import (
     TimeFunction,
     Variant,
     derive_parameters,
+    separated_evaluators,
     separated_x,
+    separated_x_tilde,
     spec_from_dict,
     validate,
 )
+
+
+# one of each shape and profile kind, the separated ones on every sigma branch
+SHAPES = [
+    linear_shape(2.0),
+    sinh_shape(1.3, 0.7),
+    sin_shape(3.0, 0.5),
+    separable_shape(2.0, 1.5, 0.5),
+    separable_shape(-2.0, 1.5, 0.5),
+    separable_shape(0.0, 1.5, 0.5),
+    SourceShape(ShapeKind.CONSTANT_ONE),
+]
+SHAPE_IDS = ["linear", "sinh", "sin", "sep-sinh", "sep-sin", "sep-linear", "one"]
+PROFILES = [
+    monomial(0.7, 1),
+    monomial(0.7, 3),
+    monomial(0.7, 2.5),
+    InitialProfile(ProfileKind.QUADRATIC, nu=1.5, a=0.5),
+    separable_profile(0.7, 2.0, 1.3),
+    separable_profile(0.7, -2.0, 1.3),
+    separable_profile(0.7, 0.0, 1.3),
+]
+PROFILE_IDS = ["m1", "m3", "m2.5", "quadratic", "sep-sinh", "sep-sin", "sep-linear"]
 
 
 class TestShapes:
@@ -44,6 +70,13 @@ class TestShapes:
         assert separated_x(-4.0, 2.0, 0.5) == pytest.approx(math.sin(1.0))
         assert separated_x(0.0, 2.0, 0.5) == 1.0
 
+    @pytest.mark.parametrize("sigma", [2.0, -2.0, 0.0])
+    def test_separated_evaluators_are_bitwise(self, sigma):
+        X, X_tilde = separated_evaluators(sigma, 1.5)
+        for x in np.linspace(0.0, 12.0, 97).tolist():
+            assert X(x).hex() == separated_x(sigma, 1.5, x).hex()
+            assert X_tilde(x).hex() == separated_x_tilde(sigma, 1.5, x).hex()
+
     def test_separated_initial_data(self):
         # X(0) = 0 and X'(0) = delta for every branch
         for sigma in (-2.0, 0.0, 3.0):
@@ -55,19 +88,16 @@ class TestShapes:
     @pytest.mark.parametrize(
         "fn",
         [
-            linear_shape(2.0),
-            sinh_shape(1.3, 0.7),
-            sin_shape(3.0, 0.5),
-            separable_shape(2.0, 1.5, 0.5),
-            separable_shape(-2.0, 1.5, 0.5),
-            separable_shape(0.0, 1.5, 0.5),
-            SourceShape(ShapeKind.CONSTANT_ONE),
-            monomial(0.7, 1).derivative,
-            monomial(0.7, 3).derivative,
-            InitialProfile(ProfileKind.QUADRATIC, nu=1.5, a=0.5).derivative,
-            separable_profile(0.7, 2.0, 1.3).derivative,
-            separable_profile(0.7, -2.0, 1.3).derivative,
-            separable_profile(0.7, 0.0, 1.3).derivative,
+            *SHAPES,
+            *(shape.derivative for shape in SHAPES),
+            *PROFILES,
+            *(h.derivative for h in PROFILES),
+        ],
+        ids=[
+            *SHAPE_IDS,
+            *(f"d-{i}" for i in SHAPE_IDS),
+            *(f"h-{i}" for i in PROFILE_IDS),
+            *(f"dh-{i}" for i in PROFILE_IDS),
         ],
     )
     def test_array_arguments(self, fn):
@@ -75,7 +105,9 @@ class TestShapes:
         x = np.linspace(0.0, 2.0, 7)
         got = fn(x)
         assert isinstance(got, np.ndarray) and got.shape == x.shape
-        assert got.tolist() == pytest.approx([fn(v) for v in x.tolist()], rel=1e-15)
+        # numpy's sinh/sin/cosh/cos are not libm's: equal to a few ulps only
+        want = np.array([fn(v) for v in x.tolist()])
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
         assert type(fn(0.7)) is float
 
     @pytest.mark.parametrize(
@@ -97,12 +129,36 @@ class TestShapes:
             for arg in (x, np.float64(x)):
                 assert float(phi(arg)).hex() == float(shape(arg)).hex(), arg
 
-    def test_derivatives(self):
-        shp = sinh_shape(1.3, 0.7)
+    @pytest.mark.parametrize(
+        "fn", SHAPES + PROFILES, ids=[*SHAPE_IDS, *(f"h-{i}" for i in PROFILE_IDS)]
+    )
+    def test_derivatives(self, fn):
+        # Phi' and h' against a central difference of Phi and h
         d = 1e-6
         for x in (0.2, 1.1):
-            fd = (shp(x + d) - shp(x - d)) / (2 * d)
-            assert shp.derivative(x) == pytest.approx(fd, rel=1e-8)
+            fd = (fn(x + d) - fn(x - d)) / (2 * d)
+            assert fn.derivative(x) == pytest.approx(fd, rel=1e-8, abs=1e-9)
+
+    def test_every_kind_is_covered(self):
+        assert {shape.kind for shape in SHAPES} == set(ShapeKind)
+        assert {h.kind for h in PROFILES} == set(ProfileKind)
+
+    def test_evaluated_spec_pickles(self):
+        # evaluating Phi, Phi', h and h' leaves nothing on the spec that pickle refuses
+        spec = monomial_spec(sinh_shape(1.3, 0.7), 0.8, 3)
+        x = np.linspace(0.0, 2.0, 5)
+
+        def data(s):
+            return [s.phi(x), s.phi.derivative(x), s.h(x), s.h.derivative(x)]
+
+        want = data(spec)
+        for fn in (spec.phi, spec.phi.derivative, spec.h, spec.h.derivative):
+            fn(0.4)
+        spec.phi.scalar_evaluator()(0.4)
+        spec.h.scalar_evaluator()(0.4)
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec
+        assert [v.tolist() for v in data(back)] == [v.tolist() for v in want]
 
 
 class TestFluxLaw:
@@ -154,6 +210,15 @@ class TestValidate:
             1.0, 1.0, -1.0, 1.0, FluxLaw(FluxKind.POWER_LAW, n=0.5, f=TimeFunction.constant(1.0))
         )
         assert any("scale, delta, eta" in v for v in validate(spec))
+
+    def test_power_law_zero_factor(self):
+        # F = 0 * V^n: the JSON nu = 0, or a zero constant time factor
+        for law in (
+            FluxLaw(FluxKind.POWER_LAW, nu=0.0, n=0.5, f=TimeFunction.constant(0.0)),
+            FluxLaw(FluxKind.POWER_LAW, n=0.0, f=TimeFunction.constant(0.0)),
+        ):
+            spec = separated_spec(1.0, 1.0, 1.0, 1.0, law)
+            assert "power-law flux law requires nu != 0" in validate(spec)
 
     def test_non_integrable_preset(self):
         bad = TimeFunction(lambda t: 1 / t, lambda t: math.log(t), locally_integrable=False)
