@@ -21,7 +21,7 @@ from .problem import (
     ShapeKind,
     Variant,
     derive_parameters,
-    separated_x,
+    separated_evaluators,
 )
 
 __all__ = [
@@ -172,7 +172,7 @@ def _sv_power_classes(spec: ProblemSpec, x: float) -> ControlClassification:
     sigma, delta, scale, eta = phi.sigma, phi.delta, phi.scale, h.eta
     n = flux.n
     nu_f = flux.f(0.0)  # constant time factor of the power law
-    hx = h(x)
+    hx, X = h(x), separated_evaluators(sigma, delta)[0]
     notes: list[str] = []
     u0 = _sv_u0_class(sigma, hx)
     k = scale * nu_f * delta ** n  # T' = sigma T - k T^n
@@ -190,7 +190,7 @@ def _sv_power_classes(spec: ProblemSpec, x: float) -> ControlClassification:
                 "(1 - scale*nu*delta^n/(sigma*eta^(1-n)))^(1/(1-n))"
             )
         elif eta == t_star:
-            u = LimitClass.finite(t_star * separated_x(sigma, delta, x))
+            u = LimitClass.finite(t_star * X(x))
             ratio = LimitClass.zero()
         else:
             u = LimitClass.zero()
@@ -220,7 +220,7 @@ def _sv_power_classes(spec: ProblemSpec, x: float) -> ControlClassification:
             )
         elif k < 0.0:
             # the source feeds T, which settles on T* = (k/sigma)^(1/(1-n))
-            u = LimitClass.finite((k / sigma) ** (1.0 / (1.0 - n)) * separated_x(sigma, delta, x))
+            u = LimitClass.finite((k / sigma) ** (1.0 / (1.0 - n)) * X(x))
             ratio = LimitClass.infinity(1.0)
         else:
             u = LimitClass.zero()
@@ -326,6 +326,8 @@ def control_classification(spec: ProblemSpec, x: float = 1.0) -> ControlClassifi
 DEFAULT_LADDER = (10.0, 20.0, 40.0, 80.0)
 # For limits approached at algebraic (1/t or 1/sqrt(t)) rate.
 ALGEBRAIC_LADDER = (1e5, 1.6e6, 2.56e7, 4.096e8)
+# Relative step between successive probe values below which they have settled.
+_PROBE_RTOL = 1e-4
 
 
 def flux_probe_ladder(spec: ProblemSpec) -> tuple[float, ...]:
@@ -363,11 +365,11 @@ def control_probe_ladders(spec: ProblemSpec) -> tuple[tuple[float, ...], tuple[f
     )
 
 
-def numeric_limit_probe(fn, t_ladder=DEFAULT_LADDER, rtol: float = 1e-4) -> LimitClass:
+def numeric_limit_probe(fn, t_ladder=DEFAULT_LADDER) -> LimitClass:
     """Empirical t -> infinity class of a scalar function of time.
 
-    Successive values agreeing to ``rtol`` give Finite; consistent growth by
-    a factor >= 2 gives a signed infinity; consistent decay gives Zero.
+    Successive values agreeing to ``_PROBE_RTOL`` give Finite; consistent
+    growth by a factor >= 2 gives a signed infinity; consistent decay gives Zero.
     Anything else (oscillation without decay) is Unclassified and never
     asserted equal to a symbolic class.
     """
@@ -396,8 +398,8 @@ def numeric_limit_probe(fn, t_ladder=DEFAULT_LADDER, rtol: float = 1e-4) -> Limi
     ]
     # Finite: the tail has settled and the drift is shrinking, so the first
     # (largest) step does not disqualify an exponentially converging ladder.
-    settling = all(s2 <= 1.5 * s1 + rtol for s1, s2 in zip(rel_steps, rel_steps[1:]))
-    if rel_steps[-1] <= rtol and settling:
+    settling = all(s2 <= 1.5 * s1 + _PROBE_RTOL for s1, s2 in zip(rel_steps, rel_steps[1:]))
+    if rel_steps[-1] <= _PROBE_RTOL and settling:
         return LimitClass.finite(vals[-1])
     if all(abs(b) >= 2.0 * abs(a) for a, b in zip(vals, vals[1:])):
         return LimitClass.infinity(vals[-1])

@@ -196,20 +196,22 @@ def _class_check(symbolic, probe) -> tuple[float, float]:
 
 def _common_field_checks(spec, field):
     xs, ts = _sample_points()
+    _, h = spec.evaluators()
     if spec.variant is Variant.P:
         yield "boundary_condition", max(abs(field.u(0.0, t)) for t in ts)
     yield "initial_condition", max(
-        abs(field.u(x, 0.0) - spec.h_eval(x)) / (1.0 + abs(spec.h_eval(x))) for x in xs
+        abs(field.u(x, 0.0) - h(x)) / (1.0 + abs(h(x))) for x in xs
     )
     yield "pde_residual", max(
         abs(fd.pde_residual(field, spec, x, t, delta=1e-3)) for x, t in zip(xs, ts)
     )
 
 
-def _dx_at_zero(u, t: float, h: float = 1e-4) -> float:
-    """u_x(0, t): the one-sided second-order difference, Richardson extrapolated."""
+def _dx_at_zero(u, t: float) -> float:
+    """u_x(0, t): the one-sided second-order difference at step 1e-4,
+    Richardson extrapolated."""
     return fd.richardson(
-        lambda d: (-3.0 * u(0.0, t) + 4.0 * u(d, t) - u(2.0 * d, t)) / (2.0 * d), h
+        lambda d: (-3.0 * u(0.0, t) + 4.0 * u(d, t) - u(2.0 * d, t)) / (2.0 * d), 1e-4
     )
 
 
@@ -265,6 +267,37 @@ def _integral_rep_checks(spec, field, slow):
         yield "assemble_slow_oracle", slow_val / (1.0 + abs(fast)), fast / (1.0 + abs(fast))
 
 
+# Evaluations of the T equation after which a solver gives up on it: RK45
+# takes at most 650 on the catalog's separated cases, BDF about 1100 where a
+# stiff T equation exhausts RK45.
+_ODE_EVALS = 5000
+
+
+def _t_ode_solution(comps, flux):
+    """solve_ivp's dense solution of T' = sigma T - scale F(delta T, t),
+    T(0) = eta, on [0, 2]: RK45, or the implicit BDF where RK45 raises or runs
+    past ``_ODE_EVALS`` evaluations (a stiff T equation); ArithmeticError
+    naming the failure where BDF does too."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        if next(evals) == _ODE_EVALS:
+            raise ArithmeticError(f"more than {_ODE_EVALS} evaluations")
+        return [comps.sigma * y[0] - comps.scale * flux(comps.delta * y[0], max(t, 1e-12))]
+
+    for method in ("RK45", "BDF"):
+        evals = itertools.count()
+        try:
+            with np.errstate(all="ignore"):
+                return solve_ivp(
+                    rhs, (0.0, 2.0), [comps.eta], method=method,
+                    rtol=1e-10, atol=1e-12, dense_output=True,
+                )
+        except (ArithmeticError, ValueError) as exc:  # ValueError: an inf in BDF's algebra
+            failure = f"T cross-check: {method} fails on the T equation: {exc}"
+    raise ArithmeticError(failure)
+
+
 def _separated_checks(spec, field):
     comps = closed_form.separated_components(spec)
 
@@ -284,12 +317,7 @@ def _separated_checks(spec, field):
         for t in (0.2, 1.0, 2.5)
     )
 
-    from scipy.integrate import solve_ivp
-
-    def rhs(t, y):
-        return [comps.sigma * y[0] - comps.scale * spec.flux(comps.delta * y[0], max(t, 1e-12))]
-
-    sol = solve_ivp(rhs, (0.0, 2.0), [comps.eta], rtol=1e-10, atol=1e-12, dense_output=True)
+    sol = _t_ode_solution(comps, spec.flux)
     yield "T_ode_crosscheck", max(
         abs(comps.T(t) - sol.sol(t)[0]) / (1.0 + abs(sol.sol(t)[0]))
         for t in (0.5, 1.0, 2.0)
@@ -322,7 +350,7 @@ def _control_checks(spec, field, classes):
 
 def _tilde_checks(spec, field):
     base = field.base
-    h_tilde = spec.h.derivative
+    _, h_tilde = spec.evaluators()
 
     xs, ts = _sample_points(n=10, seed=21)
     yield "initial_condition", max(
@@ -340,9 +368,9 @@ def _tilde_checks(spec, field):
     )
 
     # Neumann datum: v_x(0,t) = Phi(0) F(V(t), t)
-    worst = 0.0
+    worst, phi0 = 0.0, spec.phi(0.0)
     for t in (0.3, 1.0, 2.0):
-        g_t = spec.phi(0.0) * spec.flux(float(base.V(t)), t)
+        g_t = phi0 * spec.flux(float(base.V(t)), t)
         worst = max(worst, abs(_dx_at_zero(field.u, t) - g_t) / (1.0 + abs(g_t)))
     yield "tilde_neumann", worst
 
@@ -368,6 +396,21 @@ def _case_checks(spec, field, slow, controls):
         yield from _integral_rep_checks(spec, field, slow)
     if controls is not None:
         yield from _control_checks(spec, field, controls)
+
+
+def _control_classes(spec):
+    """The control classification of ``spec``; SchemaError outside the control settings."""
+    try:
+        controls = asymptotics.control_classification(spec)
+    except OverflowError as exc:
+        raise OverflowError(f"control classification overflows: {exc}") from exc
+    if controls is None:
+        raise SchemaError(
+            "control checks requested for a case outside the control settings: "
+            f"variant {spec.variant.value}, phi {spec.phi.kind.value}, "
+            f"flux {spec.flux.kind.value}, h {spec.h.kind.value}"
+        )
+    return controls
 
 
 # Numerical failures of a case, recorded as its failing reason.
@@ -409,17 +452,9 @@ def run_case(
     records = [CheckRecord("validate", len(violations), 0.0, _tol("validate", tol_scale))]
     if violations:
         return CaseResult(case_id, records, time.perf_counter() - start, violations)
-    controls = None
-    if "control" in extra_checks:
-        controls = asymptotics.control_classification(spec)
-        if controls is None:
-            raise SchemaError(
-                "control checks requested for a case outside the control settings: "
-                f"variant {spec.variant.value}, phi {spec.phi.kind.value}, "
-                f"flux {spec.flux.kind.value}, h {spec.h.kind.value}"
-            )
 
     try:
+        controls = _control_classes(spec) if "control" in extra_checks else None
         field = closed_form.solution_for(spec)
         for name, lhs, *rhs in _case_checks(spec, field, slow_oracles, controls):
             records.append(CheckRecord(name, lhs, rhs[0] if rhs else 0.0, _tol(name, tol_scale)))

@@ -131,7 +131,7 @@ def stationary_solution(spec: ProblemSpec) -> SolutionField:
         raise ConstructionError("stationary family requires F == 0 or F == nu")
 
     traj = ClosedFormTrajectory(poly=(slope,))
-    h_at, hp = h.scalar_evaluator(), h.derivative
+    h_at, hp = h.evaluators()
     return SolutionField(
         u=lambda x, t: h_at(x),
         V=traj,
@@ -357,11 +357,11 @@ def _time_factor(spec: ProblemSpec, traj) -> Callable[[float], float]:
     between fields; ``typed`` keeps a float and a numpy scalar t apart, so a
     hit returns exactly what the call would have.
     """
-    shape = spec.phi
+    _, rho = spec.phi.semigroup
 
     @functools.lru_cache(maxsize=8, typed=True)
     def weighted(t: float) -> float:
-        return _weighted_flux_integral(shape, traj, t)
+        return _weighted_flux_integral(rho, traj, t)
 
     return weighted
 
@@ -379,13 +379,13 @@ def integral_rep_solution(spec: ProblemSpec) -> SolutionField:
     phi, nu = spec.phi, spec.flux.nu
     coeffs = _u0_coeffs(spec.h)
     weighted = _time_factor(spec, traj)
-    phi_at = phi.scalar_evaluator()
+    phi_at, dphi = phi.evaluators()
 
     def u(x: float, t: float) -> float:
         return _u0_sum(coeffs, x, t) - nu * phi_at(x) * weighted(t)
 
     def ux(x: float, t: float) -> float:
-        return _u0_dx_sum(coeffs, x, t) - nu * phi.derivative(x) * weighted(t)
+        return _u0_dx_sum(coeffs, x, t) - nu * dphi(x) * weighted(t)
 
     return SolutionField(
         u=u,

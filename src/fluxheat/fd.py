@@ -142,10 +142,9 @@ class FDSolver:
         self._phi0 = float(spec.phi(0.0))  # companion Neumann datum g = Phi(0) F
 
         x = grid.x
-        self.phi_vals = np.array([spec.phi_eval(xi) for xi in x])
-        self.state = DiscreteField(
-            values=np.array([spec.h_eval(xi) for xi in x]), time=0.0
-        )
+        phi, h = spec.evaluators()
+        self.phi_vals = np.array([phi(xi) for xi in x])
+        self.state = DiscreteField(values=np.array([h(xi) for xi in x]), time=0.0)
         if not self.tilde:
             self.state.values[0] = 0.0
         self.state.boundary_var = self._boundary_var(self.state.values)
@@ -350,7 +349,8 @@ def pde_residual(field, spec: ProblemSpec, x: float, t: float, delta: float = 1e
     """
     u = field.u
     u_c = u(x, t)
-    source = spec.phi_eval(x) * spec.flux(float(field.V(t)), t)
+    phi = spec.phi.evaluators()[1 if spec.variant is Variant.P_TILDE else 0]
+    source = phi(x) * spec.flux(float(field.V(t)), t)
     u_xx = {}
 
     def resid(d: float) -> float:

@@ -40,7 +40,6 @@ __all__ = [
     "u0_quadratic_closed",
     "u0_separable_closed",
     "verify_identity_phi",
-    "green_phi_factor",
     "weighted_flux_integral",
     "assemble_integral_representation",
 ]
@@ -312,7 +311,7 @@ def baseline_u0(h: InitialProfile, x: float, t: float, tol: float = 1e-11) -> fl
     if t == 0.0:
         return h(x)
     return quad_semiinfinite(
-        green_integrand(x, t, 0.0, h.scalar_evaluator()),
+        green_integrand(x, t, 0.0, h.evaluators()[0]),
         center=x,
         tvar=t,
         growth=h.growth_rate,
@@ -341,16 +340,10 @@ def u0_separable_closed(h: InitialProfile, x: float, t: float) -> float:
     return h(x) * math.exp(h.sigma * t)
 
 
-def green_phi_factor(shape: SourceShape, dt: float) -> float:
-    """Exact weight w with int_0^inf G(x,t,xi,tau) Phi(xi) dxi = w * Phi(x):
-    exp(rho dt), dt = t - tau, with rho = 0 or +-lambda^2 from ``shape.semigroup``."""
-    _, rho = shape.semigroup
-    return math.exp(rho * dt)
-
-
-def weighted_flux_integral(shape: SourceShape, V, t: float, factor: float = 1.0) -> float:
+def weighted_flux_integral(rho: float, V, t: float, factor: float = 1.0) -> float:
     """factor * W(t), W(t) = int_0^t exp(rho (t - tau)) V(tau) dtau with the
-    Green weight of :func:`green_phi_factor`.
+    Green weight exp(rho (t - tau)) of a shape, rho = 0 or +-lambda^2 from
+    ``SourceShape.semigroup``.
 
     nu Phi(x) W(t) is the source part of u (``factor`` = 1), kappa W(t) the
     memory term of the flux equation (``factor`` = kappa).  The product is
@@ -361,7 +354,6 @@ def weighted_flux_integral(shape: SourceShape, V, t: float, factor: float = 1.0)
     """
     if t == 0.0:
         return 0.0
-    _, rho = shape.semigroup
     if -rho * t > 30.0:
         return factor * V.decay_weighted_integral(-rho, t)
     return factor * specfun.time_factor(rho, t) * V.weighted_integral(-rho, t)
@@ -373,18 +365,21 @@ def verify_identity_phi(
     """Compare quadrature of G*Phi against its closed form.
 
     Returns (lhs, rhs, |lhs - rhs|) with lhs the semi-infinite quadrature and
-    rhs = w(t-tau) * Phi(x).
+    rhs = exp(rho (t-tau)) * Phi(x), the Green weight of the shape's
+    ``semigroup`` (ValueError for a shape without one).
     """
     if not (0.0 <= tau < t):
         raise ValueError("verify_identity_phi requires 0 <= tau < t")
+    _, rho = shape.semigroup
+    phi = shape.evaluators()[0]
     lhs = quad_semiinfinite(
-        green_integrand(x, t, tau, shape.scalar_evaluator()),
+        green_integrand(x, t, tau, phi),
         center=x,
         tvar=t - tau,
         growth=shape.growth_rate,
         tol=tol,
     )
-    rhs = green_phi_factor(shape, t - tau) * shape(x)
+    rhs = math.exp(rho * (t - tau)) * phi(x)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -414,12 +409,12 @@ def assemble_integral_representation(
         return u0
 
     if not slow:
-        time_int = weighted_flux_integral(spec.phi, V, t)
+        time_int = weighted_flux_integral(spec.phi.semigroup[1], V, t)
         return u0 - nu * spec.phi(x) * time_int
 
     from scipy.integrate import quad
 
-    phi = spec.phi.scalar_evaluator()
+    phi = spec.phi.evaluators()[0]
 
     def inner(tau: float) -> float:
         if tau >= t:

@@ -39,8 +39,6 @@ __all__ = [
     "DerivedParams",
     "validate",
     "derive_parameters",
-    "separated_x",
-    "separated_x_tilde",
     "separated_evaluators",
     "spec_from_dict",
 ]
@@ -152,20 +150,9 @@ def _separated_pair(factor: float, sigma: float, delta: float, lib):
     return (lambda x: factor * (c * fn(r * x))), (lambda x: factor * (delta * dfn(r * x)))
 
 
-def separated_x(sigma: float, delta: float, x):
-    """X(x) solving X'' = sigma*X, X(0) = 0, X'(0) = delta; elementwise on arrays."""
-    return _separated_pair(1.0, sigma, delta, _lib(x))[0](x)
-
-
-def separated_x_tilde(sigma: float, delta: float, x):
-    """X'(x) for the separated profile: delta*cosh, delta*cos or constant delta."""
-    return _separated_pair(1.0, sigma, delta, _lib(x))[1](x)
-
-
 def separated_evaluators(sigma: float, delta: float):
-    """(X, X') at a scalar x with the branch of sigma chosen once, for fields
-    that call them at many points; bit-identical to ``separated_x`` and
-    ``separated_x_tilde``."""
+    """(X, X') at a scalar x, the branch of sigma chosen once: X solves
+    X'' = sigma*X, X(0) = 0, X'(0) = delta."""
     return _separated_pair(1.0, sigma, delta, _SCALAR_MATH)
 
 
@@ -218,11 +205,10 @@ class SourceShape:
         """Phi'(x); elementwise on arrays."""
         return _shape_pair(self, _lib(x))[1](x)
 
-    def scalar_evaluator(self) -> Callable[[float], float]:
-        """Phi at a scalar x with the kind dispatched once, for quadrature
-        loops and fields that call Phi at many points; bit-identical to
-        ``__call__``, which evaluates the same expression."""
-        return _shape_pair(self, _SCALAR_MATH)[0]
+    def evaluators(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
+        """(Phi, Phi') at a scalar x, the kind dispatched once; the expressions
+        of ``__call__`` and ``derivative``, bit for bit."""
+        return _shape_pair(self, _SCALAR_MATH)
 
     @property
     def semigroup(self) -> tuple[float, float]:
@@ -295,10 +281,10 @@ class InitialProfile:
         """h'(x); elementwise on arrays."""
         return _profile_pair(self, _lib(x))[1](x)
 
-    def scalar_evaluator(self) -> Callable[[float], float]:
-        """h at a scalar x with the kind dispatched once, for quadrature
-        loops that call h at many points; bit-identical to ``__call__``."""
-        return _profile_pair(self, _SCALAR_MATH)[0]
+    def evaluators(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
+        """(h, h') at a scalar x, the kind dispatched once; the expressions of
+        ``__call__`` and ``derivative``, bit for bit."""
+        return _profile_pair(self, _SCALAR_MATH)
 
     @property
     def growth_rate(self) -> float:
@@ -330,15 +316,13 @@ class ProblemSpec:
     h: InitialProfile
     variant: Variant = Variant.P
 
-    def phi_eval(self, x: float) -> float:
+    def evaluators(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
+        """The scalar (Phi, h) this variant's equation reads, each bound once:
+        (Phi', h') for the companion problem."""
+        (phi, dphi), (h, dh) = self.phi.evaluators(), self.h.evaluators()
         if self.variant is Variant.P_TILDE:
-            return self.phi.derivative(x)
-        return self.phi(x)
-
-    def h_eval(self, x: float) -> float:
-        if self.variant is Variant.P_TILDE:
-            return self.h.derivative(x)
-        return self.h(x)
+            return dphi, dh
+        return phi, h
 
     def as_p(self) -> "ProblemSpec":
         return ProblemSpec(self.phi, self.flux, self.h, Variant.P)

@@ -400,8 +400,8 @@ def _convolution(k: Kernel, traj, t: float) -> float:
     """int_0^t R(t - tau) V(tau) dtau; exact for closed-form trajectories,
     kappa times the representation's time factor ``weighted_flux_integral``."""
     if isinstance(traj, ClosedFormTrajectory):
-        kappa, _ = k.exp_parts
-        return green.weighted_flux_integral(k.shape, traj, t, factor=kappa)
+        kappa, rho = k.exp_parts
+        return green.weighted_flux_integral(rho, traj, t, factor=kappa)
     ts = np.asarray(traj.t)
     mask = ts <= t + 1e-15
     ts = ts[mask]

@@ -44,7 +44,7 @@ from fluxheat.problem import (
     TimeFunction,
     Variant,
     derive_parameters,
-    separated_x_tilde,
+    separated_evaluators,
     spec_from_dict,
 )
 from fluxheat.trajectory import ClosedFormTrajectory
@@ -404,7 +404,7 @@ def uncached_u(spec, traj, x, t):
     base = 0.0
     for coef, k, power in _u0_coeffs(spec.h):
         base += coef * (4.0 * t) ** k * x ** power
-    weighted = _weighted_flux_integral(spec.phi, traj, t)
+    weighted = _weighted_flux_integral(spec.phi.semigroup[1], traj, t)
     return base - spec.flux.nu * spec.phi(x) * weighted
 
 
@@ -413,7 +413,7 @@ def uncached_v(spec, traj, x, t):
     for coef, k, power in _u0_coeffs(spec.h):
         if power >= 1:
             base += coef * (4.0 * t) ** k * power * x ** (power - 1)
-    weighted = _weighted_flux_integral(spec.phi, traj, t)
+    weighted = _weighted_flux_integral(spec.phi.semigroup[1], traj, t)
     return base - spec.flux.nu * spec.phi.derivative(x) * weighted
 
 
@@ -440,9 +440,9 @@ class TestTimeFactorOncePerT:
         calls = []
         real = closed_form._weighted_flux_integral
 
-        def counting(shape, V, t):
+        def counting(rho, V, t):
             calls.append(t)
-            return real(shape, V, t)
+            return real(rho, V, t)
 
         monkeypatch.setattr(closed_form, "_weighted_flux_integral", counting)
         field = integral_rep_solution(spec)
@@ -546,7 +546,8 @@ def per_family_companion_u(spec):
         return lambda x, t: hp(x)
     if spec.phi.kind is ShapeKind.SCALED_SEPARABLE:
         comps = separated_components(base)
-        return lambda x, t: separated_x_tilde(comps.sigma, comps.delta, x) * comps.T(t)
+        X_tilde = separated_evaluators(comps.sigma, comps.delta)[1]
+        return lambda x, t: X_tilde(x) * comps.T(t)
     traj = flux_closed_form(base)
     phi, nu = base.phi, base.flux.nu
     coeffs = _u0_coeffs(base.h)

@@ -338,7 +338,8 @@ def per_term_residual(field, spec, x, t, delta):
         u_t = (u(x, t + d) - u(x, t - d)) / (2.0 * d)
         u_xx = (u(x + d, t) - 2.0 * u(x, t) + u(x - d, t)) / (d * d)
         V = float(field.V(t))
-        return u_t - u_xx + spec.phi_eval(x) * spec.flux(V, t)
+        phi = spec.phi.derivative if spec.variant is Variant.P_TILDE else spec.phi
+        return u_t - u_xx + phi(x) * spec.flux(V, t)
 
     extrap = (4.0 * resid(delta / 2.0) - resid(delta)) / 3.0
     d = delta

@@ -69,7 +69,7 @@ class TestKernelAndGreen:
         ids=["m1", "m7", "quadratic", "sep-sin", "sep-lin", "sep-sinh", "phi2", "phi-sep"],
     )
     def test_green_integrand_is_bitwise_green_eval_times_weight(self, weight):
-        bound = weight.scalar_evaluator() if isinstance(weight, InitialProfile) else weight
+        bound = weight.evaluators()[0] if isinstance(weight, InitialProfile) else weight
         for x, t, tau in ((0.0, 0.5, 0.0), (1.3, 0.7, 0.0), (1.0, 1.0, 0.25)):
             for args in ((x, t, tau), (np.float64(x), np.float64(t), np.float64(tau))):
                 integrand = green_integrand(*args, bound)

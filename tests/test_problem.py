@@ -28,8 +28,6 @@ from fluxheat.problem import (
     Variant,
     derive_parameters,
     separated_evaluators,
-    separated_x,
-    separated_x_tilde,
     spec_from_dict,
     validate,
 )
@@ -66,23 +64,27 @@ class TestShapes:
         assert SourceShape(ShapeKind.CONSTANT_ONE)(9.0) == 1.0
 
     def test_separated_branches(self):
-        assert separated_x(4.0, 2.0, 0.5) == pytest.approx(math.sinh(1.0))
-        assert separated_x(-4.0, 2.0, 0.5) == pytest.approx(math.sin(1.0))
-        assert separated_x(0.0, 2.0, 0.5) == 1.0
+        assert separated_evaluators(4.0, 2.0)[0](0.5) == pytest.approx(math.sinh(1.0))
+        assert separated_evaluators(-4.0, 2.0)[0](0.5) == pytest.approx(math.sin(1.0))
+        assert separated_evaluators(0.0, 2.0)[0](0.5) == 1.0
 
     @pytest.mark.parametrize("sigma", [2.0, -2.0, 0.0])
     def test_separated_evaluators_are_bitwise(self, sigma):
+        # (X, X') is the separated shape at scale 1 and the separated profile at eta 1
         X, X_tilde = separated_evaluators(sigma, 1.5)
+        shape, profile = separable_shape(sigma, 1.5), separable_profile(1.0, sigma, 1.5)
         for x in np.linspace(0.0, 12.0, 97).tolist():
-            assert X(x).hex() == separated_x(sigma, 1.5, x).hex()
-            assert X_tilde(x).hex() == separated_x_tilde(sigma, 1.5, x).hex()
+            for fn in (shape, profile):
+                assert X(x).hex() == fn(x).hex()
+                assert X_tilde(x).hex() == fn.derivative(x).hex()
 
     def test_separated_initial_data(self):
         # X(0) = 0 and X'(0) = delta for every branch
         for sigma in (-2.0, 0.0, 3.0):
-            assert separated_x(sigma, 1.7, 0.0) == 0.0
+            X = separated_evaluators(sigma, 1.7)[0]
+            assert X(0.0) == 0.0
             d = 1e-7
-            slope = separated_x(sigma, 1.7, d) / d
+            slope = X(d) / d
             assert slope == pytest.approx(1.7, rel=1e-6)
 
     @pytest.mark.parametrize(
@@ -111,23 +113,14 @@ class TestShapes:
         assert type(fn(0.7)) is float
 
     @pytest.mark.parametrize(
-        "shape",
-        [
-            linear_shape(2.0),
-            sinh_shape(1.3, 0.7),
-            sin_shape(3.0, 0.5),
-            separable_shape(2.0, 1.5, 0.7),
-            separable_shape(-2.0, 1.5, 0.7),
-            separable_shape(0.0, 1.3, 0.7),
-            SourceShape(ShapeKind.CONSTANT_ONE),
-        ],
-        ids=["linear", "sinh", "sin", "sep-sinh", "sep-sin", "sep-linear", "one"],
+        "fn", SHAPES + PROFILES, ids=[*SHAPE_IDS, *(f"h-{i}" for i in PROFILE_IDS)]
     )
-    def test_scalar_evaluator_is_bitwise_call(self, shape):
-        phi = shape.scalar_evaluator()
+    def test_evaluators_are_bitwise_call_and_derivative(self, fn):
+        value, slope = fn.evaluators()
         for x in np.linspace(0.0, 12.0, 97).tolist() + [1e-300, 0.3]:
             for arg in (x, np.float64(x)):
-                assert float(phi(arg)).hex() == float(shape(arg)).hex(), arg
+                assert float(value(arg)).hex() == float(fn(arg)).hex(), arg
+                assert float(slope(arg)).hex() == float(fn.derivative(arg)).hex(), arg
 
     @pytest.mark.parametrize(
         "fn", SHAPES + PROFILES, ids=[*SHAPE_IDS, *(f"h-{i}" for i in PROFILE_IDS)]
@@ -154,8 +147,8 @@ class TestShapes:
         want = data(spec)
         for fn in (spec.phi, spec.phi.derivative, spec.h, spec.h.derivative):
             fn(0.4)
-        spec.phi.scalar_evaluator()(0.4)
-        spec.h.scalar_evaluator()(0.4)
+        for fn in (*spec.phi.evaluators(), *spec.h.evaluators(), *spec.evaluators()):
+            fn(0.4)
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec
         assert [v.tolist() for v in data(back)] == [v.tolist() for v in want]
@@ -261,30 +254,45 @@ class TestCompanionData:
 
     def test_linear_shape_becomes_constant(self):
         spec = monomial_spec(linear_shape(2.0), 1.0, 1, variant=Variant.P_TILDE)
+        phi, _ = spec.evaluators()
         for x in (0.0, 0.7, 3.0):
-            assert spec.phi_eval(x) == 2.0
+            assert phi(x) == 2.0
 
     def test_sinh_becomes_cosh(self):
         spec = monomial_spec(sinh_shape(1.5, 2.0), 1.0, 1, variant=Variant.P_TILDE)
+        phi, _ = spec.evaluators()
         for x in (0.0, 0.9):
-            assert spec.phi_eval(x) == pytest.approx(-2.0 * 1.5 * math.cosh(1.5 * x))
+            assert phi(x) == pytest.approx(-2.0 * 1.5 * math.cosh(1.5 * x))
 
     def test_linear_h_becomes_constant(self):
         spec = monomial_spec(linear_shape(), 3.0, 1, variant=Variant.P_TILDE)
-        assert spec.h_eval(0.4) == 3.0
+        assert spec.evaluators()[1](0.4) == 3.0
 
     def test_separated_becomes_delta_cos(self):
         spec = separated_spec(-4.0, 1.5, 1.0, 1.0, linear_law(), variant=Variant.P_TILDE)
+        phi, h = spec.evaluators()
         for x in (0.0, 0.6):
-            assert spec.phi_eval(x) == pytest.approx(1.5 * math.cos(2.0 * x))
-            assert spec.h_eval(x) == pytest.approx(1.5 * math.cos(2.0 * x))
+            assert phi(x) == pytest.approx(1.5 * math.cos(2.0 * x))
+            assert h(x) == pytest.approx(1.5 * math.cos(2.0 * x))
 
     def test_as_p_flips_the_variant_back(self):
         spec = monomial_spec(linear_shape(), 1.0, 1, variant=Variant.P_TILDE)
         base = spec.as_p()
         assert base.variant is Variant.P
         assert (base.phi, base.flux, base.h) == (spec.phi, spec.flux, spec.h)
-        assert base.phi_eval(0.7) == pytest.approx(0.7)
+        assert base.evaluators()[0](0.7) == pytest.approx(0.7)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_spec_evaluators_are_the_variants_data(self, variant):
+        # P reads (Phi, h), the companion problem (Phi', h'), bit for bit
+        spec = monomial_spec(sinh_shape(1.3, 0.7), 0.8, 3, variant=variant)
+        phi, h = spec.evaluators()
+        tilde = variant is Variant.P_TILDE
+        want_phi = spec.phi.derivative if tilde else spec.phi
+        want_h = spec.h.derivative if tilde else spec.h
+        for x in np.linspace(0.0, 3.0, 13).tolist():
+            assert phi(x).hex() == want_phi(x).hex()
+            assert h(x).hex() == want_h(x).hex()
 
 
 class TestJsonSchema:

@@ -247,10 +247,19 @@ class TestAgainstPerShapeFormulas:
         shape = spec.phi
         assert bits(volterra.kernel_for(shape).exp_parts) == bits(oracle_exp_parts(shape))
         assert bits(shape.semigroup) == bits(oracle_exp_parts(shape))
+        # the Green weight exp(rho dt) that verify_identity_phi takes over rho
+        _, rho = shape.semigroup
         for dt in (0.0, 0.25, 1.0, 3.0, 40.0):
-            assert outcome(green.green_phi_factor, shape, dt) == outcome(
+            assert outcome(lambda d: math.exp(rho * d), dt) == outcome(
                 oracle_green_phi_factor, shape, dt
             )
+
+    @pytest.mark.parametrize("case_id", CATALOG_IR)
+    def test_green_identity_weight_on_the_catalog(self, case_id):
+        shape = spec_from_dict(load_case(case_id)["case"]).phi
+        for x, t, tau in ((1.0, 1.0, 0.25), (0.4, 2.0, 0.5)):
+            _, rhs, _ = green.verify_identity_phi(shape, x, t, tau)
+            assert bits(rhs) == bits(oracle_green_phi_factor(shape, t - tau) * shape(x))
 
     @pytest.mark.parametrize("case_id", CATALOG_IR)
     def test_flux_poly_and_exps_on_the_catalog(self, case_id):
@@ -286,7 +295,7 @@ class TestAgainstPerShapeFormulas:
         # t = 12 and 60 take the pre-scaled branch of the sine shape for
         # lambda^2 t > 30; the sinh shape may overflow there, on both sides
         for t in (0.0, 0.4, 1.7, 5.0, 12.0, 60.0):
-            assert outcome(green.weighted_flux_integral, shape, traj, t) == outcome(
+            assert outcome(green.weighted_flux_integral, rho, traj, t) == outcome(
                 oracle_weighted_flux_integral, shape.kind, shape.lam, traj, t
             )
             if t > 0.0 and -rho * t <= 30.0:
@@ -389,7 +398,7 @@ def test_semigroup_only_for_the_three_shapes():
         with pytest.raises(ValueError):
             volterra.kernel_for(shape)
         with pytest.raises(ValueError):
-            green.green_phi_factor(shape, 1.0)
+            green.verify_identity_phi(shape, 1.0, 1.0, 0.25)
         assert volterra.kernel_for(shape, quadrature=True).quadrature
 
 
