@@ -12,6 +12,7 @@ byte-identical CSV files.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -31,7 +32,9 @@ from .problem import (
     ProfileKind,
     SchemaError,
     Variant,
+    config_id,
     number_field,
+    read_object,
     spec_from_dict,
     validate,
 )
@@ -275,9 +278,9 @@ _ODE_EVALS = 5000
 
 def _t_ode_solution(comps, flux):
     """solve_ivp's dense solution of T' = sigma T - scale F(delta T, t),
-    T(0) = eta, on [0, 2]: RK45, or the implicit BDF where RK45 raises or runs
-    past ``_ODE_EVALS`` evaluations (a stiff T equation); ArithmeticError
-    naming the failure where BDF does too."""
+    T(0) = eta, on [0, 2]: RK45, or the implicit BDF where RK45 raises, stops
+    short of t = 2 or runs past ``_ODE_EVALS`` evaluations (a stiff T
+    equation); ArithmeticError naming the failure where BDF does too."""
     from scipy.integrate import solve_ivp
 
     def rhs(t, y):
@@ -289,12 +292,17 @@ def _t_ode_solution(comps, flux):
         evals = itertools.count()
         try:
             with np.errstate(all="ignore"):
-                return solve_ivp(
+                sol = solve_ivp(
                     rhs, (0.0, 2.0), [comps.eta], method=method,
                     rtol=1e-10, atol=1e-12, dense_output=True,
                 )
         except (ArithmeticError, ValueError) as exc:  # ValueError: an inf in BDF's algebra
             failure = f"T cross-check: {method} fails on the T equation: {exc}"
+            continue
+        if sol.success:
+            return sol
+        # past the point where the solve stopped, its dense output extrapolates
+        failure = f"T cross-check: {method} fails on the T equation: {sol.message}"
     raise ArithmeticError(failure)
 
 
@@ -398,12 +406,19 @@ def _case_checks(spec, field, slow, controls):
         yield from _control_checks(spec, field, controls)
 
 
+@contextlib.contextmanager
+def _overflow_named(step: str):
+    """Re-raise an OverflowError of the block with ``step`` named in its text."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise OverflowError(f"{step} overflows: {exc}") from exc
+
+
 def _control_classes(spec):
     """The control classification of ``spec``; SchemaError outside the control settings."""
-    try:
+    with _overflow_named("control classification"):
         controls = asymptotics.control_classification(spec)
-    except OverflowError as exc:
-        raise OverflowError(f"control classification overflows: {exc}") from exc
     if controls is None:
         raise SchemaError(
             "control checks requested for a case outside the control settings: "
@@ -455,7 +470,8 @@ def run_case(
 
     try:
         controls = _control_classes(spec) if "control" in extra_checks else None
-        field = closed_form.solution_for(spec)
+        with _overflow_named("closed-form construction"):
+            field = closed_form.solution_for(spec)
         for name, lhs, *rhs in _case_checks(spec, field, slow_oracles, controls):
             records.append(CheckRecord(name, lhs, rhs[0] if rhs else 0.0, _tol(name, tol_scale)))
     except _NUMERICAL_ERRORS as exc:
@@ -469,13 +485,14 @@ def run_case(
 
 
 def _set_path(cfg: dict, dotted: str, value):
-    parts = dotted.split(".")
+    *parents, leaf = dotted.split(".")
     node = cfg
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise SchemaError(f"grid key {dotted!r} does not name a field of the case")
-    node[parts[-1]] = value
+    try:
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+    except (AttributeError, TypeError):  # a number, string or list on the path
+        raise SchemaError(f"grid key {dotted!r} does not name a field of the case") from None
 
 
 def _sweep_task(args):
@@ -516,16 +533,10 @@ def sweep(
     below 1 is a configuration error.
     """
     workers = _worker_count(jobs)
-    base = config.get("base")
-    if not isinstance(base, dict):
-        raise SchemaError("sweep config needs a 'base' case")
-    grid = config.get("grid", {})
-    if not isinstance(grid, dict):
-        raise SchemaError("sweep 'grid' must be a mapping")
-    unknown = set(config) - {"id", "base", "grid"}
-    if unknown:
-        raise SchemaError(f"unknown fields in sweep config: {sorted(unknown)}")
-
+    read_object(config, "config", {"id", "base", "grid"}, ("base",))
+    base = read_object(config["base"], "base")
+    grid = read_object(config.get("grid", {}), "grid")
+    stem = config_id(config, "sweep")
     if not all(isinstance(values, list) for values in grid.values()):
         raise SchemaError("sweep 'grid' values must be lists")
 
@@ -539,7 +550,6 @@ def sweep(
         raise SchemaError(f"sweep grid of {n_cases} cases exceeds the 10^4 limit")
     combos = sorted(itertools.product(*(grid[k] for k in keys)), key=lambda c: [str(v) for v in c])
     tasks = []
-    stem = config.get("id", "sweep")
     for combo in combos:
         case_id = stem + "".join(
             f"-{k.split('.')[-1]}={v}" for k, v in zip(keys, combo)
@@ -592,26 +602,36 @@ def _reference_for(spec: ProblemSpec, kind: str):
     return closed_form.solution_for(spec)
 
 
+_LADDER_FIELDS = frozenset({"L", "t_end", "theta", "nx", "nt0", "far_field", "reference"})
+
+# Grid values (nx + 1)(nt + 1) of one ladder rung at most; the ladders of the
+# tests and the benchmarks reach 1025 x 1025.
+_MAX_GRID_VALUES = 10 ** 7
+
+
+def _rung_steps(nx: int, nx0: int, nt0: int, theta: float) -> int:
+    """Time steps of the rung ``nx`` of a ladder that starts at ``(nx0, nt0)``;
+    SchemaError for a rung of more than ``_MAX_GRID_VALUES`` grid values."""
+    try:
+        factor = nx / nx0
+        nt = max(int(round(nt0 * (factor if theta >= 0.5 else factor ** 2))), 1)
+    except OverflowError:
+        nt = math.inf
+    if (nx + 1) * (nt + 1) > _MAX_GRID_VALUES:
+        raise SchemaError(f"ladder rung nx={nx} exceeds the 10^7 limit on (nx+1)(nt+1)")
+    return nt
+
+
 def convergence(config: dict) -> tuple[list[str], bool]:
     """Refinement-ladder study; returns (CSV lines, succeeded).
 
     The time grid keeps the scheme balance along the ladder: dt scales with
-    dx for theta >= 1/2 and with dx^2 otherwise.
+    dx for theta >= 1/2 and with dx^2 otherwise.  Every rung is sized before
+    the first one runs.
     """
-    case = config.get("case")
-    if not isinstance(case, dict):
-        raise SchemaError("convergence config needs a 'case'")
-    ladder = config.get("ladder")
-    if not isinstance(ladder, dict):
-        raise SchemaError("convergence config needs a 'ladder'")
-    unknown = set(config) - {"id", "case", "ladder"}
-    if unknown:
-        raise SchemaError(f"unknown fields in convergence config: {sorted(unknown)}")
-    unknown = set(ladder) - {"L", "t_end", "theta", "nx", "nt0", "far_field", "reference"}
-    if unknown:
-        raise SchemaError(f"unknown fields in ladder: {sorted(unknown)}")
-
-    spec = spec_from_dict(case)
+    read_object(config, "config", {"id", "case", "ladder"}, ("case", "ladder"))
+    ladder = read_object(config["ladder"], "ladder", _LADDER_FIELDS)
+    spec = spec_from_dict(config["case"])
     nxs = ladder.get("nx", [])
     if not isinstance(nxs, list) or not all(type(nx) is int and nx > 0 for nx in nxs):
         raise SchemaError(f"ladder 'nx' must be a list of positive integers, got {nxs!r}")
@@ -622,13 +642,11 @@ def convergence(config: dict) -> tuple[list[str], bool]:
     theta = number_field(ladder, "theta", 0.5, "ladder")
     nt0 = int(number_field(ladder, "nt0", nxs[0], "ladder"))
     far_field = ladder.get("far_field", "manufactured")
+    grids = [
+        fd.Grid1D(L=L, nx=nx, t_end=t_end, nt=_rung_steps(nx, nxs[0], nt0, theta), theta=theta)
+        for nx in nxs
+    ]
     reference = _reference_for(spec, ladder.get("reference", "closed_form"))
-
-    grids = []
-    for nx in nxs:
-        factor = nx / nxs[0]
-        nt = int(round(nt0 * (factor if theta >= 0.5 else factor ** 2)))
-        grids.append(fd.Grid1D(L=L, nx=nx, t_end=t_end, nt=max(nt, 1), theta=theta))
 
     result = fd.convergence_order(spec, grids, reference, far_field=far_field)
 

@@ -10,8 +10,8 @@ tolerance) and --slow-oracles (enable raw double-quadrature paths); ``sweep``
 alone takes --jobs N (parallel cases, capped at the CPU count).
 
 Exit codes: 0 all checks passed, 1 check failure (including a numerical
-failure, whose reason is printed and, for ``run``, goes in the report),
-2 configuration error.
+failure, whose reason is printed and, for ``run``, goes in the report;
+``convergence`` then writes no CSV), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import sys
 from pathlib import Path
 
 from .bench import CSV_HEADER, convergence, run_case, sweep
-from .problem import SchemaError
+from .green import QuadratureError
+from .problem import SchemaError, config_id, read_object
 
 __all__ = ["main"]
 
@@ -35,9 +36,7 @@ def _load_config(path: str) -> dict:
         raise SchemaError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise SchemaError(f"config must be a JSON object, got {type(config).__name__}")
-    return config
+    return read_object(config, "config")
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -53,13 +52,9 @@ def _cmd_run(args) -> int:
         # bare case object without the {id, case, checks} envelope
         case, case_id, extra = config, Path(args.config).stem, ()
     else:
-        unknown = set(config) - {"id", "case", "checks"}
-        if unknown:
-            raise SchemaError(f"unknown fields in run config: {sorted(unknown)}")
-        if "case" not in config:
-            raise SchemaError("run config needs a 'case'")
+        read_object(config, "config", {"id", "case", "checks"}, ("case",))
         case = config["case"]
-        case_id = config.get("id", Path(args.config).stem)
+        case_id = config_id(config, Path(args.config).stem)
         extra = config.get("checks", ())
 
     result = run_case(
@@ -87,13 +82,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
+    stem = config_id(config, Path(args.config).stem)
     lines, all_pass, reasons = sweep(
         config,
         tol_scale=args.tol_scale,
         slow_oracles=args.slow_oracles,
         jobs=args.jobs,
     )
-    stem = config.get("id", Path(args.config).stem)
     target = _write(Path(args.out), f"{stem}.csv", "\n".join(lines) + "\n")
     print(f"wrote {target} ({len(lines) - 1} rows)")
     for case_id, reason in reasons:
@@ -103,8 +98,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_convergence(args) -> int:
     config = _load_config(args.config)
-    lines, ok = convergence(config)
-    stem = config.get("id", Path(args.config).stem)
+    stem = config_id(config, Path(args.config).stem)
+    try:
+        lines, ok = convergence(config)
+    except (ArithmeticError, QuadratureError) as exc:  # a numerical failure: no CSV
+        print(f"[FAIL] {stem}: convergence study fails numerically: {exc}")
+        return 1
     target = _write(Path(args.out), f"{stem}-convergence.csv", "\n".join(lines) + "\n")
     print(f"wrote {target}")
     print("\n".join(lines))

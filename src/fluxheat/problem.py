@@ -218,10 +218,12 @@ class SourceShape:
         k = self.kind
         if k is ShapeKind.LINEAR_X:
             return self.lam, 0.0
-        if k is ShapeKind.NEG_SINH:
-            return -self.lam * self.mu, self.lam ** 2
-        if k is ShapeKind.NEG_SIN:
-            return -self.lam * self.mu, -(self.lam ** 2)
+        if k is ShapeKind.NEG_SINH or k is ShapeKind.NEG_SIN:
+            try:
+                lam2 = self.lam ** 2
+            except OverflowError:
+                raise OverflowError(f"rho = +-lambda^2 at lambda = {self.lam!r}") from None
+            return -self.lam * self.mu, lam2 if k is ShapeKind.NEG_SINH else -lam2
         raise ValueError(f"shape {k} is not a heat-semigroup eigenfunction")
 
     @property
@@ -475,23 +477,38 @@ def validate(spec: ProblemSpec, closed_form: bool = False) -> list[str]:
 # ---------------------------------------------------------------------------
 # JSON case schema (consumed by the benchmark CLI).
 
-_PHI_FIELDS = {"kind", "lambda", "mu", "sigma", "delta", "scale"}
-_FLUX_FIELDS = {"kind", "nu", "n"}
-_H_FIELDS = {"kind", "eta", "m", "a"}
+_CASE_FIELDS = frozenset({"phi", "flux", "h", "variant"})
+_PHI_FIELDS = frozenset({"kind", "lambda", "mu", "sigma", "delta", "scale"})
+_FLUX_FIELDS = frozenset({"kind", "nu", "n"})
+_H_FIELDS = frozenset({"kind", "eta", "m", "a"})
 
 
 class SchemaError(ValueError):
     """Raised when a JSON case does not conform to the schema."""
 
 
-def _check_fields(obj: dict, allowed: set[str], where: str) -> None:
+def read_object(obj, where: str, fields: set | frozenset | None = None, required=()) -> dict:
+    """``obj``, the JSON object ``where`` of a config: a SchemaError unless it is
+    one, with no field outside ``fields`` (any when None) and all of ``required``."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SchemaError(f"unknown fields in {where}: {sorted(unknown)}")
-    if "kind" not in obj:
-        raise SchemaError(f"missing 'kind' in {where}")
+    if fields is not None and not fields.issuperset(obj):
+        raise SchemaError(f"unknown fields in {where}: {sorted(set(obj) - fields)}")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"missing '{key}' in {where}")
+    return obj
+
+
+def config_id(config: dict, default: str) -> str:
+    """``config['id']``, or ``default`` when absent: a non-empty string that
+    names a plain file (no path separator, not '.' or '..')."""
+    if "id" not in config:
+        return default
+    value = config["id"]
+    if not isinstance(value, str) or value in ("", ".", "..") or any(c in value for c in "/\\\0"):
+        raise SchemaError(f"config 'id' must be a plain file name, got {value!r}")
+    return value
 
 
 def number_field(obj: dict, key: str, default: float, where: str) -> float:
@@ -506,29 +523,25 @@ def number_field(obj: dict, key: str, default: float, where: str) -> float:
     return value
 
 
+def _enum_field(obj: dict, key: str, enum: type[Enum], where: str, default=None) -> Enum:
+    """``obj[key]``, or ``default`` when absent, as a member of ``enum``."""
+    try:
+        return enum(obj.get(key, default))
+    except ValueError:
+        names = [m.value for m in enum]
+        raise SchemaError(f"{where} '{key}' must be one of {names}, got {obj[key]!r}") from None
+
+
 def spec_from_dict(data: dict) -> ProblemSpec:
     """Build a ProblemSpec from the JSON case schema; unknown fields rejected."""
-    if not isinstance(data, dict):
-        raise SchemaError("case must be a JSON object")
-    unknown = set(data) - {"phi", "flux", "h", "variant"}
-    if unknown:
-        raise SchemaError(f"unknown fields in case: {sorted(unknown)}")
-    for key in ("phi", "flux", "h"):
-        if key not in data:
-            raise SchemaError(f"missing '{key}' in case")
+    read_object(data, "case", _CASE_FIELDS, ("phi", "flux", "h"))
+    pd = read_object(data["phi"], "phi", _PHI_FIELDS, ("kind",))
+    fd = read_object(data["flux"], "flux", _FLUX_FIELDS, ("kind",))
+    hd = read_object(data["h"], "h", _H_FIELDS, ("kind",))
 
-    pd, fd, hd = data["phi"], data["flux"], data["h"]
-    _check_fields(pd, _PHI_FIELDS, "phi")
-    _check_fields(fd, _FLUX_FIELDS, "flux")
-    _check_fields(hd, _H_FIELDS, "h")
-
-    try:
-        phi_kind = ShapeKind(pd["kind"])
-        flux_kind = FluxKind(fd["kind"])
-        h_kind = ProfileKind(hd["kind"])
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-
+    phi_kind = _enum_field(pd, "kind", ShapeKind, "phi")
+    flux_kind = _enum_field(fd, "kind", FluxKind, "flux")
+    h_kind = _enum_field(hd, "kind", ProfileKind, "h")
     if flux_kind is FluxKind.AFFINE:
         raise SchemaError("affine flux laws are library-level only (no JSON form)")
 
@@ -555,5 +568,5 @@ def spec_from_dict(data: dict) -> ProblemSpec:
         sigma=phi.sigma if h_kind is ProfileKind.SCALED_SEPARABLE else 0.0,
         delta=phi.delta if h_kind is ProfileKind.SCALED_SEPARABLE else 1.0,
     )
-    variant = Variant(data.get("variant", "P"))
+    variant = _enum_field(data, "variant", Variant, "case", "P")
     return ProblemSpec(phi=phi, flux=flux, h=h, variant=variant)

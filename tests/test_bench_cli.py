@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fluxheat import bench, cli
+from fluxheat import bench, cli, fd
 from fluxheat.bench import _worker_count, convergence, run_case, sweep
 from fluxheat.catalog import case_ids, iter_cases, load_case
 from fluxheat.problem import SchemaError
@@ -231,6 +231,29 @@ class TestSweep:
         monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
         assert _worker_count(4) == 1
 
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("variant", "Q", "case 'variant' must be one of ['P', 'PTilde'], got 'Q'"),
+            ("phi.kind", "sinh", "phi 'kind' must be one of"),
+        ],
+    )
+    def test_bad_enum_value_in_grid_is_a_failing_row(self, key, value, reason):
+        good = "P" if key == "variant" else "linear_x"
+        lines, ok, reasons = sweep({"id": "v", "base": base_case(m=3), "grid": {key: [good, value]}})
+        assert not ok
+        name = key.split(".")[-1]
+        assert lines[1].startswith(f"v-{name}={good},{good},1,")
+        assert lines[2] == f"v-{name}={value},{value},0,0,inf"
+        assert [case_id for case_id, _ in reasons] == [f"v-{name}={value}"]
+        assert reasons[0][1].startswith(reason)
+
+    @pytest.mark.parametrize("stem", [5, "", "..", "a/b"])
+    def test_bad_id_rejected_before_any_case_runs(self, monkeypatch, stem):
+        monkeypatch.setattr(bench, "run_case", lambda *a, **k: pytest.fail("a case ran"))
+        with pytest.raises(SchemaError, match="config 'id' must be a plain file name"):
+            sweep({"id": stem, "base": base_case(), "grid": {"h.m": [1, 3]}})
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(SchemaError):
@@ -308,6 +331,27 @@ class TestConvergence:
     def test_short_ladder_rejected(self):
         with pytest.raises(SchemaError):
             convergence(self.conv_config(nxs=(64,)))
+
+    @pytest.mark.parametrize(
+        "ladder",
+        [{"nt0": 1e300}, {"nx": [64, 128, 10**7]}, {"nx": [8, 10**200, 10**400], "theta": 0.0}],
+        ids=["nt0-1e300", "nx-1e7", "nx-past-the-float-range"],
+    )
+    def test_rung_over_the_cap_refused_before_any_rung_runs(self, monkeypatch, ladder):
+        monkeypatch.setattr(fd, "convergence_order", lambda *a, **k: pytest.fail("a rung ran"))
+        cfg = self.conv_config()
+        cfg["ladder"].update(ladder)
+        with pytest.raises(SchemaError, match=r"exceeds the 10\^7 limit on \(nx\+1\)\(nt\+1\)"):
+            convergence(cfg)
+
+    def test_rung_cap_is_ten_million_grid_values(self):
+        # the largest ladder of the tests and benchmarks, then the cap itself
+        assert bench._rung_steps(1024, 256, 256, 0.5) == 1024
+        assert bench._rung_steps(3999, 3999, 2499, 0.5) == 2499  # 4000 x 2500 values
+        with pytest.raises(SchemaError):
+            bench._rung_steps(4000, 4000, 2499, 0.5)
+        with pytest.raises(SchemaError):
+            bench._rung_steps(3999, 3999, 2500, 0.5)
 
     def test_diffusion_smoke_order_two(self):
         # m = 5 keeps a live fourth x-derivative (the m = 3 baseline is cubic
@@ -486,6 +530,38 @@ class TestCli:
                 {"id": "c", "case": base_case(), "ladder": {"nx": [64, 128, 256], "L": float("nan")}},
                 "ladder 'L' must be finite, got nan",
             ),
+            ("run", {"id": 5, "case": base_case(m=3)}, "config 'id' must be a plain file name, got 5"),
+            ("run", {"id": "sub/dir", "case": base_case(m=3)}, "config 'id' must be a plain file name"),
+            ("run", {"id": "../x", "case": base_case(m=3)}, "config 'id' must be a plain file name"),
+            ("run", {"id": "..", "case": base_case(m=3)}, "config 'id' must be a plain file name"),
+            ("run", {"id": "", "case": base_case(m=3)}, "config 'id' must be a plain file name"),
+            ("sweep", {"id": 5, "base": base_case(), "grid": {"h.m": [1]}}, "config 'id' must be a plain"),
+            ("sweep", {"id": "../x", "base": base_case(), "grid": {"h.m": [1]}}, "config 'id' must be"),
+            ("convergence", {"id": 5, "case": base_case(), "ladder": {}}, "config 'id' must be a plain"),
+            (
+                "run",
+                {"id": "q", "case": {**base_case(m=3), "variant": "Q"}},
+                "case 'variant' must be one of ['P', 'PTilde'], got 'Q'",
+            ),
+            ("run", {**base_case(m=3), "variant": "Q"}, "case 'variant' must be one of"),
+            ("run", {**base_case(), "h": {"kind": "cubic"}}, "h 'kind' must be one of"),
+            ("run", {**base_case(), "h": {"m": 3}}, "missing 'kind' in h"),
+            ("run", {"id": "x"}, "missing 'case' in config"),
+            ("run", {"id": "x", "case": [1]}, "case must be a JSON object, got list"),
+            ("run", {"case": base_case(), "cheks": []}, "unknown fields in config: ['cheks']"),
+            ("sweep", {"id": "s", "grid": {"h.m": [1]}}, "missing 'base' in config"),
+            ("sweep", {"base": [1], "grid": {}}, "base must be a JSON object, got list"),
+            ("sweep", {"base": base_case(), "grid": [1]}, "grid must be a JSON object, got list"),
+            ("sweep", {"base": base_case(), "extra": 1}, "unknown fields in config: ['extra']"),
+            ("convergence", {"case": base_case()}, "missing 'ladder' in config"),
+            ("convergence", {"ladder": {}}, "missing 'case' in config"),
+            ("convergence", {"case": base_case(), "ladder": 3}, "ladder must be a JSON object, got int"),
+            ("convergence", {"case": base_case(), "ladder": {"dx": 1}}, "unknown fields in ladder: ['dx']"),
+            (
+                "convergence",
+                {"case": base_case(), "ladder": {"nx": [64, 128, 256], "nt0": 1e300}},
+                "ladder rung nx=64 exceeds the 10^7 limit",
+            ),
         ],
         ids=[
             "grid-value-not-a-list",
@@ -505,13 +581,33 @@ class TestCli:
             "eta-infinity",
             "ladder-t_end-infinity",
             "ladder-L-nan",
+            "run-id-number", "run-id-subdir", "run-id-parent", "run-id-dotdot", "run-id-empty",
+            "sweep-id-number", "sweep-id-parent", "convergence-id-number", "run-variant",
+            "bare-case-variant", "h-kind", "h-no-kind", "run-no-case", "run-case-list",
+            "run-unknown", "sweep-no-base", "sweep-base-list", "sweep-grid-list", "sweep-unknown",
+            "convergence-no-ladder", "convergence-no-case", "convergence-ladder-number",
+            "ladder-unknown", "ladder-over-the-cap",
         ],
     )
-    def test_malformed_config_exit_two(self, tmp_path, capsys, command, payload, message):
+    def test_malformed_config_exit_two(self, tmp_path, capsys, monkeypatch, command, payload, message):
+        monkeypatch.setattr(fd, "convergence_order", lambda *a, **k: pytest.fail("a rung ran"))
         cfg = self.write(tmp_path, "config.json", payload)
         assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 2
-        assert f"configuration error: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}" in err
+        assert "Traceback" not in err
+        # nothing written, inside --out or, through a path id, outside it
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_convergence_numerical_failure_exits_one_writes_nothing(self, tmp_path, capsys):
+        # the closed-form reference overflows at t_end = 1e300
+        case = load_case("separated-growth")["case"]
+        cfg = self.write(tmp_path, "config.json", {"id": "c", "case": case, "ladder": {"nx": [16, 32, 64], "t_end": 1e300}})
+        assert cli.main(["convergence", cfg, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] c: convergence study fails numerically: " in captured.out
+        assert captured.err == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_sweep_bad_jobs_exit_two(self, tmp_path, capsys, jobs):

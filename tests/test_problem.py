@@ -26,7 +26,9 @@ from fluxheat.problem import (
     SourceShape,
     TimeFunction,
     Variant,
+    config_id,
     derive_parameters,
+    read_object,
     separated_evaluators,
     spec_from_dict,
     validate,
@@ -333,11 +335,47 @@ class TestJsonSchema:
         with pytest.raises(SchemaError):
             spec_from_dict(case)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("phi", "kind"), "cosh"), (("flux", "kind"), None), (("h", "kind"), ["monomial"]),
+         (("variant",), "Q"), (("variant",), 1)],
+    )
+    def test_every_enum_value_is_read_one_way(self, path, value):
+        case = self.case()
+        node = case
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        where = path[0] if len(path) == 2 else "case"
+        with pytest.raises(SchemaError, match=f"^{where} '{path[-1]}' must be one of \\["):
+            spec_from_dict(case)
+
     def test_affine_not_expressible(self):
         case = self.case()
         case["flux"]["kind"] = "affine"
         with pytest.raises(SchemaError):
             spec_from_dict(case)
+
+    def test_reader_messages(self):
+        fields = frozenset({"a", "b"})
+        assert read_object({"a": 1}, "part", fields, ("a",)) == {"a": 1}
+        assert read_object({"anything": 1}, "grid") == {"anything": 1}
+        with pytest.raises(SchemaError, match=r"^part must be a JSON object, got list$"):
+            read_object([1], "part", fields)
+        with pytest.raises(SchemaError, match=r"^unknown fields in part: \['c', 'd'\]$"):
+            read_object({"d": 1, "a": 1, "c": 1}, "part", fields, ("a",))
+        with pytest.raises(SchemaError, match=r"^missing 'a' in part$"):
+            read_object({"b": 1}, "part", fields, ("a",))
+
+    @pytest.mark.parametrize("stem", [5, None, True, ["x"], "", ".", "..", "a/b", "../x", "a\\b", "x\0"])
+    def test_config_id_names_a_plain_file(self, stem):
+        with pytest.raises(SchemaError, match="config 'id' must be a plain file name"):
+            config_id({"id": stem}, "default")
+
+    def test_config_id_default_and_plain_names(self):
+        assert config_id({}, "default") == "default"
+        for stem in ("x", "ir-phi1-m3", "...", ".hidden", "a b"):
+            assert config_id({"id": stem}, "default") == stem
 
     def test_power_law_carries_constant_factor(self):
         case = self.case()

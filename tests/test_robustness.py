@@ -5,8 +5,13 @@ mutates them: numbers scaled or replaced by edge values (zero, tiny, large,
 negative, +-1e300, NaN, +-inf), fields of the wrong type, kinds swapped and
 the variant flipped.  The examples are specs that once escaped: a control
 classification that overflows (it ran outside ``run_case``'s numerical guard,
-so ``fluxheat run`` printed a traceback) and T equations too stiff for RK45,
-on which the separated family's ODE cross-check never ended.
+so ``fluxheat run`` printed a traceback), T equations too stiff for RK45,
+on which the separated family's ODE cross-check never ended, and an invalid
+variant, which raised a bare ValueError.
+
+The CLI properties draw sweep and convergence configs the same way, with
+their ids, grids, ladders and parts mutated as well, and require exit code
+0, 1 or 2 from ``fluxheat sweep`` and ``fluxheat convergence``.
 """
 
 import contextlib
@@ -14,7 +19,9 @@ import copy
 import json
 import math
 import signal
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,6 +119,26 @@ class TestStiffTEquation:
         assert "T_ode_crosscheck" not in [r.name for r in result.records]
 
 
+class TestNamedNumericalFailures:
+    def test_construction_overflow_names_its_step_and_quantity(self):
+        # lambda^2 of the sinh shape's semigroup leaves the double range
+        case = copy.deepcopy(OVERFLOWING_CONTROLS["sinh-lambda"])
+        result = run_case(case, case_id="ovf")
+        assert result.reason == "closed-form construction overflows: rho = +-lambda^2 at lambda = 1e+300"
+        assert [r.name for r in result.records] == ["validate"]
+
+    @pytest.mark.parametrize("part, key, value", [("flux", "nu", 1e4), ("phi", "scale", 1e6)])
+    def test_a_stopped_t_solve_is_a_reason_not_a_check(self, part, key, value):
+        # RK45 stops at t = 2e-4 once the power law reads a negative T; its
+        # dense output far past that point once made a failing check
+        case = copy.deepcopy(load_case("separated-power-nhalf")["case"])
+        case[part][key] = value
+        with time_budget(CASE_BUDGET_S):
+            result = run_case(case, case_id="stopped")
+        assert result.reason.startswith("T cross-check: ")
+        assert "T_ode_crosscheck" not in [r.name for r in result.records]
+
+
 CATALOG = list(iter_cases())
 FIELDS = {"phi": ("lambda", "mu", "sigma", "delta", "scale"), "flux": ("nu", "n"), "h": ("eta", "m", "a")}
 KINDS = {
@@ -122,6 +149,7 @@ KINDS = {
 SCALES = (0.1, 0.5, 2.0, 5.0, -1.0)
 EDGE_VALUES = (0.0, 1e-6, 30.0, -3.0, 1e300, -1e300, math.nan, math.inf, -math.inf)
 WRONG_TYPES = ("1.0", None, [1.0], {"value": 1.0})
+INVALID_VARIANTS = ("Q", "p", "", 1, None, ["P"])
 
 
 @st.composite
@@ -132,7 +160,8 @@ def mutation(draw, case):
     if how == "kind":
         case[part]["kind"] = draw(st.sampled_from(KINDS[part]))
     elif how == "variant":
-        case["variant"] = "PTilde" if case.get("variant", "P") == "P" else "P"
+        flipped = "PTilde" if case.get("variant", "P") == "P" else "P"
+        case["variant"] = draw(st.one_of(st.just(flipped), st.sampled_from(INVALID_VARIANTS)))
     else:
         key = draw(st.sampled_from(FIELDS[part] + (("kind",) if how == "wrong_type" else ())))
         if how == "scale":
@@ -146,12 +175,12 @@ def mutation(draw, case):
 
 
 @st.composite
-def mutated_cases(draw):
-    """(case, checks): a catalog case under one to three mutations, with its
-    own checks, the control checks or none."""
+def mutated_cases(draw, mutations=(1, 3)):
+    """(case, checks): a catalog case under ``mutations`` (fewest, most)
+    mutations, with its own checks, the control checks or none."""
     _, config = draw(st.sampled_from(CATALOG))
     case = copy.deepcopy(config["case"])
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(*mutations))):
         draw(mutation(case))
     checks = draw(st.sampled_from((tuple(config.get("checks", ())), ("control",), ())))
     return case, checks
@@ -163,6 +192,7 @@ def mutated_cases(draw):
 @example((OVERFLOWING_CONTROLS["separated-sigma"], ("control",)))
 @example((separated_growth(nu=1e6), ()))
 @example((separated_growth(nu=1e300), ("control",)))
+@example(({**OVERFLOWING_CONTROLS["sinh-lambda"], "variant": "Q"}, ()))
 def test_every_case_ends_as_a_result_or_a_schema_error(drawn):
     case, checks = drawn
     with time_budget(CASE_BUDGET_S):
@@ -171,3 +201,106 @@ def test_every_case_ends_as_a_result_or_a_schema_error(drawn):
         except SchemaError:
             return
     assert isinstance(result, CaseResult)
+
+
+# ---------------------------------------------------------------------------
+# The CLI ends every sweep and convergence config with exit code 0, 1 or 2.
+
+IDS = ("fz", 5, 1.5, None, True, ["fz"], {"id": "fz"}, "", ".", "..", "a/b", "../fz", "a\\b")
+NON_OBJECTS = ([], ["x"], "x", 3, None)
+GRID_KEYS = ("phi.lambda", "phi.mu", "phi.kind", "flux.nu", "flux.kind", "h.m", "h.eta", "h.kind",
+             "variant", "h.m.x", "phi")
+GRID_VALUES = EDGE_VALUES + WRONG_TYPES + INVALID_VARIANTS + (1, 3, 0.5, "P", "PTilde",
+                                                              "linear_x", "neg_sin", "monomial")
+# small ladders: every rung solves in milliseconds
+LADDER = {"L": 4.0, "t_end": 0.5, "theta": 0.5, "nx": [16, 32, 64], "nt0": 16}
+LADDER_NUMBERS = ("L", "t_end", "theta", "nt0")
+LADDER_NAMES = ("manufactured", "homogeneous", "self", "closed_form", "bogus", None, 1)
+
+
+def sometimes(one_in):
+    """True once in ``one_in`` draws."""
+    return st.sampled_from((False,) * (one_in - 1) + (True,))
+
+
+@st.composite
+def config_faults(draw, config, case_key, part_key):
+    """``config``, sometimes with an id drawn from valid, wrongly typed and
+    path ids, with one part replaced by a non-object, or itself replaced."""
+    if draw(sometimes(4)):
+        config["id"] = draw(st.sampled_from(IDS))
+    if draw(sometimes(6)):
+        path = draw(st.sampled_from([(case_key,), (part_key,)]
+                                    + [(case_key, part) for part in ("phi", "flux", "h")]))
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(st.sampled_from(NON_OBJECTS))
+    if draw(sometimes(20)):
+        return draw(st.sampled_from(NON_OBJECTS))
+    return config
+
+
+@st.composite
+def mutated_sweep_configs(draw):
+    """A sweep over a mutated catalog case along one grid key of one or two values."""
+    case, _ = draw(mutated_cases(mutations=(0, 2)))
+    key = draw(st.sampled_from(GRID_KEYS))
+    grid = {key: draw(st.lists(st.sampled_from(GRID_VALUES), min_size=1, max_size=2))}
+    return draw(config_faults({"base": case, "grid": grid}, "base", "grid"))
+
+
+@st.composite
+def mutated_convergence_configs(draw):
+    """A small ladder over a mutated catalog case, its numbers and names mutated too."""
+    case, _ = draw(mutated_cases(mutations=(0, 2)))
+    ladder = copy.deepcopy(LADDER)
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(("scale", "set", "wrong_type", "name", "nx")))
+        key = draw(st.sampled_from(LADDER_NUMBERS))
+        if how == "scale":
+            if isinstance(ladder[key], (int, float)):
+                ladder[key] *= draw(st.sampled_from(SCALES))
+        elif how == "set":
+            ladder[key] = draw(st.sampled_from(EDGE_VALUES))
+        elif how == "wrong_type":
+            ladder[key] = draw(st.sampled_from(WRONG_TYPES))
+        elif how == "name":
+            ladder[draw(st.sampled_from(("far_field", "reference")))] = draw(st.sampled_from(LADDER_NAMES))
+        else:
+            i = draw(st.integers(0, 2))
+            ladder["nx"][i] = draw(st.sampled_from((4, 8, 48, 10 ** 7, 10 ** 400) + EDGE_VALUES + WRONG_TYPES))
+    return draw(config_faults({"case": case, "ladder": ladder}, "case", "ladder"))
+
+
+def exit_code_of(command, config):
+    """``fluxheat <command>`` on ``config`` within the case budget: its exit code,
+    with nothing written outside the output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg, out = root / "cfg" / "fuzz.json", root / "cfg" / "out"
+        cfg.parent.mkdir()
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        with time_budget(CASE_BUDGET_S):
+            code = cli.main([command, str(cfg), "--out", str(out)])
+        assert sorted(p.name for p in root.iterdir()) == ["cfg"]
+        assert sorted(p.name for p in cfg.parent.iterdir()) in (["fuzz.json"], ["fuzz.json", "out"])
+    return code
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_sweep_configs())
+@example({"id": 5, "base": load_case("ir-phi1-m3")["case"], "grid": {"h.m": [1, 3]}})
+@example({"id": "fz", "base": load_case("ir-phi1-m3")["case"], "grid": {"variant": ["P", "Q"]}})
+def test_every_sweep_config_exits_zero_one_or_two(config):
+    assert exit_code_of("sweep", config) in (0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_convergence_configs())
+@example({"id": 5, "case": load_case("ir-phi1-m3")["case"], "ladder": LADDER})
+@example({"case": load_case("ir-phi1-m3")["case"], "ladder": {**LADDER, "nt0": 1e300}})
+@example({"case": load_case("separated-growth")["case"], "ladder": {**LADDER, "t_end": 1e300}})
+@example({"case": load_case("stationary-quadratic")["case"], "ladder": {**LADDER, "L": 1e300}})
+def test_every_convergence_config_exits_zero_one_or_two(config):
+    assert exit_code_of("convergence", config) in (0, 1, 2)
