@@ -49,7 +49,6 @@ from .problem import (
     SourceShape,
     TimeFunction,
     Variant,
-    derive_parameters,
     spec_from_dict,
     validate,
 )

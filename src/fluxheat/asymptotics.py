@@ -20,9 +20,10 @@ from .problem import (
     ProfileKind,
     ShapeKind,
     Variant,
-    derive_parameters,
+    flux_rate,
     separated_evaluators,
 )
+from .volterra import forcing_for
 
 __all__ = [
     "LimitTag",
@@ -89,13 +90,14 @@ def _require_integral_rep(spec: ProblemSpec):
 def _transfer(spec: ProblemSpec) -> tuple[float, float, float, int, float]:
     """(kappa, rho, b, p, c) of the flux's transfer function
     V^(s) = c p! (s - rho) / (s^{p+1} (s - b)); the time factor W^(s) is
-    V^(s) / (s - rho).  ``b`` is ``DerivedParams.rate``, whose operation order
-    keeps an exactly resonant sine spec at b = 0, and c = eta * (m!/p!) exactly.
+    V^(s) / (s - rho).  ``b`` is ``flux_rate``, whose operation order keeps an
+    exactly resonant sine spec at b = 0, p is the exponent of the forcing
+    V0 = c t^p, and c = eta * (m!/p!) exactly.
     """
     kappa, rho = spec.phi.semigroup
-    params = derive_parameters(spec)
-    c = spec.h.eta * (math.factorial(int(spec.h.m)) // math.factorial(params.p))
-    return kappa, rho, params.rate, params.p, c
+    p = int(forcing_for(spec.h).exponent)
+    c = spec.h.eta * (math.factorial(int(spec.h.m)) // math.factorial(p))
+    return kappa, rho, flux_rate(spec), p, c
 
 
 def flux_limit(spec: ProblemSpec) -> LimitClass:
@@ -149,20 +151,21 @@ def _sv_u0_class(sigma: float, hx: float) -> LimitClass:
 
 
 def _sv_linear_classes(spec: ProblemSpec, x: float) -> ControlClassification:
-    sigma, gamma = spec.phi.sigma, derive_parameters(spec).gamma
+    sigma, b = spec.phi.sigma, flux_rate(spec)
     hx = spec.h(x)
     u0 = _sv_u0_class(sigma, hx)
 
-    if gamma == sigma:
+    # u = h(x) exp(b t)
+    if b == 0.0:
         u = LimitClass.finite(hx)
-    elif gamma < sigma:
+    elif b > 0.0:
         u = LimitClass.infinity(hx) if hx != 0.0 else LimitClass.zero()
     else:
         u = LimitClass.zero()
 
-    # u/u0 = exp(-gamma t) regardless of the branch
-    ratio = LimitClass.infinity(+1.0) if gamma < 0.0 else (
-        LimitClass.finite(1.0) if gamma == 0.0 else LimitClass.zero()
+    # u/u0 = exp((b - sigma) t) regardless of the branch
+    ratio = LimitClass.infinity(+1.0) if b > sigma else (
+        LimitClass.finite(1.0) if b == sigma else LimitClass.zero()
     )
     return ControlClassification(u0, u, ratio, x)
 
@@ -333,12 +336,12 @@ _PROBE_RTOL = 1e-4
 def flux_probe_ladder(spec: ProblemSpec) -> tuple[float, ...]:
     """Probe times suited to the flux's approach to its limit.
 
-    Fluxes growing at an exponential rate (``DerivedParams.rate`` > 0) or
+    Fluxes growing at an exponential rate (``flux_rate`` > 0) or
     settling on a finite limit or zero take the default ladder; the
     polynomially growing ones (linear shape with m >= 5, sine shape with
     delta >= 0 and m > 1, and the resonant lines) need geometric times.
     """
-    if derive_parameters(spec).rate > 0.0 or not flux_limit(spec).is_infinite:
+    if flux_rate(spec) > 0.0 or not flux_limit(spec).is_infinite:
         return DEFAULT_LADDER
     return ALGEBRAIC_LADDER
 
@@ -347,7 +350,7 @@ def control_probe_ladders(spec: ProblemSpec) -> tuple[tuple[float, ...], tuple[f
     """Probe times of the control checks: (u0 ladder, u and u/u0 ladder).
 
     Exponentially dominated solutions (the separated family, or a flux
-    growing at a positive ``DerivedParams.rate``) settle on the default
+    growing at a positive ``flux_rate``) settle on the default
     ladder; the algebraically approached limits (polynomial growth, 1/t or
     1/sqrt(t) drifts) need geometrically much larger times.  So does a
     separated power law at sigma = 0, whose T grows or falls algebraically.
@@ -356,7 +359,7 @@ def control_probe_ladders(spec: ProblemSpec) -> tuple[tuple[float, ...], tuple[f
     overflows there, which the probe reads as the correct infinity).
     """
     separated = spec.phi.kind is ShapeKind.SCALED_SEPARABLE
-    rate = derive_parameters(spec).rate
+    rate = flux_rate(spec)
     algebraic_t = spec.flux.kind is FluxKind.POWER_LAW and spec.phi.sigma == 0.0
     exponential = (separated and not algebraic_t) or (rate is not None and rate > 0.0)
     return (

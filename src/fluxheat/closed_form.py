@@ -33,7 +33,7 @@ from .problem import (
     ProfileKind,
     ShapeKind,
     Variant,
-    derive_parameters,
+    flux_rate,
     separated_evaluators,
     validate,
 )
@@ -151,7 +151,7 @@ def _separated_T(spec: ProblemSpec) -> Callable[[float], float]:
     sigma, delta, scale, eta = phi.sigma, phi.delta, phi.scale, h.eta
 
     if flux.kind is FluxKind.LINEAR:
-        rate = derive_parameters(spec).rate
+        rate = flux_rate(spec)
         return lambda t: eta * math.exp(rate * t)
 
     if flux.kind is FluxKind.AFFINE:
@@ -241,7 +241,7 @@ def separated_solution(spec: ProblemSpec) -> SolutionField:
     X_tilde = separated_evaluators(comps.sigma, delta)[1]
     if spec.flux.kind is FluxKind.LINEAR:
         traj: Callable[[float], float] = ClosedFormTrajectory(
-            poly=(0.0,), exps=((delta * comps.eta, derive_parameters(spec).rate),)
+            poly=(0.0,), exps=((delta * comps.eta, flux_rate(spec)),)
         )
     else:
         traj = lambda t: delta * comps.T(t)  # noqa: E731
@@ -299,9 +299,9 @@ def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTraject
     """Exact boundary flux for the linear law and odd monomial profiles.
 
     One formula for the three shapes, over (kappa, rho) = ``phi.semigroup``,
-    b = ``DerivedParams.rate``, p = (m-1)/2 and c (eta for m = 1): the
-    transfer function V^(s) = c p! (s - rho) / (s^{p+1} (s - b)).  Its
-    partial fractions give c rho/b t^p, the polynomial of the antiderivative
+    b = ``flux_rate(spec)`` and the forcing V0 = c t^p, p = (m-1)/2 (c = eta
+    for m = 1): the transfer function V^(s) = c p! (s - rho) / (s^{p+1} (s - b)).
+    Its partial fractions give c rho/b t^p, the polynomial of the antiderivative
     of tau^(p-1) exp(-b tau) and one exp(b t); at b == 0, the resonant test
     the limit classes use, V = c t^p - rho c t^{p+1}/(p+1).  With
     ``check=True`` the trajectory is verified against the Volterra equation
@@ -313,9 +313,9 @@ def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTraject
         raise ConstructionError("; ".join(violations))
     nu = spec.flux.nu
     kappa, rho = spec.phi.semigroup
-    params = derive_parameters(spec)
-    b, p = params.rate, params.p
-    c = spec.h.eta if p == 0 else params.c
+    forcing = _volterra.forcing_for(spec.h)
+    b, p = flux_rate(spec), int(forcing.exponent)
+    c = spec.h.eta if p == 0 else forcing.c
 
     if b == 0.0:
         traj = ClosedFormTrajectory(poly=(0.0,) * p + (c, -rho * c / (p + 1)))
@@ -333,7 +333,6 @@ def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTraject
 
     if check:
         kernel = _volterra.kernel_for(spec.phi)
-        forcing = _volterra.forcing_for(spec.h)
         samples = (0.5, 1.0, 2.0)
         scale = 1.0 + max(abs(traj(t)) for t in samples)
         try:

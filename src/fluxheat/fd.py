@@ -26,9 +26,10 @@ from .problem import (
     INTEGRAL_REP_SHAPES,
     FluxKind,
     ProblemSpec,
+    ProfileKind,
     ShapeKind,
     Variant,
-    derive_parameters,
+    flux_rate,
 )
 
 __all__ = [
@@ -96,11 +97,11 @@ def solution_grows(spec: ProblemSpec) -> bool:
     the built-in families); used to refuse homogeneous far-field data."""
     phi, flux, h = spec.phi, spec.flux, spec.h
     if flux.kind in (FluxKind.ZERO, FluxKind.CONSTANT):
-        return h.kind.value == "monomial" and h.m > 1.0
-    rate = derive_parameters(spec).rate
+        return h.kind is ProfileKind.MONOMIAL and h.m > 1.0
+    rate = flux_rate(spec)
     if phi.kind is ShapeKind.SCALED_SEPARABLE:
         return phi.sigma > 0.0 if rate is None else rate > 0.0
-    if h.kind.value == "monomial" and h.m > 1.0:
+    if h.kind is ProfileKind.MONOMIAL and h.m > 1.0:
         return True
     if phi.kind not in INTEGRAL_REP_SHAPES:
         return False
@@ -214,7 +215,10 @@ class FDSolver:
         r = self._r
         th = g.theta
 
-        Fv = self.spec.flux(self.state.boundary_var, t_now if t_now > 0 else g.dt * 1e-9)
+        V = self.state.boundary_var
+        Fv = self.spec.flux(V, t_now if t_now > 0 else g.dt * 1e-9)
+        if isinstance(Fv, complex):  # V ** n of a negative V: no real source
+            raise ArithmeticError(f"flux law is complex at V = {V:.6g}, t = {t_now:.6g}")
         source = -self.phi_vals * Fv
 
         rhs = np.empty_like(u)

@@ -36,9 +36,8 @@ __all__ = [
     "InitialProfile",
     "ProblemSpec",
     "TimeFunction",
-    "DerivedParams",
     "validate",
-    "derive_parameters",
+    "flux_rate",
     "separated_evaluators",
     "spec_from_dict",
 ]
@@ -330,16 +329,6 @@ class ProblemSpec:
         return ProblemSpec(self.phi, self.flux, self.h, Variant.P)
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Scalars the closed forms are built from; absent fields are None."""
-
-    gamma: float | None = None     # scale * nu * delta (separated, linear F)
-    c: float | None = None         # monomial forcing constant
-    p: int | None = None           # (m-1)/2 for odd m
-    rate: float | None = None      # flux exponent: -nu*lam, lam*sigma, -lam*delta, sigma - gamma
-
-
 # The shapes of the integral-representation family: lambda*x, -mu*sinh, -mu*sin.
 INTEGRAL_REP_SHAPES = (ShapeKind.LINEAR_X, ShapeKind.NEG_SINH, ShapeKind.NEG_SIN)
 
@@ -353,29 +342,24 @@ def monomial_forcing_constant(eta: float, m: float) -> float:
     return 2.0 ** (m - 1.0) * m * eta * gam / SQRT_PI
 
 
-def derive_parameters(spec: ProblemSpec) -> DerivedParams:
-    """Every derived scalar the closed forms need, from a validated spec."""
-    gamma = c = rate = None
-    p = None
-    phi, flux, h = spec.phi, spec.flux, spec.h
-    linear = flux.kind is FluxKind.LINEAR
-    if phi.kind is ShapeKind.LINEAR_X and linear:
-        rate = -(flux.nu * phi.lam)
-    if phi.kind is ShapeKind.NEG_SINH and linear:
-        sigma = phi.lam + flux.nu * phi.mu
-        rate = phi.lam * sigma
-    if phi.kind is ShapeKind.NEG_SIN and linear:
-        delta = phi.lam - flux.nu * phi.mu
-        rate = -(phi.lam * delta)
-    if phi.kind is ShapeKind.SCALED_SEPARABLE and linear:
-        gamma = phi.scale * flux.nu * phi.delta
-        rate = phi.sigma - gamma
-    # m = 0 (a companion-problem datum) has no forcing constant: Gamma(0)
-    if h.kind is ProfileKind.MONOMIAL and h.m != 0.0:
-        c = monomial_forcing_constant(h.eta, h.m)
-        if h.is_odd_monomial:
-            p = (int(h.m) - 1) // 2
-    return DerivedParams(gamma=gamma, c=c, p=p, rate=rate)
+def flux_rate(spec: ProblemSpec) -> float | None:
+    """b, the exponential rate of the flux under the linear law F = nu*V:
+    rho - nu*kappa for the integral-representation shapes, sigma - gamma with
+    gamma = scale*nu*delta for the separated one; None off the linear law and
+    for Phi = 1.  Each shape keeps its own operation order, which holds an
+    exactly resonant sine spec (lambda = nu*mu) at b = 0."""
+    phi, nu = spec.phi, spec.flux.nu
+    if spec.flux.kind is not FluxKind.LINEAR:
+        return None
+    if phi.kind is ShapeKind.LINEAR_X:
+        return -(nu * phi.lam)
+    if phi.kind is ShapeKind.NEG_SINH:
+        return phi.lam * (phi.lam + nu * phi.mu)
+    if phi.kind is ShapeKind.NEG_SIN:
+        return -(phi.lam * (phi.lam - nu * phi.mu))
+    if phi.kind is ShapeKind.SCALED_SEPARABLE:
+        return phi.sigma - phi.scale * nu * phi.delta
+    return None
 
 
 def validate(spec: ProblemSpec, closed_form: bool = False) -> list[str]:

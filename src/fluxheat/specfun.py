@@ -11,7 +11,6 @@ in closed form.  Everything here is a pure function of its arguments.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 __all__ = [
     "gamma_half",
@@ -28,11 +27,6 @@ _MAX_SERIES_TERMS = 600
 
 def _as_twice_integer(z) -> int:
     """Return 2*z as an int, or raise if z is not an integer or half-integer."""
-    if isinstance(z, Fraction):
-        twice = z * 2
-        if twice.denominator != 1:
-            raise ValueError(f"gamma_half requires an integer or half-integer, got {z}")
-        return int(twice)
     twice = 2.0 * float(z)
     if twice != round(twice):
         raise ValueError(f"gamma_half requires an integer or half-integer, got {z}")
@@ -45,7 +39,7 @@ def gamma_half(z) -> float:
     Built up from Gamma(1/2) = sqrt(pi) and Gamma(1) = 1 by repeated
     Gamma(w+1) = w*Gamma(w), with one float multiply per step, so the
     recurrence holds bitwise between neighbouring representable arguments.
-    Accepts int, float or Fraction arguments.
+    ``z`` is read as ``float(z)``.
     """
     twice = _as_twice_integer(z)
     if twice <= 0:

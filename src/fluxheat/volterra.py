@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -103,40 +102,39 @@ def kernel_eval(k: Kernel, t: float) -> float:
     return float(kernel_values(k, t))
 
 
-class ForcingKind(Enum):
-    POWER_LAW = "power_law"
-    QUADRATURE = "quadrature"
-
-
 @dataclass(frozen=True)
 class Forcing:
-    """Forcing V0(t) of the flux equation.
+    """Forcing V0(t) = c * t^exponent of the flux equation, (c, exponent) read
+    off a monomial profile; a ``quadrature`` forcing integrates the defining
+    Gaussian integral of h' instead."""
 
-    The power-law kind is c * t^exponent with exponent (m-1)/2; the
-    quadrature kind evaluates the defining Gaussian integral of h'.
-    """
+    profile: InitialProfile
+    quadrature: bool = False
 
-    kind: ForcingKind
-    c: float = 0.0
-    exponent: float = 0.0
-    profile: InitialProfile | None = None
+    @property
+    def c(self) -> float:
+        return monomial_forcing_constant(self.profile.eta, self.profile.m)
+
+    @property
+    def exponent(self) -> float:
+        """(m-1)/2."""
+        return (self.profile.m - 1.0) / 2.0
 
     @property
     def initial_value(self) -> float:
         """Limit of V0 (and of V) as t -> 0+."""
-        if self.kind is ForcingKind.POWER_LAW:
-            return self.c if self.exponent == 0.0 else 0.0
-        return self.profile.derivative(1e-300)
+        if self.quadrature:
+            return self.profile.derivative(1e-300)
+        return self.c if self.exponent == 0.0 else 0.0
 
 
 def forcing_for(h: InitialProfile, quadrature: bool = False) -> Forcing:
-    if quadrature or h.kind is not ProfileKind.MONOMIAL:
-        return Forcing(ForcingKind.QUADRATURE, profile=h)
-    return Forcing(
-        ForcingKind.POWER_LAW,
-        c=monomial_forcing_constant(h.eta, h.m),
-        exponent=(h.m - 1.0) / 2.0,
-    )
+    """The forcing of an initial profile; a quadrature one unless h is a monomial."""
+    return Forcing(h, quadrature or h.kind is not ProfileKind.MONOMIAL)
+
+
+# V0 = 1: eta = m = 1 gives c = 1.0 exactly.
+_UNIT_FORCING = forcing_for(InitialProfile(ProfileKind.MONOMIAL))
 
 
 def forcing_values(f: Forcing, t):
@@ -148,7 +146,7 @@ def forcing_values(f: Forcing, t):
 
     at all the nodes in one vector quadrature.
     """
-    if f.kind is ForcingKind.POWER_LAW:
+    if not f.quadrature:
         return f.c * t ** f.exponent
     h = f.profile
     integral = green.quad_semiinfinite_nodes(h.derivative, t, growth=h.growth_rate, tol=1e-12)
@@ -352,30 +350,29 @@ def solve_resolvent(
     terms, about 1e-15 even where V is many decades below its maximum, where
     a transform-based convolution errs relative to the whole vector.
     """
-    if f.kind is not ForcingKind.POWER_LAW:
+    if f.quadrature:
         raise ValueError("solve_resolvent requires a power-law forcing")
     p = f.exponent
     if p != int(p) or p < 0:
         raise ValueError(
             "solve_resolvent requires integer (m-1)/2; use solve_volterra instead"
         )
-    ones = Forcing(ForcingKind.POWER_LAW, c=1.0, exponent=0.0)
-    r = solve_volterra(k, ones, nu, t_end, n_steps)
+    r = solve_volterra(k, _UNIT_FORCING, nu, t_end, n_steps)
     t = r.t
     v = f.initial_value * r.values
     if p >= 1:
-        dt = r.step
+        dt, c = r.step, f.c
         q = int(p) - 1
         if q == 0:
-            d = np.full_like(t, f.c)
+            d = np.full_like(t, c)
         else:
-            d = f.c * p * t ** (p - 1.0)
+            d = c * p * t ** (p - 1.0)
         # sum_j d(t_i - t_j) r_j dt, less half of the j = 0 and j = i end terms
         sums, conv = r.values, 0.0
         for weight in _prefix_sum_weights(q):
             sums = np.cumsum(sums)
             conv = conv + weight * sums
-        conv *= f.c * p * dt ** q
+        conv *= c * p * dt ** q
         ends = d * r.values[0] + d[0] * r.values
         v[1:] += dt * (conv[1:] - 0.5 * ends[1:])
     return SampledTrajectory(t=t, values=v)

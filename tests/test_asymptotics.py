@@ -154,6 +154,17 @@ class TestControlClassification:
         spec = separated_spec(-1.0, 1.0, 1.0, 1.0, linear_law(1.0))  # gamma > 0
         assert control_classification(spec, x=1.0).ratio_limit.tag is LimitTag.ZERO
 
+    def test_lim_sv_ratio_reads_the_rounded_rate(self):
+        # gamma = scale*nu*delta = 1e-18 is below half an ulp of sigma = 1, so
+        # b = sigma - gamma = sigma and u/u0 = exp((b - sigma) t) is exactly 1
+        spec = separated_spec(1.0, 1.0, 1e-9, 1.0, linear_law(1e-9))
+        cc = control_classification(spec, x=1.0)
+        assert cc.ratio_limit == LimitClass.finite(1.0)
+        assert cc.u_limit.tag is LimitTag.PLUS_INFINITY
+        result = bench.run_case(spec, case_id="tiny-gamma", extra_checks=("control",))
+        ratio = next(r for r in result.records if r.name == "control_ratio")
+        assert result.passed and (ratio.lhs, ratio.rhs) == (0.5, 0.5)
+
     def test_power_law_equilibrium_constant(self):
         # the limit constant is the equilibrium of the T equation
         law = FluxLaw(FluxKind.POWER_LAW, n=0.0, f=TimeFunction.constant(1.0))

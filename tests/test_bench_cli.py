@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -606,6 +607,23 @@ class TestCli:
         assert cli.main(["convergence", cfg, "--out", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
         assert "[FAIL] c: convergence study fails numerically: " in captured.out
+        assert captured.err == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_convergence_complex_flux_exits_one_writes_nothing(self, tmp_path, capsys):
+        # under F = V^(1/2) f(t) the first step's discrete flux is negative on
+        # this coarse, wide grid, so the flux law turns complex
+        case = load_case("separated-power-nhalf")["case"]
+        ladder = {"L": 30.0, "t_end": 0.5, "nx": [16, 32, 64], "nt0": 16}
+        cfg = self.write(tmp_path, "config.json", {"id": "c", "case": case, "ladder": ladder})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning
+            assert cli.main(["convergence", cfg, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "[FAIL] c: convergence study fails numerically: "
+            "flux law is complex at V = -0.0203747, t = 0\n"
+        )
         assert captured.err == ""
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 

@@ -62,6 +62,17 @@ class TestSolverBasics:
         assert solution_grows(separated_spec(1.0, 1.0, 1.0, 1.0, linear_law(-1.0)))
         assert not solution_grows(separated_spec(-1.0, 1.0, 1.0, 1.0, linear_law(1.0)))
 
+    def test_complex_flux_raises_naming_v_and_t(self):
+        # F = V^(1/2) f(t) of a negative discrete flux is complex: no real source
+        spec = spec_from_dict(load_case("separated-power-nhalf")["case"])
+        g = Grid1D(L=30.0, nx=16, t_end=0.5, nt=16)
+        solver = FDSolver(spec, g, reference=solution_for(spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            with pytest.raises(ArithmeticError, match=r"^flux law is complex at V = -0\.0203747, t = 0$"):
+                solver.run()
+        assert len(solver.history) == 1  # the initial level's one-sided V < 0
+
     def test_zero_is_fixed_point(self):
         spec = ProblemSpec(linear_shape(), linear_law(1.0), monomial(0.0, 1))
         g = Grid1D(L=4.0, nx=32, t_end=0.2, nt=8)

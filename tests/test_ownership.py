@@ -3,8 +3,9 @@
 ``closed_form`` owns each control family's baseline ``u0`` (the field carries
 it) and each companion field's problem-P ``base``, ``asymptotics`` owns the
 probe ladders and the control setting, the field's provenance owns the
-integral-representation predicate and ``DerivedParams`` owns the rates;
-``bench`` reads them and re-derives none.  Within ``bench``, ``run_case``
+integral-representation predicate, ``problem.flux_rate`` owns the flux rate b
+and the Volterra forcing V0 = c t^p owns c and p; ``bench`` reads them and
+re-derives none.  Within ``bench``, ``run_case``
 alone owns the tolerances and builds the check records.
 """
 
@@ -141,9 +142,9 @@ def test_each_family_decision_has_one_owner():
     assert naming == {"asymptotics.py"}
     bench_src = (PACKAGE / "bench.py").read_text()
     assert not re.search(r"\bu0_(separable|quadratic)_closed\b", bench_src)
-    assert "derive_parameters" not in bench_src
+    assert "flux_rate" not in bench_src
     assert not hasattr(bench, "_control_evaluators") and not hasattr(bench, "_is_integral_rep")
-    # delta and gamma come from DerivedParams, not from a second formula
+    # delta and gamma come from flux_rate, not from a second formula
     asym_src = (PACKAGE / "asymptotics.py").read_text()
     assert not re.search(r"lam\s*-\s*nu\s*\*\s*mu", asym_src)
     assert not re.search(r"nu\s*\*\s*phi\.delta", asym_src)

@@ -27,12 +27,13 @@ from fluxheat.problem import (
     TimeFunction,
     Variant,
     config_id,
-    derive_parameters,
+    flux_rate,
     read_object,
     separated_evaluators,
     spec_from_dict,
     validate,
 )
+from fluxheat.volterra import forcing_for
 
 
 # one of each shape and profile kind, the separated ones on every sigma branch
@@ -221,34 +222,35 @@ class TestValidate:
         assert any("integrable" in v for v in validate(spec))
 
 
-class TestDeriveParameters:
+class TestFluxNumbers:
+    """b from ``flux_rate``; c and p from the forcing V0 = c t^p."""
+
     def test_sigma(self):
         # lam * sigma with sigma = lam + nu*mu
         spec = monomial_spec(sinh_shape(1.0, 1.0), 1.0, 1, nu=1.0)
-        assert derive_parameters(spec).rate == 2.0
+        assert flux_rate(spec) == 2.0
 
     def test_resonant_delta(self):
         spec = monomial_spec(sin_shape(2.0, 1.0), 1.0, 1, nu=2.0)
-        assert derive_parameters(spec).rate == 0.0
+        assert flux_rate(spec) == 0.0
 
     def test_forcing_constant_m3(self):
-        spec = monomial_spec(linear_shape(), 1.0, 3)
-        p = derive_parameters(spec)
-        assert p.c == pytest.approx(6.0, rel=1e-14)
-        assert p.p == 1
+        forcing = forcing_for(monomial(1.0, 3))
+        assert forcing.c == pytest.approx(6.0, rel=1e-14)
+        assert forcing.exponent == 1.0
 
     def test_forcing_constant_m1_is_eta(self):
-        spec = monomial_spec(linear_shape(), -2.5, 1)
-        assert derive_parameters(spec).c == pytest.approx(-2.5, rel=1e-14)
+        assert forcing_for(monomial(-2.5, 1)).c == pytest.approx(-2.5, rel=1e-14)
 
-    def test_absent_fields_are_none(self):
-        spec = monomial_spec(linear_shape(), 1.0, 3)
-        p = derive_parameters(spec)
-        assert p.gamma is None
+    def test_no_rate_off_the_linear_law_or_for_phi_one(self):
+        power = ProblemSpec(linear_shape(), FluxLaw(FluxKind.POWER_LAW, n=0.5), monomial(1.0, 3))
+        assert flux_rate(power) is None
+        assert flux_rate(monomial_spec(SourceShape(ShapeKind.CONSTANT_ONE), 1.0, 3)) is None
 
-    def test_gamma_separated(self):
+    def test_separated_rate(self):
+        # sigma - scale*nu*delta = 1 - 3*0.5*2
         spec = separated_spec(1.0, 2.0, 3.0, 1.0, linear_law(0.5))
-        assert derive_parameters(spec).gamma == pytest.approx(3.0)
+        assert flux_rate(spec) == -2.0
 
 
 class TestCompanionData:

@@ -3,7 +3,7 @@
 lambda*x, -mu*sinh(lambda*x) and -mu*sin(lambda*x) are eigenfunctions of the
 Dirichlet heat semigroup, so the kernel, the Green weight, the time factor and
 the flux rate all follow from ``SourceShape.semigroup`` and
-``DerivedParams.rate``.  The per-shape formulas the library used before are
+``problem.flux_rate``.  The per-shape formulas the library used before are
 kept here as oracles over the admissible box lambda, mu, nu in [0.01, 3],
 m in {1, 3, 5, 7}, including the resonant lines.  The shared code reproduces
 them bit for bit, except the flux coefficients: the one transfer-function
@@ -12,7 +12,6 @@ formula rounds differently, so off the catalog they agree to a few ulp.
 
 import math
 import re
-from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -33,19 +32,18 @@ from conftest import (
     sin_shape,
     sinh_shape,
 )
-from fluxheat import asymptotics, bench, closed_form, fd, green, volterra
+from fluxheat import asymptotics, bench, closed_form, fd, green, problem, volterra
 from fluxheat.asymptotics import ALGEBRAIC_LADDER, DEFAULT_LADDER, LimitClass
 from fluxheat.catalog import case_ids, load_case
 from fluxheat.closed_form import _separated_T, flux_closed_form, separated_solution
 from fluxheat.problem import (
-    DerivedParams,
     FluxKind,
     FluxLaw,
     ProblemSpec,
     ShapeKind,
     SourceShape,
     Variant,
-    derive_parameters,
+    flux_rate,
     spec_from_dict,
 )
 from fluxheat.specfun import exp_moment_parts
@@ -111,8 +109,8 @@ def oracle_flux_parts(spec):
     """(poly, exps) of the closed-form flux, one branch per shape."""
     phi, h, nu = spec.phi, spec.h, spec.flux.nu
     lam, mu = phi.lam, phi.mu
-    params = derive_parameters(spec)
-    c, p, m, eta = params.c, params.p, int(h.m), h.eta
+    forcing = volterra.forcing_for(h)
+    c, p, m, eta = forcing.c, int(forcing.exponent), int(h.m), h.eta
     if phi.kind is ShapeKind.LINEAR_X:
         a = nu * lam
         if p == 0:
@@ -320,7 +318,7 @@ class TestAgainstPerShapeFormulas:
     def test_separated_rate(self, sigma, delta, scale, nu):
         spec = separated_spec(sigma, delta, scale, 1.5, linear_law(nu))
         rate = sigma - scale * nu * delta
-        assert bits(derive_parameters(spec).rate) == bits(rate)
+        assert bits(flux_rate(spec)) == bits(rate)
         assert bits(separated_solution(spec).V.exps) == bits(((delta * 1.5, rate),))
         for t in (0.3, 2.0):
             assert outcome(_separated_T(spec), t) == outcome(
@@ -337,7 +335,7 @@ class TestAgainstTheMpmathReference:
         # the expanded form cancels near the resonant lines, so its error is
         # bounded by the size of its terms, not of V
         traj = flux_closed_form(spec, check=False)
-        b = derive_parameters(spec).rate
+        b = flux_rate(spec)
         for t in (0.5, 1.0, 2.0, 5.0):
             value = traj(t)
             if math.isinf(value):
@@ -385,7 +383,8 @@ def test_solution_grows_off_the_closed_form_family(kind, flux, m):
 def test_solution_grows_for_a_companion_datum_m0():
     # h = eta x^0 has no forcing constant (Gamma(0)); the rate needs none
     spec = monomial_spec(sin_shape(2.0, 1.0), 1.0, 0, variant=Variant.P_TILDE)
-    assert derive_parameters(spec).c is None
+    with pytest.raises(ValueError):
+        volterra.forcing_for(spec.h).c
     assert fd.solution_grows(spec) is False
     assert fd.solution_grows(monomial_spec(sinh_shape(), 1.0, 0, variant=Variant.P_TILDE))
 
@@ -427,13 +426,16 @@ def test_quadrature_kernel_meets_the_solvability_bound(shape):
 
 
 def test_only_problem_names_the_three_shapes():
-    # every other module reaches them through (kappa, rho) or DerivedParams.rate
+    # every other module reaches them through (kappa, rho) or flux_rate
     pattern = re.compile(r"ShapeKind\.(LINEAR_X|NEG_SINH|NEG_SIN)\b")
     package = Path(fluxheat.__file__).resolve().parent
     naming = {p.name for p in package.glob("*.py") if pattern.search(p.read_text())}
     assert naming <= {"problem.py"}
     assert not hasattr(closed_form, "_resonant_flux")
-    assert not {"sigma", "delta"} & {f.name for f in fields(DerivedParams)}
+    assert not any(
+        hasattr(fluxheat, name) or hasattr(problem, name) or hasattr(volterra, name)
+        for name in ("DerivedParams", "derive_parameters", "ForcingKind")
+    )
     assert not hasattr(fluxheat, "KernelKind") and not hasattr(volterra, "KernelKind")
     assert not hasattr(closed_form, "_PHI_PROVENANCE")
     # one provenance for the three shapes; the shape stays on field.spec.phi

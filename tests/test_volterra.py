@@ -15,12 +15,16 @@ from conftest import (
 from fluxheat import catalog, green, volterra
 from fluxheat.bench import CheckRecord
 from fluxheat.closed_form import ConstructionError, flux_closed_form
-from fluxheat.problem import InitialProfile, ProfileKind, spec_from_dict
+from fluxheat.problem import (
+    InitialProfile,
+    ProfileKind,
+    monomial_forcing_constant,
+    spec_from_dict,
+)
 from fluxheat.specfun import exp_moment
 from fluxheat.trajectory import ClosedFormTrajectory, SampledTrajectory
 from fluxheat.volterra import (
     Forcing,
-    ForcingKind,
     Kernel,
     forcing_eval,
     forcing_for,
@@ -90,6 +94,23 @@ class TestForcing:
         with pytest.raises(ValueError):
             forcing_eval(forcing_for(monomial(1.0, 1)), -1.0)
 
+    @pytest.mark.parametrize("m", [1, 3, 2.5])
+    @pytest.mark.parametrize("eta", [0.7, -2.5])
+    def test_constant_and_exponent_read_off_the_profile(self, eta, m):
+        f = forcing_for(monomial(eta, m))
+        assert f == Forcing(monomial(eta, m)) and not f.quadrature
+        assert f.c.hex() == monomial_forcing_constant(eta, m).hex()
+        assert f.exponent == (m - 1.0) / 2.0
+
+    def test_unit_forcing_is_exactly_one(self):
+        assert volterra._UNIT_FORCING.c == 1.0 and volterra._UNIT_FORCING.exponent == 0.0
+
+    def test_non_monomial_profile_takes_the_quadrature(self):
+        h = InitialProfile(ProfileKind.QUADRATIC, a=1.0)
+        assert forcing_for(h) == Forcing(h, quadrature=True)
+        with pytest.raises(ValueError, match="power-law forcing"):
+            solve_resolvent(kernel_for(linear_shape()), forcing_for(h), 1.0, 1.0, 8)
+
 
 class TestSolver:
     def test_m1_phi1_accuracy(self):
@@ -152,7 +173,7 @@ class TestSolver:
 class TestResolvent:
     def test_resolvent_kernel_phi1(self):
         k = kernel_for(linear_shape(1.0))
-        ones = Forcing(ForcingKind.POWER_LAW, c=1.0, exponent=0.0)
+        ones = Forcing(monomial(1.0, 1))
         r = solve_volterra(k, ones, 1.0, 2.0, 1000)
         assert np.max(np.abs(r.values - np.exp(-r.t))) <= 1e-6
 
@@ -223,7 +244,7 @@ def reference_solve(k, f, nu, t_end, n):
 
 def reference_resolvent(k, f, nu, t_end, n):
     """Resolvent form with one trapezoid rule per node."""
-    ones = Forcing(ForcingKind.POWER_LAW, c=1.0, exponent=0.0)
+    ones = Forcing(monomial(1.0, 1))
     r = reference_solve(k, ones, nu, t_end, n)
     t = np.linspace(0.0, t_end, n + 1)
     v = f.initial_value * r
@@ -322,7 +343,7 @@ def per_step_solve(k, f, nu, t_end, n):
 
 def convolve_resolvent(k, f, nu, t_end, n):
     """solve_resolvent with its convolution done by a direct np.convolve."""
-    ones = Forcing(ForcingKind.POWER_LAW, c=1.0, exponent=0.0)
+    ones = Forcing(monomial(1.0, 1))
     r = solve_volterra(k, ones, nu, t_end, n).values
     t = np.linspace(0.0, t_end, n + 1)
     p = f.exponent
@@ -598,7 +619,7 @@ class TestResidual:
 
     def test_zero_trajectory(self):
         zero = ClosedFormTrajectory(poly=(0.0,))
-        f = Forcing(ForcingKind.POWER_LAW, c=0.0, exponent=0.0)
+        f = Forcing(monomial(0.0, 1))
         res = volterra_residual(zero, kernel_for(linear_shape(1.0)), f, 1.0, [0.5, 1.0])
         assert res == 0.0
 
