@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .green import u0_quadratic_closed, u0_separable_closed
+from .green import quad_interval, u0_quadratic_closed, u0_separable_closed
 from .green import weighted_flux_integral as _weighted_flux_integral
 from .problem import (
     FluxKind,
@@ -165,13 +165,10 @@ def _separated_T(spec: ProblemSpec) -> Callable[[float], float]:
         def g1(t: float) -> float:
             if t == 0.0:
                 return eta
-            from scipy.integrate import quad
-
             integrand = lambda tau: f1(tau) * math.exp(  # noqa: E731
                 scale * delta * f2.antiderivative(tau) - sigma * tau
             )
-            val, _ = quad(integrand, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-            return eta - scale * val
+            return eta - scale * quad_interval(integrand, 0.0, t, 1e-12)
 
         return lambda t: g1(t) * math.exp(g2(t))
 
@@ -191,17 +188,7 @@ def _separated_T(spec: ProblemSpec) -> Callable[[float], float]:
                 return f.antiderivative(t)
             if f.constant_value is not None:
                 return f.constant_value * exp_moment(0, beta, t)
-            from scipy.integrate import quad
-
-            val, _ = quad(
-                lambda tau: f(tau) * math.exp(beta * tau),
-                0.0,
-                t,
-                epsabs=1e-12,
-                epsrel=1e-12,
-                limit=200,
-            )
-            return val
+            return quad_interval(lambda tau: f(tau) * math.exp(beta * tau), 0.0, t, 1e-12)
 
         def T(t: float) -> float:
             inner = eta ** (1.0 - n) + coef * weighted_f_integral(t)

@@ -283,7 +283,9 @@ def convergence_order(
     for self-convergence against the finest ladder member (grids must nest).
     Non-monotone errors set the degraded-confidence flag.  A ladder whose
     every max error is round-off, at most 1e-12 (1 + max |reference|), is
-    exact: it has no order (nan) and is not degraded.
+    exact: it has no order (nan) and is not degraded.  The L2 error is
+    sqrt(dx) |diff|, taken as max |diff| sqrt(dx) |diff / max |diff|| where
+    the squares overflow.
     """
     if len(grids) < 3:
         raise ValueError("need at least 3 grids to estimate an order")
@@ -310,8 +312,13 @@ def convergence_order(
             exact = np.array([reference.u(xi, g.t_end) for xi in x])
         ref_max = max(ref_max, float(np.max(np.abs(exact))))
         diff = u - exact
-        errors_max.append(float(np.max(np.abs(diff))))
-        errors_l2.append(float(math.sqrt(g.dx) * np.linalg.norm(diff)))
+        peak = float(np.max(np.abs(diff)))
+        errors_max.append(peak)
+        with np.errstate(over="ignore"):
+            l2 = float(math.sqrt(g.dx) * np.linalg.norm(diff))
+        if math.isinf(l2) and math.isfinite(peak):  # the squares overflow: scale by the peak
+            l2 = peak * float(math.sqrt(g.dx) * np.linalg.norm(diff / peak))
+        errors_l2.append(l2)
         dxs.append(g.dx)
         dts.append(g.dt)
 

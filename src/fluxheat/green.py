@@ -8,11 +8,12 @@ with K the fundamental solution of the heat equation.  All the semi-infinite
 integrals of the explicit-solution machinery (baseline solution, Volterra
 kernel and forcing, the inner integrals of the solution representation) are
 evaluated here by adaptive quadrature on a truncated interval:
-``quad_semiinfinite`` for one integral (QUADPACK through ``scipy``, imported
-where it is called, so that no other path loads it), and
+``quad_semiinfinite`` for one integral, through ``quad_interval``, the one
+QUADPACK entry (``scipy``, imported where it is called), and
 ``quad_semiinfinite_nodes`` for a whole node vector of Gaussian-weighted
 integrals, an adaptive GK21 rule batched over panels and nodes that makes one
-vectorised integrand call per refinement round.
+vectorised integrand call per refinement round.  Both hold every estimate to
+one bound, 50 tol (1 + |value|).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "green_eval",
     "green_integrand",
     "QuadratureError",
+    "quad_interval",
     "quad_semiinfinite",
     "quad_semiinfinite_nodes",
     "baseline_u0",
@@ -105,7 +107,7 @@ _GK21_ROUNDOFF = 50.0 * np.finfo(float).eps  # QUADPACK's round-off floor per un
 
 # Equal panels that quad_semiinfinite_nodes starts from, their left ends in
 # panel widths (times upper / panels, np.linspace(0, upper, panels + 1)[:-1]
-# to the bit), and its panel limit (the subinterval limit quad_semiinfinite
+# to the bit), and its panel limit (the subinterval limit quad_interval
 # passes to quad).
 _FIRST_PANELS = 4
 _FIRST_LEFT = np.arange(_FIRST_PANELS)
@@ -166,6 +168,31 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
 
 
+def _within_bound(estimate, value, tol):
+    """The one estimate bound of both engines; elementwise, false for a nan."""
+    return estimate <= 50.0 * tol * (1.0 + abs(value))
+
+
+def quad_interval(
+    integrand: Callable[[float], float], a: float, b: float, tol: float, points=None
+) -> float:
+    """int_a^b integrand by QUADPACK's adaptive Gauss-Kronrod rule.
+
+    Absolute-plus-relative tolerance ``tol``, at most 400 subintervals,
+    breakpoints ``points`` inside (a, b).  Raises :class:`QuadratureError`
+    when the error estimate misses the bound 50 tol (1 + |value|).
+    """
+    from scipy.integrate import quad
+
+    value, estimate = quad(
+        integrand, a, b, epsabs=tol, epsrel=tol, limit=_MAX_PANELS, points=points
+    )
+    if not _within_bound(estimate, value, tol):
+        message = f"quadrature over [{a:.6g}, {b:.6g}] reached {estimate:.3e}, wanted {tol:.3e}"
+        raise QuadratureError(message, value, estimate)
+    return value
+
+
 def quad_semiinfinite(
     integrand: Callable[[float], float],
     center: float,
@@ -181,27 +208,15 @@ def quad_semiinfinite(
 
         max(center, 0) + 2*growth*tvar + 2*W*sqrt(tvar)
 
-    with W = 8, which keeps the discarded tail below 1e-16 of the mass.
-    Adaptive Gauss-Kronrod refinement to absolute-plus-relative tolerance
-    ``tol``; raises :class:`QuadratureError` when the estimate stays above it.
+    with W = 8, which keeps the discarded tail below 1e-16 of the mass, and
+    taken by :func:`quad_interval` with a breakpoint at an inner center.
     """
-    from scipy.integrate import quad
-
     if tvar <= 0.0:
         raise ValueError("quad_semiinfinite requires tvar > 0")
     upper = max(center, 0.0) + 2.0 * max(growth, 0.0) * tvar
     upper += 2.0 * _TRUNCATION_W * math.sqrt(tvar)
     points = [center] if 0.0 < center < upper else None
-    value, estimate = quad(
-        integrand, 0.0, upper, epsabs=tol, epsrel=tol, limit=400, points=points
-    )
-    if estimate > 50.0 * tol * (1.0 + abs(value)):
-        raise QuadratureError(
-            f"semi-infinite quadrature reached {estimate:.3e}, wanted {tol:.3e}",
-            value,
-            estimate,
-        )
-    return value
+    return quad_interval(integrand, 0.0, upper, tol, points=points)
 
 
 def quad_semiinfinite_nodes(
@@ -269,7 +284,7 @@ def quad_semiinfinite_nodes(
         left = np.concatenate([left, left + half])  # the two halves of each split panel
         half = 0.5 * np.concatenate([half, half])
 
-    met = estimate <= 50.0 * tol * (1.0 + np.abs(value))
+    met = _within_bound(estimate, value, tol)
     if not met.all():
         first = int(np.argmin(met))  # first node that misses its bound
         raise QuadratureError(
@@ -310,12 +325,16 @@ def baseline_u0(h: InitialProfile, x: float, t: float, tol: float = 1e-11) -> fl
         raise ValueError("baseline_u0 requires t >= 0")
     if t == 0.0:
         return h(x)
+    return _green_quad(x, t, 0.0, h.evaluators()[0], h.growth_rate, tol)
+
+
+def _green_quad(
+    x: float, t: float, tau: float, weight: Callable[[float], float], growth: float, tol: float
+) -> float:
+    """int_0^inf G(x, t, xi, tau) weight(xi) dxi, for a weight growing at
+    most like exp(growth xi)."""
     return quad_semiinfinite(
-        green_integrand(x, t, 0.0, h.evaluators()[0]),
-        center=x,
-        tvar=t,
-        growth=h.growth_rate,
-        tol=tol,
+        green_integrand(x, t, tau, weight), center=x, tvar=t - tau, growth=growth, tol=tol
     )
 
 
@@ -372,13 +391,7 @@ def verify_identity_phi(
         raise ValueError("verify_identity_phi requires 0 <= tau < t")
     _, rho = shape.semigroup
     phi = shape.evaluators()[0]
-    lhs = quad_semiinfinite(
-        green_integrand(x, t, tau, phi),
-        center=x,
-        tvar=t - tau,
-        growth=shape.growth_rate,
-        tol=tol,
-    )
+    lhs = _green_quad(x, t, tau, phi, shape.growth_rate, tol)
     rhs = math.exp(rho * (t - tau)) * phi(x)
     return lhs, rhs, abs(lhs - rhs)
 
@@ -412,23 +425,11 @@ def assemble_integral_representation(
         time_int = weighted_flux_integral(spec.phi.semigroup[1], V, t)
         return u0 - nu * spec.phi(x) * time_int
 
-    from scipy.integrate import quad
-
     phi = spec.phi.evaluators()[0]
 
     def inner(tau: float) -> float:
         if tau >= t:
             return phi(x) * float(V(t))
-        return (
-            quad_semiinfinite(
-                green_integrand(x, t, tau, phi),
-                center=x,
-                tvar=t - tau,
-                growth=spec.phi.growth_rate,
-                tol=tol,
-            )
-            * float(V(tau))
-        )
+        return _green_quad(x, t, tau, phi, spec.phi.growth_rate, tol) * float(V(tau))
 
-    time_int, _ = quad(inner, 0.0, t, epsabs=tol * 10, epsrel=tol * 10, limit=200)
-    return u0 - nu * time_int
+    return u0 - nu * quad_interval(inner, 0.0, t, tol * 10)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import IntegrationWarning, solve_ivp
 
 from conftest import (
     linear_law,
@@ -17,6 +17,7 @@ from conftest import (
 from fluxheat import bench, catalog, closed_form
 from fluxheat import volterra as vol
 from fluxheat.fd import pde_residual
+from fluxheat.green import QuadratureError
 from fluxheat.closed_form import (
     ConstructionError,
     Provenance,
@@ -156,6 +157,24 @@ class TestSeparated:
         )
         comps = separated_components(spec)
         assert comps.T(30.0) == 0.0
+
+    def test_power_law_short_quadrature_is_a_recorded_reason(self):
+        # f = 1 + sin(1e5 t) oscillates too fast for 400 subintervals at 1e-12
+        f = TimeFunction(
+            lambda t: 1.0 + math.sin(1e5 * t),
+            lambda t: t + (1.0 - math.cos(1e5 * t)) / 1e5,
+            "1 + sin(1e5 t)",
+        )
+        spec = separated_spec(0.5, 1.0, 1.0, 1.0, FluxLaw(FluxKind.POWER_LAW, n=0.5, f=f))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            with pytest.raises(QuadratureError) as info:
+                separated_components(spec).T(2.0)
+            assert info.value.estimate > 50 * 1e-12 * (1 + abs(info.value.value))
+            result = bench.run_case(spec, case_id="short-T")
+        assert not result.passed
+        assert result.reason.startswith("quadrature over [0, ")
+        assert result.reason.endswith("wanted 1.000e-12")
 
     def test_power_law_requires_positive_data(self):
         law = FluxLaw(FluxKind.POWER_LAW, n=0.5, f=TimeFunction.constant(1.0))

@@ -172,6 +172,21 @@ class TestAccuracy:
             assert row["degraded"] == "0"
             assert math.isnan(float(row["order_max"])) and math.isnan(float(row["order_l2"]))
 
+    def test_overflowing_l2_error_is_scaled_by_the_peak(self):
+        # errors near 1e291 square past the double range; the plain norm read inf
+        cfg = load_case("stationary-quadratic")
+        case = {**cfg["case"], "flux": {"kind": "constant", "nu": 1e306}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in the norm
+            lines, ok = bench.convergence({"case": case, "ladder": {"nx": [16, 32, 64]}})
+        assert ok
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        for row in rows:
+            error_max, error_l2 = float(row["error_max"]), float(row["error_l2"])
+            assert math.isfinite(error_l2)
+            # sqrt(dx) |diff| lies between sqrt(dx) max|diff| and sqrt(L + dx) max|diff|
+            assert math.sqrt(float(row["dx"])) * error_max <= error_l2 <= 3.0 * error_max
+
     def test_needs_three_grids(self):
         spec = monomial_spec(linear_shape(1.0), 1.0, 1)
         ref = integral_rep_solution(spec)

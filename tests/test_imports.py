@@ -31,10 +31,10 @@ def test_no_module_imports_scipy_signal():
 
 
 def test_volterra_and_fd_paths_load_no_scipy():
-    # scipy is imported where it runs (scalar QUADPACK quadrature, the
-    # separated family's solve_ivp cross-check, the affine and power-law T
-    # quadratures) and process pools only for a parallel sweep, so a cold
-    # start of the Volterra and FD paths pays for neither
+    # scipy is imported where it runs (green.quad_interval, the one QUADPACK
+    # entry, and the separated family's solve_ivp cross-check) and process
+    # pools only for a parallel sweep, so a cold start of the Volterra and FD
+    # paths pays for neither
     code = """
 import sys
 import fluxheat, fluxheat.bench, fluxheat.cli

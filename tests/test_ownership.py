@@ -150,6 +150,28 @@ def test_each_family_decision_has_one_owner():
     assert not re.search(r"nu\s*\*\s*phi\.delta", asym_src)
 
 
+def test_scipy_has_one_quadrature_entry_and_one_bound():
+    # scipy's QUADPACK through green.quad_interval alone, its ODE solver
+    # through the T cross-check alone; every quadrature estimate meets one bound
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+                    if isinstance(node, ast.ImportFrom):
+                        names = [node.module or ""]
+                    if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                        importers.add(f"{path.stem}.{fn.name}")
+        top = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+        assert not any("scipy" in ast.unparse(n) for n in top), path.name
+    assert importers == {"green.quad_interval", "bench._t_ode_solution"}
+    green_src = (PACKAGE / "green.py").read_text()
+    assert len(re.findall(r"50(\.0)?\s*\*\s*tol", green_src)) == 1
+    assert "scipy" not in (PACKAGE / "closed_form.py").read_text()
+
+
 def test_bench_builds_a_field_only_per_case_and_per_reference():
     # a companion case's checks read the field's base instead of building it again
     tree = ast.parse((PACKAGE / "bench.py").read_text())
