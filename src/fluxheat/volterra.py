@@ -17,7 +17,9 @@ against sign errors in the closed forms).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,22 +183,65 @@ def solve_volterra(
     expression for the power law, one vector quadrature for the quadrature
     kind.  A vector quadrature makes one vectorised integrand call per GK21
     refinement round (see ``green.quad_semiinfinite_nodes``).
+
+    Neither quadrature table depends on nu, so each is memoised per value of
+    (kernel or forcing, t_end, n_steps) in a bounded cache: a repeated
+    quadrature table costs one hash and one lookup instead of
+    O(n * panels * 21) integrand evaluations, whatever nu or the other half
+    of the equation.  A repeated quadrature-kernel solve is then the O(n^2)
+    substitution alone.
+
+    Raises ``ValueError`` unless nu and t_end are finite and positive and
+    n_steps is an integer >= 2.
     """
-    if nu <= 0.0:
-        raise ValueError("solve_volterra requires nu > 0")
-    if t_end <= 0.0:
-        raise ValueError("solve_volterra requires t_end > 0")
+    try:
+        n_steps = operator.index(n_steps)
+    except TypeError:
+        raise ValueError(f"solve_volterra requires an integer n_steps, not {n_steps!r}") from None
+    if not (math.isfinite(nu) and nu > 0.0):
+        raise ValueError(f"solve_volterra requires finite nu > 0, not {nu!r}")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"solve_volterra requires finite t_end > 0, not {t_end!r}")
     if n_steps < 2:
         raise ValueError("solve_volterra requires n_steps >= 2")
+    t = _grid(t_end, n_steps)
     dt = t_end / n_steps
-    t = np.arange(n_steps + 1) * dt  # np.linspace(0, t_end, n_steps + 1) to the bit
-    t[-1] = t_end
-    forcing = forcing_values(f, t[1:])
+    if f.quadrature:
+        forcing = _forcing_table(f, t_end, n_steps)
+    else:
+        forcing = forcing_values(f, t[1:])
     if k.quadrature:
-        v = _solve_tabulated(k, f.initial_value, forcing, nu, t, dt)
+        v = _solve_tabulated(_kernel_table(k, t_end, n_steps), f.initial_value, forcing, nu, dt)
     else:
         v = _solve_separable(k, f.initial_value, forcing, nu, t, dt)
     return SampledTrajectory(t=t, values=v)
+
+
+def _grid(t_end: float, n_steps: int) -> np.ndarray:
+    """The n + 1 nodes t_i = i * t_end / n, the last exactly t_end: a fresh array."""
+    t = np.arange(n_steps + 1) * (t_end / n_steps)  # np.linspace(0, t_end, n_steps + 1) to the bit
+    t[-1] = t_end
+    return t
+
+
+# The quadrature tables of a grid, memoised per value of the kernel or
+# forcing and the grid, the idiom of ``closed_form._time_factor``: at most 32
+# tables of 8(n + 1) bytes each per cache.  Each table is read-only, since
+# every later solve on that grid shares it.
+@functools.lru_cache(maxsize=32, typed=True)
+def _kernel_table(k: Kernel, t_end: float, n_steps: int) -> np.ndarray:
+    """R on the n + 1 grid offsets t_0 ... t_n of a quadrature kernel."""
+    r = kernel_values(k, _grid(t_end, n_steps))
+    r.setflags(write=False)
+    return r
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _forcing_table(f: Forcing, t_end: float, n_steps: int) -> np.ndarray:
+    """V0 on the grid nodes t_1 ... t_n of a quadrature forcing."""
+    forcing = forcing_values(f, _grid(t_end, n_steps)[1:])
+    forcing.setflags(write=False)
+    return forcing
 
 
 # Steps per block of the recurrence scan of _solve_separable (and rows per
@@ -284,9 +329,9 @@ def _linear_scan(a_powers: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve_tabulated(
-    k: Kernel, v0: float, forcing: np.ndarray, nu: float, t: np.ndarray, dt: float
+    r: np.ndarray, v0: float, forcing: np.ndarray, nu: float, dt: float
 ) -> np.ndarray:
-    """Trapezoid steps for a kernel tabulated once on the grid offsets t_k.
+    """Trapezoid steps for a kernel tabulated on the grid offsets t_k, R_k = r[k].
 
     Step i of the trapezoid rule reads
 
@@ -297,10 +342,9 @@ def _solve_tabulated(
     :func:`_toeplitz_forward_substitution` from its first column: O(n^2)
     flops and no per-step loop.
     """
-    r = kernel_values(k, t)
     column = nu * dt * r[:-1]
     column[0] = 1.0 + nu * 0.5 * dt * float(r[0])
-    v = np.empty(len(t))
+    v = np.empty(len(r))
     v[0] = v0
     v[1:] = _toeplitz_forward_substitution(column, forcing - nu * 0.5 * dt * r[1:] * v0)
     return v

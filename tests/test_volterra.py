@@ -1,8 +1,12 @@
+import dataclasses
 import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     linear_shape,
@@ -18,6 +22,8 @@ from fluxheat.closed_form import ConstructionError, flux_closed_form
 from fluxheat.problem import (
     InitialProfile,
     ProfileKind,
+    ShapeKind,
+    SourceShape,
     monomial_forcing_constant,
     spec_from_dict,
 )
@@ -159,15 +165,36 @@ class TestSolver:
         res = volterra_residual(traj, k, f, 1.0, [0.25, 0.5, 1.0])
         assert res <= 5e-4
 
-    def test_domain_errors(self):
+    @pytest.mark.parametrize("solve", [solve_volterra, solve_resolvent])
+    @pytest.mark.parametrize(
+        "nu, t_end, n_steps",
+        [
+            (-1.0, 1.0, 100),
+            (math.nan, 1.0, 100),  # nan <= 0 is false: an all-nan flux unchecked
+            (math.inf, 1.0, 100),
+            (1.0, -1.0, 100),
+            (1.0, math.inf, 100),
+            (1.0, math.nan, 100),
+            (1.0, 1.0, 1),
+            (1.0, 2.0, 8.5),  # unchecked: 10 nodes, the last step short, a finite wrong flux
+            (1.0, 2.0, 8.0),
+            (1.0, 2.0, "8"),
+        ],
+        ids=["nu-neg", "nu-nan", "nu-inf", "t-neg", "t-inf", "t-nan", "n-one",
+             "n-fraction", "n-float", "n-str"],
+    )
+    def test_domain_errors(self, solve, nu, t_end, n_steps):
         k = kernel_for(linear_shape(1.0))
         f = forcing_for(monomial(1.0, 1))
         with pytest.raises(ValueError):
-            solve_volterra(k, f, -1.0, 1.0, 100)
-        with pytest.raises(ValueError):
-            solve_volterra(k, f, 1.0, -1.0, 100)
-        with pytest.raises(ValueError):
-            solve_volterra(k, f, 1.0, 1.0, 1)
+            solve(k, f, nu, t_end, n_steps)
+
+    def test_integer_like_n_steps(self):
+        k, f = kernel_for(linear_shape(1.0)), forcing_for(monomial(1.0, 3))
+        want = solve_volterra(k, f, 1.0, 2.0, 8)
+        got = solve_volterra(k, f, 1.0, 2.0, np.int64(8))
+        assert got.t.tobytes() == want.t.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestResolvent:
@@ -260,6 +287,26 @@ def rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+@pytest.fixture
+def cold_tables():
+    """Both quadrature-table caches emptied, so the test sees every table built."""
+    volterra._kernel_table.cache_clear()
+    volterra._forcing_table.cache_clear()
+
+
+def counting_quadrature(monkeypatch):
+    """The node count of every vector quadrature from now on, in call order."""
+    sizes = []
+    vector = green.quad_semiinfinite_nodes
+
+    def counting(integrand, tvars, **kwargs):
+        sizes.append(np.size(tvars))
+        return vector(integrand, tvars, **kwargs)
+
+    monkeypatch.setattr(green, "quad_semiinfinite_nodes", counting)
+    return sizes
+
+
 class TestFastPathsMatchReference:
     @pytest.mark.parametrize("m", [1, 3, 5])
     @pytest.mark.parametrize(
@@ -297,7 +344,7 @@ class TestFastPathsMatchReference:
         got = solve_resolvent(k, f, 1.0, 2.0, 200).values
         assert rel_diff(got, reference_resolvent(k, f, 1.0, 2.0, 200)) <= 1e-12
 
-    def test_quadrature_kernel_tabulated_once(self, monkeypatch):
+    def test_quadrature_kernel_tabulated_once(self, monkeypatch, cold_tables):
         # one vector quadrature per table, and no per-node quadrature at all
         def per_node(*args, **kwargs):
             raise AssertionError("per-node quadrature inside a solve")
@@ -317,6 +364,172 @@ class TestFastPathsMatchReference:
         f = forcing_for(monomial(1.0, 3), quadrature=True)
         solve_volterra(k, f, 1.0, 1.5, 16)
         assert sorted(sizes) == [16, 16 + 1]  # forcing nodes, kernel offsets
+
+
+class TestTableMemo:
+    """The quadrature tables are memoised per value of (kernel or forcing, t_end, n_steps)."""
+
+    def quad_pair(self, lam=1.0):
+        return (
+            kernel_for(sin_shape(lam, 2.0), quadrature=True),
+            forcing_for(monomial(1.0, 3), quadrature=True),
+        )
+
+    def test_repeat_with_equal_objects_does_no_quadrature(self, monkeypatch, cold_tables):
+        k, f = self.quad_pair()
+        first = solve_volterra(k, f, 1.0, 1.5, 16)
+        sizes = counting_quadrature(monkeypatch)
+        k2, f2 = self.quad_pair()
+        assert k2 is not k and f2 is not f
+        again = solve_volterra(k2, f2, 0.3, 1.5, 16)  # nu is no part of a table
+        assert sizes == []
+        assert again.values.tobytes() != first.values.tobytes()
+        assert solve_volterra(k2, f2, 1.0, 1.5, 16).values.tobytes() == first.values.tobytes()
+        assert sizes == []
+
+    def test_forcing_table_shared_across_kernels(self, monkeypatch, cold_tables):
+        k, f = self.quad_pair()
+        solve_volterra(k, f, 1.0, 1.5, 16)
+        sizes = counting_quadrature(monkeypatch)
+        solve_volterra(kernel_for(linear_shape(2.0), quadrature=True), f, 1.0, 1.5, 16)
+        assert sizes == [16 + 1]  # the new kernel's offsets only
+        solve_volterra(kernel_for(linear_shape(2.0)), f, 1.0, 1.5, 16)
+        assert sizes == [16 + 1]
+
+    def test_resolvent_shares_the_kernel_table(self, monkeypatch, cold_tables):
+        k, _ = self.quad_pair()
+        solve_resolvent(k, forcing_for(monomial(1.0, 3)), 1.0, 1.5, 16)
+        sizes = counting_quadrature(monkeypatch)
+        solve_resolvent(k, forcing_for(monomial(0.5, 5)), 2.0, 1.5, 16)
+        assert sizes == []
+
+    @pytest.mark.parametrize(
+        "lam, t_end, n, want",
+        [(1.0, 1.25, 16, [16, 17]), (1.0, 1.5, 20, [20, 21]), (1.5, 1.5, 16, [17])],
+        ids=["t_end", "n_steps", "shape"],
+    )
+    def test_other_key_misses(self, monkeypatch, cold_tables, lam, t_end, n, want):
+        k, f = self.quad_pair()
+        solve_volterra(k, f, 1.0, 1.5, 16)
+        sizes = counting_quadrature(monkeypatch)
+        solve_volterra(self.quad_pair(lam)[0], f, 1.0, t_end, n)
+        assert sorted(sizes) == want
+
+    def test_tables_are_read_only(self):
+        k, f = self.quad_pair()
+        for table in (volterra._kernel_table(k, 1.5, 16), volterra._forcing_table(f, 1.5, 16)):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+    def test_mutating_a_trajectory_leaves_later_solves(self):
+        k, f = self.quad_pair()
+        first = solve_volterra(k, f, 1.0, 1.5, 16)
+        t_bytes, v_bytes = first.t.tobytes(), first.values.tobytes()
+        first.t[:] = math.nan
+        first.values[:] = math.nan
+        again = solve_volterra(k, f, 1.0, 1.5, 16)
+        assert again.t.flags.writeable and again.values.flags.writeable
+        assert (again.t.tobytes(), again.values.tobytes()) == (t_bytes, v_bytes)
+
+    def test_solved_objects_still_pickle(self):
+        # the memo lives in the module, keyed by value: nothing is stored on k or f
+        k, f = self.quad_pair()
+        solve_volterra(k, f, 1.0, 1.5, 16)
+        assert pickle.loads(pickle.dumps((k, f))) == (k, f)
+
+    def test_caches_are_bounded(self):
+        for table, make in (
+            (volterra._kernel_table, lambda i: kernel_for(linear_shape(1.0 + i), quadrature=True)),
+            (volterra._forcing_table, lambda i: forcing_for(monomial(1.0 + i, 3), quadrature=True)),
+        ):
+            maxsize = table.cache_parameters()["maxsize"]
+            for i in range(maxsize + 5):
+                table(make(i), 1.0, 2)
+            assert table.cache_info().currsize <= maxsize
+
+
+# Fields a table may read, drawn with both signed zeros where the admissible
+# box holds 0 (separated sigma, quadratic nu and a, the companion's m = 0, and
+# every field the kind ignores), and with whole numbers that a twin holds as int.
+_signed_zeros = st.sampled_from([0.0, -0.0])
+_whole = st.integers(1, 3).map(float)
+
+
+def _rate(lo, hi):
+    return st.floats(lo, hi) | _whole
+
+
+def _free():
+    return _signed_zeros | st.floats(-2.0, 2.0)
+
+
+def _nonzero():
+    return st.floats(0.25, 2.0) | st.floats(-2.0, -0.25) | _whole
+
+
+@st.composite
+def quadrature_kernels(draw):
+    kind = draw(st.sampled_from(list(ShapeKind)))
+    fields = dict(lam=draw(_free()), mu=draw(_free()), sigma=draw(_free()),
+                  delta=draw(_free()), scale=draw(_free()))
+    if kind in (ShapeKind.LINEAR_X, ShapeKind.NEG_SINH, ShapeKind.NEG_SIN):
+        fields["lam"] = draw(_rate(0.25, 1.5))
+    if kind in (ShapeKind.NEG_SINH, ShapeKind.NEG_SIN):
+        fields["mu"] = draw(_rate(0.25, 2.0))
+    if kind is ShapeKind.SCALED_SEPARABLE:
+        fields.update(delta=draw(_nonzero()), scale=draw(_nonzero()))
+    return Kernel(SourceShape(kind, **fields), quadrature=True)
+
+
+@st.composite
+def quadrature_forcings(draw):
+    kind = draw(st.sampled_from(list(ProfileKind)))
+    fields = dict(eta=draw(_free()), m=draw(_free()), a=draw(_free()), nu=draw(_free()),
+                  sigma=draw(_free()), delta=draw(_free()))
+    if kind is ProfileKind.MONOMIAL:
+        fields.update(eta=draw(_nonzero()), m=draw(_signed_zeros | _rate(1.0, 5.0)))
+    if kind is ProfileKind.SCALED_SEPARABLE:
+        fields.update(eta=draw(_nonzero()), delta=draw(_nonzero()))
+    return Forcing(InitialProfile(kind, **fields), quadrature=True)
+
+
+def _twin(obj):
+    """An equal copy of a kernel or forcing with every zero field's sign flipped
+    and every whole-number field held as an int."""
+    data = obj.shape if isinstance(obj, Kernel) else obj.profile
+    flipped = {}
+    for field in dataclasses.fields(data):
+        value = getattr(data, field.name)
+        if isinstance(value, float) and value == 0.0:
+            flipped[field.name] = -value
+        elif isinstance(value, float) and value.is_integer():
+            flipped[field.name] = int(value)
+    data = dataclasses.replace(data, **flipped)
+    twin = Kernel(data, quadrature=True) if isinstance(obj, Kernel) else Forcing(data, quadrature=True)
+    assert twin == obj and twin is not obj
+    return twin
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.tuples(st.just("kernel"), quadrature_kernels()),
+        st.tuples(st.just("forcing"), quadrature_forcings()),
+    ),
+    st.floats(0.25, 2.0),
+    st.integers(2, 24),
+)
+def test_warm_table_equals_cold_bit_for_bit(drawn, t_end, n):
+    which, obj = drawn
+    table = volterra._kernel_table if which == "kernel" else volterra._forcing_table
+    twin = _twin(obj)
+    table.cache_clear()
+    table(obj, t_end, n)
+    warm = table(twin, t_end, n)  # a hit on the entry obj made
+    assert table.cache_info().hits == 1
+    table.cache_clear()
+    cold = table(twin, t_end, n)
+    assert warm.tobytes() == cold.tobytes()
 
 
 def per_step_solve(k, f, nu, t_end, n):
