@@ -20,6 +20,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -582,23 +583,14 @@ def sweep(
 # convergence
 
 
-class _PolyBaselineRef:
-    """Reference for source-free diffusion of an odd monomial profile."""
-
-    def __init__(self, h):
-        self.h = h
-
-    def u(self, x, t):
-        return closed_form.baseline_u0_polynomial(self.h, x, t)
-
-
 def _reference_for(spec: ProblemSpec, kind: str):
     if kind == "self":
         return "self"
     if kind != "closed_form":
         raise SchemaError(f"unknown reference kind {kind!r}")
     if spec.flux.kind is FluxKind.ZERO and spec.h.is_odd_monomial and spec.h.m > 1.0:
-        return _PolyBaselineRef(spec.h)
+        # source-free diffusion of an odd monomial profile
+        return SimpleNamespace(u=functools.partial(closed_form.baseline_u0_polynomial, spec.h))
     return closed_form.solution_for(spec)
 
 

@@ -80,7 +80,6 @@ class TimeFunction:
 
     fn: Callable[[float], float]
     antiderivative: Callable[[float], float]
-    description: str = "custom"
     locally_integrable: bool = True
     constant_value: float | None = None  # set by constant() only
 
@@ -89,9 +88,7 @@ class TimeFunction:
 
     @staticmethod
     def constant(value: float) -> "TimeFunction":
-        return TimeFunction(
-            lambda t: value, lambda t: value * t, f"const({value})", constant_value=value
-        )
+        return TimeFunction(lambda t: value, lambda t: value * t, constant_value=value)
 
     @staticmethod
     def polynomial(coeffs: list[float]) -> "TimeFunction":
@@ -103,7 +100,7 @@ class TimeFunction:
         def anti(t: float) -> float:
             return sum(c * t ** (j + 1) / (j + 1) for j, c in enumerate(cs))
 
-        return TimeFunction(fn, anti, f"poly({cs})")
+        return TimeFunction(fn, anti)
 
     @staticmethod
     def exponential(amplitude: float, rate: float) -> "TimeFunction":
@@ -112,7 +109,6 @@ class TimeFunction:
         return TimeFunction(
             lambda t: amplitude * math.exp(rate * t),
             lambda t: amplitude * (math.exp(rate * t) - 1.0) / rate,
-            f"exp({amplitude},{rate})",
         )
 
 

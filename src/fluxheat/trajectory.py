@@ -139,23 +139,23 @@ class SampledTrajectory:
     def step(self) -> float:
         return float(self.t[1] - self.t[0])
 
-    def _samples_to(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The sample times up to t, with t itself appended, and V there."""
+    def _trapezoid_to(self, t: float, weight) -> float:
+        """Trapezoidal int_0^t weight(tau) V(tau) dtau over the sample times up
+        to t, with t itself appended and V interpolated there; ``weight`` maps
+        those times to the weights at them."""
         mask = self.t <= t + 1e-15
         ts = self.t[mask]
         vs = self.values[mask]
         if ts[-1] < t - 1e-12:
             ts = np.append(ts, t)
             vs = np.append(vs, self(t))
-        return ts, vs
+        return float(np.trapezoid(vs * weight(ts), ts))
 
     def weighted_integral(self, rate: float, t: float) -> float:
         """Trapezoidal int_0^t V(tau) exp(rate*tau) dtau on the sample grid."""
-        ts, vs = self._samples_to(t)
-        return float(np.trapezoid(vs * np.exp(rate * ts), ts))
+        return self._trapezoid_to(t, lambda ts: np.exp(rate * ts))
 
     def decay_weighted_integral(self, b: float, t: float) -> float:
         """Trapezoidal exp(-b*t) int_0^t V(tau) exp(b*tau) dtau, pre-scaled as
         ``ClosedFormTrajectory.decay_weighted_integral`` is."""
-        ts, vs = self._samples_to(t)
-        return float(np.trapezoid(vs * np.exp(-b * (t - ts)), ts))
+        return self._trapezoid_to(t, lambda ts: np.exp(-b * (t - ts)))

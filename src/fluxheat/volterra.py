@@ -32,7 +32,7 @@ from .problem import (
     monomial_forcing_constant,
 )
 from .specfun import exp_moment
-from .trajectory import ClosedFormTrajectory, SampledTrajectory
+from .trajectory import SampledTrajectory
 
 __all__ = [
     "Kernel",
@@ -407,10 +407,7 @@ def solve_resolvent(
     if p >= 1:
         dt, c = r.step, f.c
         q = int(p) - 1
-        if q == 0:
-            d = np.full_like(t, c)
-        else:
-            d = c * p * t ** (p - 1.0)
+        d = c * p * t ** (p - 1.0)
         # sum_j d(t_i - t_j) r_j dt, less half of the j = 0 and j = i end terms
         sums, conv = r.values, 0.0
         for weight in _prefix_sum_weights(q):
@@ -438,19 +435,13 @@ def _prefix_sum_weights(q: int) -> list[int]:
 
 
 def _convolution(k: Kernel, traj, t: float) -> float:
-    """int_0^t R(t - tau) V(tau) dtau; exact for closed-form trajectories,
-    kappa times the representation's time factor ``weighted_flux_integral``."""
-    if isinstance(traj, ClosedFormTrajectory):
-        kappa, rho = k.exp_parts
-        return green.weighted_flux_integral(rho, traj, t, factor=kappa)
-    ts = np.asarray(traj.t)
-    mask = ts <= t + 1e-15
-    ts = ts[mask]
-    vs = np.asarray(traj.values)[mask]
-    if len(ts) < 2:
-        return 0.0
-    kern = kernel_values(k, np.maximum(t - ts, 0.0))
-    return float(np.trapezoid(kern * vs, ts))
+    """int_0^t R(t - tau) V(tau) dtau: kappa times the time factor
+    ``weighted_flux_integral`` for an analytic kernel, the trapezoid rule over
+    a sampled flux up to t for a quadrature kernel."""
+    if k.quadrature and isinstance(traj, SampledTrajectory):
+        return traj._trapezoid_to(t, lambda ts: kernel_values(k, t - ts))
+    kappa, rho = k.exp_parts  # ValueError for a quadrature kernel of a closed-form flux
+    return green.weighted_flux_integral(rho, traj, t, factor=kappa)
 
 
 def volterra_residual(traj, k: Kernel, f: Forcing, nu: float, t_samples) -> float:

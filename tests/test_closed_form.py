@@ -128,8 +128,8 @@ class TestSeparated:
         assert comps.T(1.0) == pytest.approx(3 / math.e - 1, rel=1e-14)
 
     def test_power_law_constant_test_is_structural(self):
-        # a non-constant f labelled "const(...)" must not take the constant path
-        f = TimeFunction(lambda t: 1.0 + t, lambda t: t + 0.5 * t * t, "const(1.0)")
+        # a non-constant f must not take the constant path, which only constant() opens
+        f = TimeFunction(lambda t: 1.0 + t, lambda t: t + 0.5 * t * t)
         spec = separated_spec(-1.0, 1.0, 1.0, 2.0, FluxLaw(FluxKind.POWER_LAW, n=0.0, f=f))
         comps = separated_components(spec)
         sol = solve_ivp(
@@ -163,7 +163,6 @@ class TestSeparated:
         f = TimeFunction(
             lambda t: 1.0 + math.sin(1e5 * t),
             lambda t: t + (1.0 - math.cos(1e5 * t)) / 1e5,
-            "1 + sin(1e5 t)",
         )
         spec = separated_spec(0.5, 1.0, 1.0, 1.0, FluxLaw(FluxKind.POWER_LAW, n=0.5, f=f))
         with warnings.catch_warnings():

@@ -14,8 +14,10 @@ their ids, grids, ladders and parts mutated as well, and require exit code
 0, 1 or 2 from ``fluxheat sweep`` and ``fluxheat convergence``.
 """
 
+import collections
 import contextlib
 import copy
+import itertools
 import json
 import math
 import signal
@@ -201,6 +203,58 @@ def test_every_case_ends_as_a_result_or_a_schema_error(drawn):
         except SchemaError:
             return
     assert isinstance(result, CaseResult)
+
+
+# ---------------------------------------------------------------------------
+# Every JSON kind combination at one parameter point, 300 specs: each is
+# verified, refused by validate, or ends with reasons from this list, each
+# naming a family or a closed-form requirement the library lacks.  A change
+# that verifies a family takes its reasons off the list; a reason not on it
+# fails the test.  The list only shrinks.
+
+MISSING_FAMILY_REASONS = {
+    "constant law requires Phi == 1 and h'' = nu",
+    "separated family requires Phi = scale*X and h = eta*X",
+    "closed-form flux requires Phi in {lambda*x, -mu*sinh, -mu*sin}",
+    "closed-form flux requires the linear law F = nu*V",
+    "closed-form flux requires a monomial profile",
+    "m must be odd for polynomial flux",
+    # quoted, with the requirements above, by companion specs with m = 0
+    "compatibility violated: h(0+) must be 0",
+    "monomial exponent m must be >= 1",
+}
+FLUX_SETTINGS = (
+    {"kind": "zero"},
+    {"kind": "constant"},
+    {"kind": "linear"},
+    {"kind": "power_law", "n": 0.5},
+    {"kind": "power_law", "n": 0.0},
+)
+PROFILES = tuple({"kind": "monomial", "m": m} for m in (0, 1, 2, 3)) + (
+    {"kind": "quadratic"},
+    {"kind": "scaled_separable"},
+)
+
+
+def test_every_kind_combination_is_verified_refused_or_a_listed_reason():
+    tally, reasons = collections.Counter(), set()
+    for phi, flux, h, variant in itertools.product(
+        KINDS["phi"], FLUX_SETTINGS, PROFILES, ("P", "PTilde")
+    ):
+        case = {"phi": {"kind": phi}, "flux": flux, "h": h, "variant": variant}
+        result = run_case(case, case_id="kinds")
+        if result.violations:
+            tally["refused"] += 1
+        elif result.reason is None:
+            assert result.passed, (case, [r for r in result.records if not r.passed])
+            tally["verified"] += 1
+        else:
+            parts = set(result.reason.split("; "))
+            assert parts <= MISSING_FAMILY_REASONS, (case, result.reason)
+            reasons |= parts
+            tally["reason"] += 1
+    assert reasons == MISSING_FAMILY_REASONS  # a reason no spec gives leaves the list
+    assert tally["verified"] >= 30 and tally["reason"] <= 183, tally
 
 
 # ---------------------------------------------------------------------------

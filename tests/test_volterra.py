@@ -903,20 +903,45 @@ class TestResidual:
         assert res <= 5e-6
 
     def test_sampled_residual_quadrature_kernel_matches_per_node(self):
-        # a trajectory off the solution, so the residual is O(1), not roundoff
+        # a trajectory off the solution, so the residual is O(1), not roundoff;
+        # s = 0.5 and 1.0 fall between nodes, where the integral runs on from
+        # the last node to s itself
         k = kernel_for(sin_shape(1.0, 2.0), quadrature=True)
         f = forcing_for(monomial(1.0, 3))
         t = np.linspace(0.0, 1.5, 17)
         traj = SampledTrajectory(t=t, values=np.cos(t))
-        samples = [0.5, 1.0, 1.5]
-        want = 0.0
-        for s in samples:
-            ts = t[t <= s + 1e-15]
+        for s in [0.5, 1.0, 1.5]:
+            ts = np.append(t[t < s - 1e-12], s)
+            vs = np.append(np.cos(ts[:-1]), traj(s))
             kern = [kernel_eval(k, s - u) if s - u > 0 else kernel_eval(k, 1e-12) for u in ts]
-            conv = float(np.trapezoid(np.array(kern) * np.cos(ts), ts))
-            want = max(want, abs(float(traj(s)) - forcing_eval(f, s) + conv))
-        got = volterra_residual(traj, k, f, 1.0, samples)
-        assert got == pytest.approx(want, rel=1e-12)
+            conv = float(np.trapezoid(np.array(kern) * vs, ts))
+            want = abs(float(traj(s)) - forcing_eval(f, s) + conv)
+            assert volterra_residual(traj, k, f, 1.0, [s]) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["ir-phi1-m3", "ir-phi2-m3", "ir-phi3-m3-dpos"])
+    def test_sampled_residual_between_nodes(self, case):
+        # the convolution runs up to t itself, not to the node before it:
+        # stopping at the node left 1.2e-2 to 7.5e-2 at these midpoints
+        spec = spec_from_dict(catalog.load_case(case)["case"])
+        k, f, nu = kernel_for(spec.phi), forcing_for(spec.h), spec.flux.nu
+        traj = solve_volterra(k, f, nu, 2.0, 400)
+        nodes = (100, 200, 300)
+        midpoints = [float(traj.t[i]) + 0.5 * traj.step for i in nodes]
+        assert volterra_residual(traj, k, f, nu, midpoints) <= 5e-4
+        # at a node, the trapezoid of kappa e^{rho (t - tau)} V over the nodes
+        kappa, rho = k.exp_parts
+        scale = float(np.max(np.abs(traj.values)))
+        for i in nodes + (400,):
+            s, ts, vs = float(traj.t[i]), traj.t[: i + 1], traj.values[: i + 1]
+            conv = float(np.trapezoid(kappa * np.exp(rho * (s - ts)) * vs, ts))
+            want = abs(float(traj.values[i]) - forcing_eval(f, s) + nu * conv)
+            assert abs(volterra_residual(traj, k, f, nu, [s]) - want) <= 1e-12 * scale
+
+    def test_quadrature_kernel_of_a_closed_form_flux_is_refused(self):
+        spec = monomial_spec(sin_shape(1.0, 2.0), 1.0, 3)
+        k = kernel_for(spec.phi, quadrature=True)
+        with pytest.raises(ValueError, match="no exponential form"):
+            volterra_residual(flux_closed_form(spec), k, forcing_for(spec.h), 1.0, [0.5])
 
 
 class TestSampledTrajectory:
