@@ -639,6 +639,12 @@ def convergence(config: dict) -> tuple[list[str], bool]:
         for nx in nxs
     ]
     reference = _reference_for(spec, ladder.get("reference", "closed_form"))
+    loose = [nx for nx in nxs[:-1] if nxs[-1] % nx]
+    if reference == "self" and loose:
+        # each rung is compared with the finest at its own nodes
+        raise SchemaError(
+            f"a 'self' ladder needs every rung to divide the finest, nx={nxs[-1]}; {loose} do not"
+        )
 
     result = fd.convergence_order(spec, grids, reference, far_field=far_field)
 

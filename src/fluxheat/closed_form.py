@@ -25,7 +25,6 @@ from enum import Enum
 from typing import Callable
 
 from .green import quad_interval, u0_quadratic_closed, u0_separable_closed
-from .green import weighted_flux_integral as _weighted_flux_integral
 from .problem import (
     FluxKind,
     InitialProfile,
@@ -347,7 +346,7 @@ def _time_factor(spec: ProblemSpec, traj) -> Callable[[float], float]:
 
     @functools.lru_cache(maxsize=8, typed=True)
     def weighted(t: float) -> float:
-        return _weighted_flux_integral(rho, traj, t)
+        return traj.weighted_flux_integral(rho, t)
 
     return weighted
 
@@ -399,6 +398,8 @@ def tilde_solution(spec: ProblemSpec) -> SolutionField:
     """
     if spec.variant is not Variant.P_TILDE:
         raise ConstructionError("tilde_solution expects a companion-problem spec")
+    if spec.h.kind is ProfileKind.MONOMIAL and spec.h.m == 0.0:
+        raise ConstructionError("companion closed forms require m > 0: h = eta has no problem-P twin")
     base = solution_for(spec.as_p())
     return SolutionField(
         u=base.ux, V=base.V, provenance=base.provenance, spec=spec, base=base

@@ -42,7 +42,6 @@ __all__ = [
     "u0_quadratic_closed",
     "u0_separable_closed",
     "verify_identity_phi",
-    "weighted_flux_integral",
     "assemble_integral_representation",
 ]
 
@@ -359,25 +358,6 @@ def u0_separable_closed(h: InitialProfile, x: float, t: float) -> float:
     return h(x) * math.exp(h.sigma * t)
 
 
-def weighted_flux_integral(rho: float, V, t: float, factor: float = 1.0) -> float:
-    """factor * W(t), W(t) = int_0^t exp(rho (t - tau)) V(tau) dtau with the
-    Green weight exp(rho (t - tau)) of a shape, rho = 0 or +-lambda^2 from
-    ``SourceShape.semigroup``.
-
-    nu Phi(x) W(t) is the source part of u (``factor`` = 1), kappa W(t) the
-    memory term of the flux equation (``factor`` = kappa).  The product is
-    (factor * exp(rho t)) * int_0^t exp(-rho tau) V dtau, or the pre-scaled
-    form where -rho t > 30 and that integral would overflow.  Raises
-    ``OverflowError`` naming the time factor and t where exp(rho t), or in
-    the pre-scaled form the flux's own exp(r t), leaves the double range.
-    """
-    if t == 0.0:
-        return 0.0
-    if -rho * t > 30.0:
-        return factor * V.decay_weighted_integral(-rho, t)
-    return factor * specfun.time_factor(rho, t) * V.weighted_integral(-rho, t)
-
-
 def verify_identity_phi(
     shape: SourceShape, x: float, t: float, tau: float, tol: float = 1e-12
 ) -> tuple[float, float, float]:
@@ -411,7 +391,7 @@ def assemble_integral_representation(
 
     The fast path replaces the inner integral by its closed Green weight and
     takes the time factor the integral-representation field uses
-    (:func:`weighted_flux_integral`); the slow oracle path (``slow=True``)
+    (``V.weighted_flux_integral``); the slow oracle path (``slow=True``)
     performs the raw double quadrature.
     """
     nu = spec.flux.nu
@@ -422,7 +402,7 @@ def assemble_integral_representation(
         return u0
 
     if not slow:
-        time_int = weighted_flux_integral(spec.phi.semigroup[1], V, t)
+        time_int = V.weighted_flux_integral(spec.phi.semigroup[1], t)
         return u0 - nu * spec.phi(x) * time_int
 
     phi = spec.phi.evaluators()[0]

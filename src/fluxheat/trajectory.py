@@ -3,7 +3,8 @@
 Closed-form trajectories carry exactly the polynomial-plus-exponential
 structure of the explicit flux formulas, so time integrals weighted by
 exponentials evaluate exactly through :func:`fluxheat.specfun.exp_moment`.
-Sampled trajectories come out of the numeric solvers.
+Sampled trajectories come out of the numeric solvers.  Each kind computes
+its own time factor W(t) with the Green weight, ``weighted_flux_integral``.
 """
 
 from __future__ import annotations
@@ -87,30 +88,36 @@ class ClosedFormTrajectory:
             total += amp * exp_moment(0, rate + r, t)
         return total
 
-    def decay_weighted_integral(self, b: float, t: float) -> float:
-        """Exact exp(-b*t) * int_0^t V(tau) exp(b*tau) dtau, b > 0.
+    def weighted_flux_integral(self, rho: float, t: float, factor: float = 1.0) -> float:
+        """factor * W(t), W(t) = int_0^t exp(rho (t - tau)) V(tau) dtau, exact.
 
-        Evaluated in pre-scaled form so it stays finite for arbitrarily large
-        b*t, where the plain weighted integral would overflow.  Used with
-        b*t large; near t = 0 prefer ``weighted_integral``.
+        nu Phi(x) W(t) is the source part of u (``factor`` = 1), kappa W(t) the
+        memory term of the flux equation (``factor`` = kappa).  Where -rho t >
+        30 the plain (factor * exp(rho t)) * int_0^t exp(-rho tau) V dtau would
+        overflow, so the sum is pre-scaled.  ``OverflowError`` names the time
+        factor and t where exp(rho t), or in the pre-scaled sum the flux's own
+        exp(r t), leaves the double range.
         """
         if t == 0.0:
             return 0.0
-        total = 0.0
-        for j, coef in enumerate(self.poly):
-            if coef != 0.0:
-                q, const = exp_moment_parts(j, b)
-                val = 0.0
-                for k in range(len(q) - 1, -1, -1):
-                    val = val * t + q[k]
-                total += coef * (val + const * math.exp(-b * t))
-        for amp, r in self.exps:
-            s = b + r
-            if s == 0.0:
-                total += amp * t * math.exp(-b * t)
-            else:
-                total += amp * (time_factor(r, t) - math.exp(-b * t)) / s
-        return total
+        if -rho * t > 30.0:
+            b = -rho
+            total = 0.0
+            for j, coef in enumerate(self.poly):
+                if coef != 0.0:
+                    q, const = exp_moment_parts(j, b)
+                    val = 0.0
+                    for k in range(len(q) - 1, -1, -1):
+                        val = val * t + q[k]
+                    total += coef * (val + const * math.exp(-b * t))
+            for amp, r in self.exps:
+                s = b + r
+                if s == 0.0:
+                    total += amp * t * math.exp(-b * t)
+                else:
+                    total += amp * (time_factor(r, t) - math.exp(-b * t)) / s
+            return factor * total
+        return factor * time_factor(rho, t) * self.weighted_integral(-rho, t)
 
 
 @dataclass(frozen=True)
@@ -151,11 +158,8 @@ class SampledTrajectory:
             vs = np.append(vs, self(t))
         return float(np.trapezoid(vs * weight(ts), ts))
 
-    def weighted_integral(self, rate: float, t: float) -> float:
-        """Trapezoidal int_0^t V(tau) exp(rate*tau) dtau on the sample grid."""
-        return self._trapezoid_to(t, lambda ts: np.exp(rate * ts))
-
-    def decay_weighted_integral(self, b: float, t: float) -> float:
-        """Trapezoidal exp(-b*t) int_0^t V(tau) exp(b*tau) dtau, pre-scaled as
-        ``ClosedFormTrajectory.decay_weighted_integral`` is."""
-        return self._trapezoid_to(t, lambda ts: np.exp(-b * (t - ts)))
+    def weighted_flux_integral(self, rho: float, t: float, factor: float = 1.0) -> float:
+        """factor * the trapezoid of exp(rho (t - tau)) V(tau) over the samples
+        up to t, for either sign of rho."""
+        time_factor(rho, t)  # the largest weight: OverflowError past the double range
+        return factor * self._trapezoid_to(t, lambda ts: np.exp(rho * (t - ts)))

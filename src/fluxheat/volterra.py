@@ -435,13 +435,13 @@ def _prefix_sum_weights(q: int) -> list[int]:
 
 
 def _convolution(k: Kernel, traj, t: float) -> float:
-    """int_0^t R(t - tau) V(tau) dtau: kappa times the time factor
+    """int_0^t R(t - tau) V(tau) dtau: kappa times the flux's time factor
     ``weighted_flux_integral`` for an analytic kernel, the trapezoid rule over
     a sampled flux up to t for a quadrature kernel."""
     if k.quadrature and isinstance(traj, SampledTrajectory):
         return traj._trapezoid_to(t, lambda ts: kernel_values(k, t - ts))
     kappa, rho = k.exp_parts  # ValueError for a quadrature kernel of a closed-form flux
-    return green.weighted_flux_integral(rho, traj, t, factor=kappa)
+    return traj.weighted_flux_integral(rho, t, factor=kappa)
 
 
 def volterra_residual(traj, k: Kernel, f: Forcing, nu: float, t_samples) -> float:

@@ -199,21 +199,30 @@ class TestControlClassification:
         assert field.u(1.0, 60.0) == 0.0
 
     @pytest.mark.parametrize(
-        "sigma, nu, n, u_tag, ratio_tag",
+        "sigma, nu, n, delta, scale, u_tag, ratio_tag",
         [
-            (1.0, -0.25, 0.05, LimitTag.PLUS_INFINITY, LimitTag.FINITE),
-            (0.0, -0.25, 0.5, LimitTag.PLUS_INFINITY, LimitTag.PLUS_INFINITY),
-            (-1.0, -0.25, 0.5, LimitTag.FINITE, LimitTag.PLUS_INFINITY),
-            (0.0, 0.25, 0.0, LimitTag.MINUS_INFINITY, LimitTag.MINUS_INFINITY),
-            (1.0, -0.25, 0.5, LimitTag.PLUS_INFINITY, LimitTag.FINITE),
-            (-1.0, -0.25, 0.0, LimitTag.FINITE, LimitTag.PLUS_INFINITY),
+            (1.0, -0.25, 0.05, 1.0, 1.0, LimitTag.PLUS_INFINITY, LimitTag.FINITE),
+            (0.0, -0.25, 0.5, 1.0, 1.0, LimitTag.PLUS_INFINITY, LimitTag.PLUS_INFINITY),
+            (-1.0, -0.25, 0.5, 1.0, 1.0, LimitTag.FINITE, LimitTag.PLUS_INFINITY),
+            (0.0, 0.25, 0.0, 1.0, 1.0, LimitTag.MINUS_INFINITY, LimitTag.MINUS_INFINITY),
+            (1.0, -0.25, 0.5, 1.0, 1.0, LimitTag.PLUS_INFINITY, LimitTag.FINITE),
+            (-1.0, -0.25, 0.0, 1.0, 1.0, LimitTag.FINITE, LimitTag.PLUS_INFINITY),
+            # delta, scale and sigma off +-1 tell k = scale nu delta^n and
+            # T* = (k/sigma)^(1/(1-n)) from their reciprocals
+            (-0.6, -0.4, 0.5, 2.0, 0.7, LimitTag.FINITE, LimitTag.PLUS_INFINITY),
+            (0.8, -0.25, 0.05, 1.7, 1.3, LimitTag.PLUS_INFINITY, LimitTag.FINITE),
         ],
-        ids=["growth", "sigma0-growth", "settles-on-T*", "sigma0-n0-falls", "growth-n-half", "n0-settles"],
+        ids=[
+            "growth", "sigma0-growth", "settles-on-T*", "sigma0-n0-falls", "growth-n-half",
+            "n0-settles", "settles-delta-scale", "growth-delta-scale",
+        ],
     )
-    def test_power_law_classes_agree_with_the_probe(self, sigma, nu, n, u_tag, ratio_tag):
+    def test_power_law_classes_agree_with_the_probe(
+        self, sigma, nu, n, delta, scale, u_tag, ratio_tag
+    ):
         # nu < 0 feeds T, which never quenches; at sigma = n = 0, T = eta - nu t
         case = {
-            "phi": {"kind": "scaled_separable", "sigma": sigma, "delta": 1.0, "scale": 1.0},
+            "phi": {"kind": "scaled_separable", "sigma": sigma, "delta": delta, "scale": scale},
             "flux": {"kind": "power_law", "nu": nu, "n": n},
             "h": {"kind": "scaled_separable", "eta": 1.0},
         }

@@ -563,6 +563,11 @@ class TestCli:
                 {"case": base_case(), "ladder": {"nx": [64, 128, 256], "nt0": 1e300}},
                 "ladder rung nx=64 exceeds the 10^7 limit",
             ),
+            (
+                "convergence",
+                {"case": base_case(), "ladder": {"nx": [8, 16, 33], "reference": "self"}},
+                "a 'self' ladder needs every rung to divide the finest, nx=33; [8, 16] do not",
+            ),
         ],
         ids=[
             "grid-value-not-a-list",
@@ -587,7 +592,7 @@ class TestCli:
             "bare-case-variant", "h-kind", "h-no-kind", "run-no-case", "run-case-list",
             "run-unknown", "sweep-no-base", "sweep-base-list", "sweep-grid-list", "sweep-unknown",
             "convergence-no-ladder", "convergence-no-case", "convergence-ladder-number",
-            "ladder-unknown", "ladder-over-the-cap",
+            "ladder-unknown", "ladder-over-the-cap", "ladder-not-nested",
         ],
     )
     def test_malformed_config_exit_two(self, tmp_path, capsys, monkeypatch, command, payload, message):

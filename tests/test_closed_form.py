@@ -14,7 +14,7 @@ from conftest import (
     sin_shape,
     sinh_shape,
 )
-from fluxheat import bench, catalog, closed_form
+from fluxheat import bench, catalog
 from fluxheat import volterra as vol
 from fluxheat.fd import pde_residual
 from fluxheat.green import QuadratureError
@@ -24,7 +24,6 @@ from fluxheat.closed_form import (
     _time_factor,
     _u0_coeffs,
     _u0_dx_sum,
-    _weighted_flux_integral,
     baseline_u0_polynomial,
     flux_closed_form,
     integral_rep_solution,
@@ -420,7 +419,7 @@ def uncached_u(spec, traj, x, t):
     base = 0.0
     for coef, k, power in _u0_coeffs(spec.h):
         base += coef * (4.0 * t) ** k * x ** power
-    weighted = _weighted_flux_integral(spec.phi.semigroup[1], traj, t)
+    weighted = traj.weighted_flux_integral(spec.phi.semigroup[1], t)
     return base - spec.flux.nu * spec.phi(x) * weighted
 
 
@@ -429,7 +428,7 @@ def uncached_v(spec, traj, x, t):
     for coef, k, power in _u0_coeffs(spec.h):
         if power >= 1:
             base += coef * (4.0 * t) ** k * power * x ** (power - 1)
-    weighted = _weighted_flux_integral(spec.phi.semigroup[1], traj, t)
+    weighted = traj.weighted_flux_integral(spec.phi.semigroup[1], t)
     return base - spec.flux.nu * spec.phi.derivative(x) * weighted
 
 
@@ -454,17 +453,28 @@ class TestTimeFactorOncePerT:
     def test_pde_residual_computes_five_time_factors(self, monkeypatch):
         spec = monomial_spec(sin_shape(2.0, 1.0), 0.8, 3)
         calls = []
-        real = closed_form._weighted_flux_integral
+        real = ClosedFormTrajectory.weighted_flux_integral
 
-        def counting(rho, V, t):
+        def counting(V, rho, t, factor=1.0):
             calls.append(t)
-            return real(rho, V, t)
+            return real(V, rho, t, factor)
 
-        monkeypatch.setattr(closed_form, "_weighted_flux_integral", counting)
-        field = integral_rep_solution(spec)
+        field = integral_rep_solution(spec)  # its flux check calls the method too
+        monkeypatch.setattr(ClosedFormTrajectory, "weighted_flux_integral", counting)
         pde_residual(field, spec, 0.7, 0.9, delta=1e-3)
         # u is called 9 times at the 5 stencil times t, t +- d, t +- d/2
         assert len(calls) == 5 and len(set(calls)) == 5
+
+
+def test_pre_scaled_time_factor_matches_the_plain_form():
+    # -rho t > 30 takes the pre-scaled sum, whose exp(r t) - exp(-b t) term
+    # dominates for a flux rate r = -0.99 near -b = -1; the plain form
+    # exp(rho t) * int_0^t exp(-rho tau) V dtau is still finite at these t
+    V = ClosedFormTrajectory(poly=(0.0,), exps=((1.0, -0.99),))
+    rho = -1.0
+    for t in (31.0, 45.0, 60.0):
+        plain = math.exp(rho * t) * V.weighted_integral(-rho, t)
+        assert V.weighted_flux_integral(rho, t) == pytest.approx(plain, rel=1e-12)
 
 
 def catalog_trajectories():

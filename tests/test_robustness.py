@@ -219,9 +219,7 @@ MISSING_FAMILY_REASONS = {
     "closed-form flux requires the linear law F = nu*V",
     "closed-form flux requires a monomial profile",
     "m must be odd for polynomial flux",
-    # quoted, with the requirements above, by companion specs with m = 0
-    "compatibility violated: h(0+) must be 0",
-    "monomial exponent m must be >= 1",
+    "companion closed forms require m > 0: h = eta has no problem-P twin",
 }
 FLUX_SETTINGS = (
     {"kind": "zero"},

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -954,10 +955,20 @@ class TestSampledTrajectory:
         t = np.linspace(0, 2, 4001)
         traj = SampledTrajectory(t=t, values=np.exp(-t))
         closed = ClosedFormTrajectory(poly=(0.0,), exps=((1.0, -1.0),))
-        for rate in (-0.5, 0.0, 1.0):
-            a = traj.weighted_integral(rate, 2.0)
-            b = closed.weighted_integral(rate, 2.0)
-            assert a == pytest.approx(b, abs=5e-7)
+        # rho = -20 takes the closed form's pre-scaled branch at t = 2 (-rho t = 40)
+        for rho in (0.5, 0.0, -1.0, -20.0):
+            for t_end, factor in ((2.0, 1.0), (1.3, -0.7)):
+                a = traj.weighted_flux_integral(rho, t_end, factor=factor)
+                b = closed.weighted_flux_integral(rho, t_end, factor=factor)
+                assert a == pytest.approx(b, abs=5e-7)
+
+    def test_weighted_integral_overflow_names_the_time_factor(self):
+        t = np.linspace(0, 2, 401)
+        traj = SampledTrajectory(t=t, values=np.exp(-t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"time factor exp\(400 t\) overflows at t = 2"):
+                traj.weighted_flux_integral(400.0, 2.0)
 
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
