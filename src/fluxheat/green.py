@@ -13,11 +13,14 @@ QUADPACK entry (``scipy``, imported where it is called), and
 ``quad_semiinfinite_nodes`` for a whole node vector of Gaussian-weighted
 integrals, an adaptive GK21 rule batched over panels and nodes that makes one
 vectorised integrand call per refinement round.  Both hold every estimate to
-one bound, 50 tol (1 + |value|).
+one bound, 50 tol (1 + |value|).  The Green quadrature of a profile's or a
+source shape's own function at a point, which the baseline and the G Phi
+identity check take, is memoised per value of its arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -315,16 +318,16 @@ def _gk21(f: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def baseline_u0(h: InitialProfile, x: float, t: float, tol: float = 1e-11) -> float:
     """Source-free baseline u0(x,t) = int_0^inf G(x,t,xi,0) h(xi) dxi.
 
-    At t = 0 the integral degenerates to h(x).  The Green constants and h's
-    evaluator are bound once per quadrature (:func:`green_integrand`), not
-    at every point; the integral-representation fields of ``closed_form``
-    likewise compute their time factor once per distinct t.
+    At t = 0 the integral degenerates to h(x).  For t > 0 the quadrature is
+    memoised per value of (h, x, t, tol) (:func:`_green_quad_of`): it depends
+    on no other part of a spec, so a profile that recurs at the same point,
+    in another case or at another nu, costs one lookup.
     """
     if t < 0.0:
         raise ValueError("baseline_u0 requires t >= 0")
     if t == 0.0:
         return h(x)
-    return _green_quad(x, t, 0.0, h.evaluators()[0], h.growth_rate, tol)
+    return _green_quad_of(h, x, t, 0.0, tol)
 
 
 def _green_quad(
@@ -335,6 +338,23 @@ def _green_quad(
     return quad_semiinfinite(
         green_integrand(x, t, tau, weight), center=x, tvar=t - tau, growth=growth, tol=tol
     )
+
+
+# The Green quadrature of a profile's or a shape's own function, memoised per
+# value of (data, x, t, tau, tol) as ``volterra._kernel_table`` is: a hit
+# returns the float the same call returned, and a raising call stores
+# nothing.  ``typed`` keeps a float and a numpy scalar apart, and callers
+# pass every argument by position, so one value has one key.  One catalog
+# pass asks for 58 distinct keys; an LRU cache smaller than a cyclic working
+# set never hits, hence 256.  The slow oracle's inner per-tau quadrature is
+# not memoised: its hundreds of tau per call do not recur and would evict
+# the keys that do.
+@functools.lru_cache(maxsize=256, typed=True)
+def _green_quad_of(
+    data: InitialProfile | SourceShape, x: float, t: float, tau: float, tol: float
+) -> float:
+    """int_0^inf G(x, t, xi, tau) f(xi) dxi for the function f of ``data``."""
+    return _green_quad(x, t, tau, data.evaluators()[0], data.growth_rate, tol)
 
 
 def u0_quadratic_closed(nu: float, a: float, x: float, t: float) -> float:
@@ -365,14 +385,15 @@ def verify_identity_phi(
 
     Returns (lhs, rhs, |lhs - rhs|) with lhs the semi-infinite quadrature and
     rhs = exp(rho (t-tau)) * Phi(x), the Green weight of the shape's
-    ``semigroup`` (ValueError for a shape without one).
+    ``semigroup`` (ValueError for a shape without one).  The quadrature is
+    memoised per value of (shape, x, t, tau, tol), as the baseline's is
+    (:func:`_green_quad_of`); rhs is computed at every call.
     """
     if not (0.0 <= tau < t):
         raise ValueError("verify_identity_phi requires 0 <= tau < t")
     _, rho = shape.semigroup
-    phi = shape.evaluators()[0]
-    lhs = _green_quad(x, t, tau, phi, shape.growth_rate, tol)
-    rhs = math.exp(rho * (t - tau)) * phi(x)
+    lhs = _green_quad_of(shape, x, t, tau, tol)
+    rhs = math.exp(rho * (t - tau)) * shape.evaluators()[0](x)
     return lhs, rhs, abs(lhs - rhs)
 
 

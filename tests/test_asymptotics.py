@@ -211,10 +211,13 @@ class TestControlClassification:
             # T* = (k/sigma)^(1/(1-n)) from their reciprocals
             (-0.6, -0.4, 0.5, 2.0, 0.7, LimitTag.FINITE, LimitTag.PLUS_INFINITY),
             (0.8, -0.25, 0.05, 1.7, 1.3, LimitTag.PLUS_INFINITY, LimitTag.FINITE),
+            # nu > 0 and sigma off 1: eta = 1 lies below T* = (k/sigma)^2 = 4
+            # but above (k*sigma)^2 = 0.25, so T quenches only at the true T*
+            (0.5, 1.0, 0.5, 1.0, 1.0, LimitTag.ZERO, LimitTag.ZERO),
         ],
         ids=[
             "growth", "sigma0-growth", "settles-on-T*", "sigma0-n0-falls", "growth-n-half",
-            "n0-settles", "settles-delta-scale", "growth-delta-scale",
+            "n0-settles", "settles-delta-scale", "growth-delta-scale", "quenches-below-T*",
         ],
     )
     def test_power_law_classes_agree_with_the_probe(

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     linear_shape,
@@ -12,6 +15,7 @@ from conftest import (
     sin_shape,
     sinh_shape,
 )
+from fluxheat import bench, catalog, green
 from fluxheat.closed_form import baseline_u0_polynomial, flux_closed_form, integral_rep_solution
 from fluxheat.green import (
     QuadratureError,
@@ -26,7 +30,7 @@ from fluxheat.green import (
     u0_separable_closed,
     verify_identity_phi,
 )
-from fluxheat.problem import InitialProfile, ProfileKind
+from fluxheat.problem import InitialProfile, ProfileKind, ShapeKind, SourceShape
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -265,3 +269,102 @@ class TestAssemble:
         fast = assemble_integral_representation(spec, 1.0, 0.5, field.V, slow=False)
         slow = assemble_integral_representation(spec, 1.0, 0.5, field.V, slow=True)
         assert abs(fast - slow) <= 1e-7 * (1 + abs(fast))
+
+
+@pytest.fixture
+def cold_memo():
+    """The Green quadrature memo emptied, so the test sees every quadrature run."""
+    green._green_quad_of.cache_clear()
+
+
+# A data field drawn as an int or a float; its twin holds the same value as a float.
+_field = st.one_of(st.integers(1, 3), st.floats(0.25, 3.0))
+
+
+@st.composite
+def profile_twins(draw):
+    """Two equal InitialProfiles, one built from ints where the other has floats."""
+    kind = draw(st.sampled_from(list(ProfileKind)))
+    if kind is ProfileKind.MONOMIAL:
+        fields = {"eta": draw(_field), "m": draw(st.integers(0, 5))}
+    elif kind is ProfileKind.QUADRATIC:
+        fields = {"nu": draw(_field), "a": draw(_field)}
+    else:
+        fields = {
+            "eta": draw(_field),
+            "sigma": draw(st.sampled_from([-2, -1, 0, 1, 2])),
+            "delta": draw(_field),
+        }
+    twin = {key: float(value) for key, value in fields.items()}
+    return InitialProfile(kind, **fields), InitialProfile(kind, **twin)
+
+
+@st.composite
+def shape_twins(draw):
+    """Two equal integral-representation shapes, ints against floats."""
+    kind = draw(st.sampled_from([ShapeKind.LINEAR_X, ShapeKind.NEG_SINH, ShapeKind.NEG_SIN]))
+    fields = {"lam": draw(_field), "mu": draw(_field)}
+    twin = {key: float(value) for key, value in fields.items()}
+    return SourceShape(kind, **fields), SourceShape(kind, **twin)
+
+
+# x, and its twin: the other signed zero at x = 0, else the same float.
+_points = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 4.0))
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestGreenMemo:
+    """The Green quadratures of a profile or shape are memoised per value of
+    (data, x, t, tau, tol): a hit returns the bits the quadrature would."""
+
+    def warm_equals_cold(self, call, data, twin, x, *point):
+        x_twin = -x if x == 0.0 else x
+        green._green_quad_of.cache_clear()
+        cold = call(twin, x_twin, *point)
+        green._green_quad_of.cache_clear()
+        call(data, x, *point)
+        hits = green._green_quad_of.cache_info().hits
+        warm = call(twin, x_twin, *point)
+        assert green._green_quad_of.cache_info().hits == hits + 1
+        assert _bits(np.atleast_1d(warm)) == _bits(np.atleast_1d(cold))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(profile_twins(), _points, st.floats(0.05, 2.0))
+    def test_warm_baseline_is_bitwise_cold(self, twins, x, t):
+        self.warm_equals_cold(baseline_u0, *twins, x, t)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shape_twins(), _points, st.floats(0.05, 2.0), st.floats(0.0, 0.9))
+    def test_warm_identity_is_bitwise_cold(self, twins, x, t, share):
+        self.warm_equals_cold(verify_identity_phi, *twins, x, t, share * t)
+
+    def test_raising_call_stores_nothing(self, cold_memo):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                baseline_u0(monomial(1.0, 3), -0.5, 1.0)
+            with pytest.raises(ValueError):
+                verify_identity_phi(linear_shape(1.0), -0.5, 1.0, 0.25)
+        assert green._green_quad_of.cache_info().currsize == 0
+
+    def test_repeated_catalog_pass_runs_no_quadrature(self, monkeypatch, cold_memo):
+        calls = []
+        scalar = green.quad_semiinfinite
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return scalar(*args, **kwargs)
+
+        monkeypatch.setattr(green, "quad_semiinfinite", counting)
+        per_pass = []
+        for _ in range(2):
+            calls.clear()
+            for case_id, cfg in catalog.iter_cases():
+                checks = tuple(cfg.get("checks", ()))
+                bench.run_case(cfg["case"], case_id=case_id, extra_checks=checks)
+            per_pass.append(len(calls))
+        # one quadrature per distinct key, all of which the memo still holds
+        assert per_pass[0] == green._green_quad_of.cache_info().currsize > 0
+        assert per_pass[1] == 0
