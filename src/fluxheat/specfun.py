@@ -5,11 +5,14 @@ function, and the exponential moment integral
 
     int_0^t tau^n exp(a*tau) dtau
 
-in closed form.  Everything here is a pure function of its arguments.
+in closed form.  Everything here is a pure function of its arguments, so
+:func:`exp_moment` is memoised per value of (n, a, t) (``_exp_moment_of``):
+a repeated call returns the float the first one did.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 __all__ = [
@@ -133,9 +136,19 @@ def exp_moment(n: int, a: float, t: float) -> float:
         raise ValueError(f"exp_moment requires t > 0, got t={t}")
     if n < 0 or n != int(n):
         raise ValueError(f"exp_moment requires integer n >= 0, got n={n}")
-    n = int(n)
-    a = float(a)
-    t = float(t)
+    return _exp_moment_of(int(n), float(a), float(t))
+
+
+# exp_moment memoised per value of (n, a, t).  The caller validates and
+# normalises first, so a raising call stores nothing and an int, a numpy
+# scalar or a 0-d array share one key.  The only equal floats with different
+# bits are 0.0 and -0.0, which share a key and take the a == 0 branch, which
+# does not read a's sign.  One catalog pass asks for about 1500 distinct
+# keys, and an LRU cache smaller than a cyclic working set never hits, hence
+# 4096.
+@functools.lru_cache(maxsize=4096)
+def _exp_moment_of(n: int, a: float, t: float) -> float:
+    """int_0^t tau^n exp(a*tau) dtau for int n >= 0, float a and float t > 0."""
     if a == 0.0:
         return t ** (n + 1) / (n + 1)
     z = a * t

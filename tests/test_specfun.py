@@ -2,10 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxheat import specfun
 from fluxheat.specfun import _exp_moment_series, erf, exp_moment, exp_moment_parts, gamma_half
 
 SQRT_PI = math.sqrt(math.pi)
@@ -166,6 +168,67 @@ class TestExpMoment:
             exp_moment(1, 1.0, -2.0)
         with pytest.raises(ValueError):
             exp_moment(-1, 1.0, 1.0)
+
+
+@pytest.fixture
+def cold_memo():
+    """The exp_moment memo emptied, so the test sees every evaluation."""
+    specfun._exp_moment_of.cache_clear()
+
+
+class TestExpMomentMemo:
+    """exp_moment is memoised per value of (n, a, t): a hit returns the bits
+    the evaluator would."""
+
+    @pytest.mark.parametrize(
+        "n, a, t",
+        [
+            (2, 0.0, 1.5),  # a == 0
+            (2, -0.0, 1.5),
+            (3, 0.7, 2.0),  # series, z >= 0
+            (3, -0.3, 2.0),  # series, -1 <= z < 0
+            (3, -2.0, 1.5),  # tail, z < -1
+            (2, 20.0, 2.0),  # closed form past the crossover, both signs
+            (2, -20.0, 2.0),
+            (0, 350.0, 2.0),  # inf at z >= 700
+            (2, 3.0, 300.0),
+        ],
+    )
+    def test_warm_is_bitwise_cold(self, cold_memo, n, a, t):
+        cold = exp_moment(n, a, t)
+        hits = specfun._exp_moment_of.cache_info().hits
+        warm = exp_moment(n, a, t)
+        assert specfun._exp_moment_of.cache_info().hits == hits + 1
+        uncached = specfun._exp_moment_of.__wrapped__(n, a, t)
+        assert warm.hex() == cold.hex() == uncached.hex()
+
+    def test_signed_zero_rates_share_a_key(self, cold_memo):
+        assert exp_moment(2, 0.0, 1.5).hex() == exp_moment(2, -0.0, 1.5).hex()
+        assert specfun._exp_moment_of.cache_info().currsize == 1
+
+    def test_numeric_types_share_a_key(self, cold_memo):
+        values = [
+            exp_moment(2, 1, 3),
+            exp_moment(2.0, 1.0, 3.0),
+            exp_moment(np.int64(2), np.float64(1.0), np.float64(3.0)),
+            exp_moment(np.array(2), np.array(1.0), np.array(3.0)),
+        ]
+        assert {v.hex() for v in values} == {values[0].hex()}
+        info = specfun._exp_moment_of.cache_info()
+        assert (info.currsize, info.hits) == (1, 3)
+
+    def test_invalid_call_stores_nothing(self, cold_memo):
+        exp_moment(1, 1.0, 1.0)
+        for n, t in [(1, 0.0), (1, -0.0), (1, -2.0), (-1, 1.0), (1.5, 1.0)]:
+            with pytest.raises(ValueError):
+                exp_moment(n, 1.0, t)
+        assert specfun._exp_moment_of.cache_info().currsize == 1
+
+    def test_memo_is_bounded(self, cold_memo):
+        maxsize = specfun._exp_moment_of.cache_info().maxsize
+        for i in range(maxsize + 100):
+            exp_moment(0, 1e-3 * i, 1.0)
+        assert specfun._exp_moment_of.cache_info().currsize == maxsize
 
 
 def signed_series(n: int, z: float) -> float:
