@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .closed_form import integral_rep_kind_violations
 from .problem import (
-    INTEGRAL_REP_SHAPES,
     FluxKind,
     ProblemSpec,
     ProfileKind,
@@ -22,6 +22,7 @@ from .problem import (
     Variant,
     flux_rate,
     separated_evaluators,
+    validate,
 )
 from .volterra import forcing_for
 
@@ -79,12 +80,9 @@ class LimitClass:
 
 
 def _require_integral_rep(spec: ProblemSpec):
-    if spec.phi.kind not in INTEGRAL_REP_SHAPES:
-        raise ValueError("flux limits require an integral-representation spec")
-    if spec.flux.kind is not FluxKind.LINEAR:
-        raise ValueError("flux limits require the linear coupling law")
-    if not spec.h.is_odd_monomial:
-        raise ValueError("flux limits require an odd monomial profile")
+    violations = integral_rep_kind_violations(spec)
+    if violations:
+        raise ValueError("flux limits: " + "; ".join(violations))
 
 
 def _transfer(spec: ProblemSpec) -> tuple[float, float, float, int, float]:
@@ -296,12 +294,13 @@ def control_classification(spec: ProblemSpec, x: float = 1.0) -> ControlClassifi
     The settings are: constant law with the quadratic profile (Phi == 1),
     the separated family with a linear or power law, and the linear-law
     integral-representation family with an odd monomial profile, all three
-    for problem P.  Any other spec, every companion (P~) spec included, is
-    outside them and gets ``None``.  x-dependent limits are returned as
-    finite classes evaluated at the supplied observation point.
+    for problem P.  Any other spec, every companion (P~) spec and every spec
+    ``validate`` refuses included, is outside them and gets ``None``.
+    x-dependent limits are returned as finite classes evaluated at the
+    supplied observation point.
     """
     phi, flux, h = spec.phi, spec.flux, spec.h
-    if spec.variant is Variant.P_TILDE:
+    if spec.variant is Variant.P_TILDE or validate(spec):
         return None
 
     if (
@@ -320,7 +319,7 @@ def control_classification(spec: ProblemSpec, x: float = 1.0) -> ControlClassifi
         if flux.kind is FluxKind.POWER_LAW:
             return _sv_power_classes(spec, x)
 
-    if phi.kind in INTEGRAL_REP_SHAPES and flux.kind is FluxKind.LINEAR and h.is_odd_monomial:
+    if not integral_rep_kind_violations(spec):
         return _ir_classes(spec, x)
 
     return None

@@ -27,7 +27,6 @@ import numpy as np
 from . import asymptotics, closed_form, fd, green, volterra
 from .asymptotics import LimitTag
 from .problem import (
-    INTEGRAL_REP_SHAPES,
     FluxKind,
     ProblemSpec,
     ProfileKind,
@@ -444,27 +443,21 @@ def run_case(
 
     ``case`` is a JSON-schema dict or an already-built spec.  The checks
     yield their values and this is where each gets its pinned tolerance,
-    scaled by ``tol_scale``, and becomes a record.  Check failures are
+    scaled by ``tol_scale``, and becomes a record.  A spec ``validate``
+    finds ill-posed ends with its ``violations``.  Check failures are
     recorded, not raised; so is a numerical failure (a closed form that
-    cannot be built, a quadrature short of its tolerance, an arithmetic
-    error), which ends the case as failing with its ``reason`` and the
-    records made before it.  Schema errors raise :class:`SchemaError`: an
-    unknown name among ``extra_checks`` included, and ``"control"`` for a
-    valid spec outside the control settings that ``asymptotics`` decides.
+    cannot be built, a well-posed spec that no family covers included, a
+    quadrature short of its tolerance, an arithmetic error), which ends the
+    case as failing with its ``reason`` and the records made before it.
+    Schema errors raise :class:`SchemaError`: an unknown name among
+    ``extra_checks`` included, and ``"control"`` for a valid spec outside
+    the control settings that ``asymptotics`` decides.
     """
     start = time.perf_counter()
     if not isinstance(extra_checks, (list, tuple)) or any(c != "control" for c in extra_checks):
         raise SchemaError(f"checks must be a list of names from ['control'], got {extra_checks!r}")
     spec = case if isinstance(case, ProblemSpec) else spec_from_dict(case)
-
-    # a monomial profile under the linear law with one of the three shapes
-    # requests the closed-form pipeline, so oddness of m is validated
-    closed_requested = (
-        spec.phi.kind in INTEGRAL_REP_SHAPES
-        and spec.flux.kind is FluxKind.LINEAR
-        and spec.h.kind is ProfileKind.MONOMIAL
-    )
-    violations = validate(spec, closed_form=closed_requested)
+    violations = validate(spec)
     records = [CheckRecord("validate", len(violations), 0.0, _tol("validate", tol_scale))]
     if violations:
         return CaseResult(case_id, records, time.perf_counter() - start, violations)

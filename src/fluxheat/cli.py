@@ -9,9 +9,11 @@ Every subcommand takes --out DIR (default benchmark_out).  ``run`` and
 tolerance) and --slow-oracles (enable raw double-quadrature paths); ``sweep``
 alone takes --jobs N (parallel cases, capped at the CPU count).
 
-Exit codes: 0 all checks passed, 1 check failure (including a numerical
-failure, whose reason is printed and, for ``run``, goes in the report;
-``convergence`` then writes no CSV), 2 configuration error.
+Exit codes: 0 all checks passed, 1 check failure (an ill-posed spec, whose
+violations are printed and go in the report; a well-posed spec that no
+closed-form family covers, or a numerical failure, whose reason is printed
+and, for ``run``, goes in the report; ``convergence`` then writes no CSV),
+2 configuration error.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from typing import Callable
 
 from .green import quad_interval, u0_quadratic_closed, u0_separable_closed
 from .problem import (
+    INTEGRAL_REP_SHAPES,
     FluxKind,
     InitialProfile,
     ProblemSpec,
@@ -49,6 +50,7 @@ __all__ = [
     "separated_solution",
     "baseline_u0_polynomial",
     "flux_closed_form",
+    "integral_rep_kind_violations",
     "integral_rep_solution",
     "tilde_solution",
     "solution_for",
@@ -62,7 +64,14 @@ class Provenance(Enum):
 
 
 class ConstructionError(ValueError):
-    """The spec is outside the admissible pairings of the requested family."""
+    """The spec is ill-posed or outside the admissible pairings of the requested family."""
+
+
+def _require_well_posed(spec: ProblemSpec) -> None:
+    """ConstructionError naming every well-posedness rule ``spec`` breaks."""
+    violations = validate(spec)
+    if violations:
+        raise ConstructionError("; ".join(violations))
 
 
 @dataclass(frozen=True)
@@ -111,14 +120,13 @@ def stationary_solution(spec: ProblemSpec) -> SolutionField:
     constant law F = nu with h'' = nu*Phi and h(0) = 0 (the built-in instance
     being Phi == 1 with the quadratic profile).
     """
+    _require_well_posed(spec)
     flux, h = spec.flux, spec.h
     if flux.kind is FluxKind.ZERO:
         if not (h.kind is ProfileKind.MONOMIAL and h.m == 1.0 and h.eta > 0.0):
             raise ConstructionError("F == 0 requires h = eta*x with eta > 0")
         slope, u0 = h.eta, None
     elif flux.kind is FluxKind.CONSTANT:
-        if flux.nu == 0.0:
-            raise ConstructionError("constant flux law requires nu != 0")
         if not (
             h.kind is ProfileKind.QUADRATIC
             and spec.phi.kind is ShapeKind.CONSTANT_ONE
@@ -155,8 +163,6 @@ def _separated_T(spec: ProblemSpec) -> Callable[[float], float]:
 
     if flux.kind is FluxKind.AFFINE:
         f1, f2 = flux.f1, flux.f2
-        if f1 is None or f2 is None or not (f1.locally_integrable and f2.locally_integrable):
-            raise ConstructionError("affine law requires locally integrable f1, f2")
 
         def g2(t: float) -> float:
             return sigma * t - scale * delta * f2.antiderivative(t)
@@ -173,10 +179,6 @@ def _separated_T(spec: ProblemSpec) -> Callable[[float], float]:
 
     if flux.kind is FluxKind.POWER_LAW:
         n, f = flux.n, flux.f
-        if scale <= 0.0 or delta <= 0.0 or eta <= 0.0:
-            raise ConstructionError("power-law family requires scale, delta, eta > 0")
-        if f is None or not f.locally_integrable:
-            raise ConstructionError("power-law family requires locally integrable f")
         beta = sigma * (n - 1.0)
         coef = scale * delta ** n * (n - 1.0)
 
@@ -208,11 +210,10 @@ def _separated_T(spec: ProblemSpec) -> Callable[[float], float]:
 
 
 def separated_components(spec: ProblemSpec) -> SeparatedComponents:
+    _require_well_posed(spec)
     phi, h = spec.phi, spec.h
     if phi.kind is not ShapeKind.SCALED_SEPARABLE or h.kind is not ProfileKind.SCALED_SEPARABLE:
         raise ConstructionError("separated family requires Phi = scale*X and h = eta*X")
-    if h.sigma != phi.sigma or h.delta != phi.delta:
-        raise ConstructionError("separated h and Phi must share (sigma, delta)")
     T = _separated_T(spec)
     X = separated_evaluators(phi.sigma, phi.delta)[0]
     return SeparatedComponents(
@@ -281,6 +282,24 @@ def baseline_u0_polynomial(h: InitialProfile, x: float, t: float) -> float:
     return _u0_sum(_u0_coeffs(h), x, t)
 
 
+def integral_rep_kind_violations(spec: ProblemSpec) -> list[str]:
+    """The kind rules of the integral-representation family that ``spec``
+    breaks: Phi is one of the three shapes, F is the linear law and h an odd
+    monomial.  An empty list means the spec is of the family's kind; its one
+    parameter rule, nu > 0, is :func:`flux_closed_form`'s."""
+    phi, flux, h = spec.phi, spec.flux, spec.h
+    v = []
+    if phi.kind not in INTEGRAL_REP_SHAPES:
+        v.append("closed-form flux requires Phi in {lambda*x, -mu*sinh, -mu*sin}")
+    if flux.kind is not FluxKind.LINEAR:
+        v.append("closed-form flux requires the linear law F = nu*V")
+    if h.kind is not ProfileKind.MONOMIAL:
+        v.append("closed-form flux requires a monomial profile")
+    elif not h.is_odd_monomial:
+        v.append("m must be odd for polynomial flux")
+    return v
+
+
 def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTrajectory:
     """Exact boundary flux for the linear law and odd monomial profiles.
 
@@ -294,7 +313,10 @@ def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTraject
     before being returned; a residual above the tolerance, nan, or out of
     double range at a sample t raises ``ConstructionError``.
     """
-    violations = validate(spec, closed_form=True)
+    _require_well_posed(spec)
+    violations = integral_rep_kind_violations(spec)
+    if spec.flux.kind is FluxKind.LINEAR and spec.flux.nu <= 0.0:
+        violations.append("closed-form flux requires nu > 0")
     if violations:
         raise ConstructionError("; ".join(violations))
     nu = spec.flux.nu

@@ -173,9 +173,13 @@ class TestRunCase:
             ts[:] = 1.0
 
     def test_even_m_closed_form_is_validation_failure(self):
+        # well-posed, so validate passes; no family covers even m, and the
+        # case fails with the integral-representation family's reason
         result = run_case(base_case(m=2), case_id="even")
         assert not result.passed
-        assert result.violations and any("odd" in v for v in result.violations)
+        assert result.violations is None
+        assert result.reason == "m must be odd for polynomial flux"
+        assert [(r.name, r.passed) for r in result.records] == [("validate", True)]
 
     def test_stationary_runs_reduced_checks(self):
         case = {
@@ -413,7 +417,8 @@ class TestCli:
         code = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
         report = json.loads((tmp_path / "out" / "bad.json").read_text())
-        assert report["violations"]
+        assert report["reason"] == "m must be odd for polynomial flux"
+        assert "violations" not in report
 
     @pytest.mark.parametrize("m", [-3, -1.5, 0.5])
     def test_run_m_below_one_is_a_failing_validate_row(self, tmp_path, capsys, m):

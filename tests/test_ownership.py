@@ -6,10 +6,12 @@ probe ladders and the control setting, the field's provenance owns the
 integral-representation predicate, ``problem.flux_rate`` owns the flux rate b
 and the Volterra forcing V0 = c t^p owns c and p; ``bench`` reads them and
 re-derives none.  Within ``bench``, ``run_case``
-alone owns the tolerances and builds the check records.
+alone owns the tolerances and builds the check records.  ``problem.validate``
+owns the well-posedness rules and each ``closed_form`` family its own rules.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 from unittest import mock
@@ -26,6 +28,7 @@ from fluxheat.problem import (
     ShapeKind,
     Variant,
     spec_from_dict,
+    validate,
 )
 
 PACKAGE = Path(fluxheat.__file__).resolve().parent
@@ -211,3 +214,31 @@ def test_asymptotics_alone_picks_the_control_setting():
     }
     assert not named & {"CONSTANT_ONE", "SCALED_SEPARABLE"}
     assert not hasattr(bench, "_is_control_setting")
+
+
+# The rules of each closed-form family, each spelt by that family's constructor.
+FAMILY_RULES = (
+    "F == 0 requires h = eta*x with eta > 0",
+    "constant law requires Phi == 1 and h'' = nu",
+    "stationary family requires F == 0 or F == nu",
+    "separated family requires Phi = scale*X and h = eta*X",
+    "separated family requires a linear, affine or power law",
+    "closed-form flux requires Phi in {lambda*x, -mu*sinh, -mu*sin}",
+    "closed-form flux requires the linear law F = nu*V",
+    "closed-form flux requires nu > 0",
+    "closed-form flux requires a monomial profile",
+    "m must be odd for polynomial flux",
+)
+
+
+def test_validate_judges_well_posedness_only():
+    assert list(inspect.signature(validate).parameters) == ["spec"]
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    for rule in FAMILY_RULES:
+        assert [name for name, src in sources.items() if rule in src] == ["closed_form.py"], rule
+    # the constructors read validate instead of spelling its rules again
+    for copy in ("nu != 0", "share (sigma, delta)", "scale, delta, eta > 0", "locally integrable"):
+        assert copy not in sources["closed_form.py"], copy
+    # the integral-representation kind test is closed_form's alone
+    for name in ("bench.py", "asymptotics.py"):
+        assert "INTEGRAL_REP_SHAPES" not in sources[name], name

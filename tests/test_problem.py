@@ -15,6 +15,7 @@ from conftest import (
     sin_shape,
     sinh_shape,
 )
+from fluxheat.closed_form import ConstructionError, flux_closed_form, stationary_solution
 from fluxheat.problem import (
     FluxKind,
     FluxLaw,
@@ -181,10 +182,11 @@ class TestValidate:
         assert validate(monomial_spec(linear_shape(), 1.0, 1)) == []
 
     def test_even_m_closed_form(self):
+        # well-posed; odd m is the integral-representation family's rule
         spec = monomial_spec(linear_shape(), 1.0, 2)
-        violations = validate(spec, closed_form=True)
-        assert any("odd" in v for v in violations)
-        assert validate(spec) == []  # fine for the numeric path
+        assert validate(spec) == []
+        with pytest.raises(ConstructionError, match="m must be odd for polynomial flux"):
+            flux_closed_form(spec)
 
     def test_compatibility_violation(self):
         spec = ProblemSpec(linear_shape(), linear_law(), monomial(1.0, 0))
@@ -198,8 +200,11 @@ class TestValidate:
         assert any("mu" in v for v in validate(spec))
 
     def test_zero_law_pairing(self):
+        # well-posed; h = eta*x is the stationary family's rule for F = 0
         spec = ProblemSpec(linear_shape(), FluxLaw(FluxKind.ZERO), monomial(2.0, 3))
-        assert any("eta*x" in v for v in validate(spec))
+        assert validate(spec) == []
+        with pytest.raises(ConstructionError, match=r"F == 0 requires h = eta\*x"):
+            stationary_solution(spec)
 
     def test_power_law_positivity(self):
         spec = separated_spec(

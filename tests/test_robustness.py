@@ -29,10 +29,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluxheat import cli
+from fluxheat import asymptotics, cli
 from fluxheat.bench import CaseResult, run_case
 from fluxheat.catalog import iter_cases, load_case
-from fluxheat.problem import SchemaError
+from fluxheat.problem import SchemaError, spec_from_dict, validate
 
 # Wall-clock budget of one case; the slowest mutated case takes well under 1 s.
 CASE_BUDGET_S = 10.0
@@ -207,12 +207,13 @@ def test_every_case_ends_as_a_result_or_a_schema_error(drawn):
 
 # ---------------------------------------------------------------------------
 # Every JSON kind combination at one parameter point, 300 specs: each is
-# verified, refused by validate, or ends with reasons from this list, each
-# naming a family or a closed-form requirement the library lacks.  A change
+# verified, refused by validate as ill-posed, or ends with reasons from this
+# list, each naming a family or a closed-form requirement the library lacks.  A change
 # that verifies a family takes its reasons off the list; a reason not on it
 # fails the test.  The list only shrinks.
 
 MISSING_FAMILY_REASONS = {
+    "F == 0 requires h = eta*x with eta > 0",
     "constant law requires Phi == 1 and h'' = nu",
     "separated family requires Phi = scale*X and h = eta*X",
     "closed-form flux requires Phi in {lambda*x, -mu*sinh, -mu*sin}",
@@ -221,6 +222,7 @@ MISSING_FAMILY_REASONS = {
     "m must be odd for polynomial flux",
     "companion closed forms require m > 0: h = eta has no problem-P twin",
 }
+ILL_POSED = {"compatibility violated: h(0+) must be 0", "monomial exponent m must be >= 1"}
 FLUX_SETTINGS = (
     {"kind": "zero"},
     {"kind": "constant"},
@@ -242,6 +244,8 @@ def test_every_kind_combination_is_verified_refused_or_a_listed_reason():
         case = {"phi": {"kind": phi}, "flux": flux, "h": h, "variant": variant}
         result = run_case(case, case_id="kinds")
         if result.violations:
+            # validate refuses ill-posed specs only: h(0+) != 0 or m < 1
+            assert set(result.violations) <= ILL_POSED, (case, result.violations)
             tally["refused"] += 1
         elif result.reason is None:
             assert result.passed, (case, [r for r in result.records if not r.passed])
@@ -252,7 +256,45 @@ def test_every_kind_combination_is_verified_refused_or_a_listed_reason():
             reasons |= parts
             tally["reason"] += 1
     assert reasons == MISSING_FAMILY_REASONS  # a reason no spec gives leaves the list
-    assert tally["verified"] >= 30 and tally["reason"] <= 183, tally
+    assert tally == {"refused": 25, "verified": 30, "reason": 245}, tally
+
+
+# The separated power law at every sign of delta, eta and scale: V^n is real
+# only for delta, eta > 0, and a refused spec must not reach the complex
+# delta**n of the control classification (an uncaught TypeError once).
+SEPARATED_POWER_SIGNS = [
+    {
+        "phi": {"kind": "scaled_separable", "sigma": sigma, "delta": delta, "scale": scale},
+        "flux": {"kind": "power_law", "n": n},
+        "h": {"kind": "scaled_separable", "eta": eta},
+    }
+    for delta, eta, scale in itertools.product((-1.0, 1.0), repeat=3)
+    for n in (0.0, 0.5)
+    for sigma in (-1.0, 0.0, 1.0)
+]
+
+
+def signs_positive(case):
+    return min(case["phi"]["delta"], case["phi"]["scale"], case["h"]["eta"]) > 0.0
+
+
+@pytest.mark.parametrize("checks", [(), ("control",)])
+def test_separated_power_law_sign_grid_ends_without_raising(checks):
+    for case in SEPARATED_POWER_SIGNS:
+        result = run_case(case, case_id="signs", extra_checks=checks)
+        if signs_positive(case):
+            assert result.violations is None, case
+        else:
+            rule = "power-law separated family requires scale, delta, eta > 0"
+            assert result.violations == [rule], case
+            assert not result.passed and result.reason is None
+
+
+def test_control_classification_of_the_sign_grid_answers_without_raising():
+    for case in SEPARATED_POWER_SIGNS:
+        spec = spec_from_dict(case)
+        classes = asymptotics.control_classification(spec)
+        assert (classes is None) == bool(validate(spec)) == (not signs_positive(case)), case
 
 
 # ---------------------------------------------------------------------------
