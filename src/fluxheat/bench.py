@@ -28,9 +28,11 @@ from . import asymptotics, closed_form, fd, green, volterra
 from .asymptotics import LimitTag
 from .problem import (
     FluxKind,
+    FluxLaw,
     ProblemSpec,
     ProfileKind,
     SchemaError,
+    TimeFunction,
     Variant,
     config_id,
     number_field,
@@ -162,7 +164,8 @@ def _tol(name: str, scale: float) -> float:
     return TOLERANCES[name] * scale
 
 
-@functools.cache
+# The checks ask for six argument tuples; 16 bounds the memo with room to spare.
+@functools.lru_cache(maxsize=16)
 def _sample_points(n: int = 8, x_hi: float = 2.0, t_hi: float = 1.5, seed: int = 1234):
     """n sample points (xs, ts) in [0.2, x_hi) x [0.1, t_hi), drawn from ``seed``.
 
@@ -275,12 +278,17 @@ def _integral_rep_checks(spec, field, slow):
 # stiff T equation exhausts RK45.
 _ODE_EVALS = 5000
 
+# The times at which the T cross-check compares the closed form with the solver.
+_T_SAMPLES = (0.5, 1.0, 2.0)
+
 
 def _t_ode_solution(comps, flux):
-    """solve_ivp's dense solution of T' = sigma T - scale F(delta T, t),
-    T(0) = eta, on [0, 2]: RK45, or the implicit BDF where RK45 raises, stops
-    short of t = 2 or runs past ``_ODE_EVALS`` evaluations (a stiff T
-    equation); ArithmeticError naming the failure where BDF does too."""
+    """solve_ivp's solution of T' = sigma T - scale F(delta T, t), T(0) = eta,
+    on [0, 2], read off its dense output at _T_SAMPLES as floats: RK45, or the
+    implicit BDF where RK45 raises, stops short of t = 2 or runs past
+    ``_ODE_EVALS`` evaluations (a stiff T equation); ArithmeticError naming
+    the failure where BDF does too.  The T cross-check calls it through the
+    memo ``_t_ode_samples_of``, so a repeated T equation is solved once."""
     from scipy.integrate import solve_ivp
 
     def rhs(t, y):
@@ -300,10 +308,42 @@ def _t_ode_solution(comps, flux):
             failure = f"T cross-check: {method} fails on the T equation: {exc}"
             continue
         if sol.success:
-            return sol
+            return tuple(float(sol.sol(t)[0]) for t in _T_SAMPLES)
         # past the point where the solve stopped, its dense output extrapolates
         failure = f"T cross-check: {method} fails on the T equation: {sol.message}"
     raise ArithmeticError(failure)
+
+
+# The solver's samples of T at _T_SAMPLES, memoised per value of the T
+# equation, the idiom of ``green._green_quad_of``: a JSON power law parsed
+# twice has two sets of closures but one key, and the law is rebuilt from its
+# constants, so a hit returns the floats a fresh solve would.  A failing solve
+# stores nothing and raises its reason again on every call.  0.0 and -0.0
+# are equal keys, but a zero's sign can reach F (V = delta T under V ** n),
+# so ``signs`` holds the sign of every zero in the key and keeps them apart.
+# One catalog pass asks for 6 keys, and a repeated pass for the same 6; 64
+# leaves room for the separated specs of a sweep at three floats per key.
+@functools.lru_cache(maxsize=64, typed=True)
+def _t_ode_samples_of(sigma, delta, scale, eta, kind, nu, n, f1, f2, f, signs):
+    """T_ode(t) at each of _T_SAMPLES for the T equation of these values."""
+    parts = (None if c is None else TimeFunction.constant(c) for c in (f1, f2, f))
+    law = FluxLaw(kind, nu, n, *parts)
+    comps = SimpleNamespace(sigma=sigma, delta=delta, scale=scale, eta=eta)
+    return _t_ode_solution(comps, law)
+
+
+def _t_ode_samples(comps, flux) -> tuple[float, ...]:
+    """T_ode(t) at each of _T_SAMPLES: from the memo where every time function
+    of F is a constant, from a fresh solve where one is not (an affine or
+    polynomial law of the library API, a set of closures rather than a value)."""
+    parts = (flux.f1, flux.f2, flux.f)
+    if any(part is not None and part.constant_value is None for part in parts):
+        return _t_ode_solution(comps, flux)
+    key = (
+        comps.sigma, comps.delta, comps.scale, comps.eta, flux.kind, flux.nu, flux.n,
+        *(None if part is None else part.constant_value for part in parts),
+    )
+    return _t_ode_samples_of(*key, tuple(math.copysign(1.0, v) for v in key if v == 0.0))
 
 
 def _separated_checks(spec, field):
@@ -325,10 +365,9 @@ def _separated_checks(spec, field):
         for t in (0.2, 1.0, 2.5)
     )
 
-    sol = _t_ode_solution(comps, spec.flux)
+    samples = _t_ode_samples(comps, spec.flux)
     yield "T_ode_crosscheck", max(
-        abs(comps.T(t) - sol.sol(t)[0]) / (1.0 + abs(sol.sol(t)[0]))
-        for t in (0.5, 1.0, 2.0)
+        abs(comps.T(t) - s) / (1.0 + abs(s)) for t, s in zip(_T_SAMPLES, samples)
     )
 
     yield "u0_separable", _u0_quadrature_gap(spec, field, seed=5)

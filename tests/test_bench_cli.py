@@ -1,13 +1,15 @@
+import copy
+import dataclasses
 import hashlib
 import json
 import warnings
 
 import pytest
 
-from fluxheat import bench, cli, fd, specfun
+from fluxheat import bench, cli, closed_form, fd, specfun
 from fluxheat.bench import _worker_count, convergence, run_case, sweep
 from fluxheat.catalog import case_ids, iter_cases, load_case
-from fluxheat.problem import SchemaError
+from fluxheat.problem import FluxKind, FluxLaw, SchemaError, TimeFunction, spec_from_dict
 
 # sha256 of the CSV rows of one catalog pass (every case in sorted order, each
 # case's rows joined by newlines with a trailing newline), as the seed commit
@@ -59,6 +61,31 @@ class TestRunCase:
             digests.append(digest.hexdigest())
         assert digests == [CATALOG_CSV_SHA256] * 3
         assert evaluations[0] >= evaluations[1] > evaluations[2] == 0
+
+    def test_catalog_csv_rows_keep_their_bits_with_the_t_memo_cold_and_warm(self, monkeypatch):
+        # the separated family's T cross-check: pass 0 empties its memo before
+        # every case, so each of the six separated cases runs the solver; pass
+        # 1 starts from pass 0's last case, and pass 2 runs no solver at all
+        solves, real = [0, 0, 0], bench._t_ode_solution
+
+        def counting(*args):
+            solves[i] += 1
+            return real(*args)
+
+        monkeypatch.setattr(bench, "_t_ode_solution", counting)
+        memo = bench._t_ode_samples_of
+        memo.cache_clear()
+        digests = []
+        for i, emptied in enumerate((True, False, False)):
+            digest = hashlib.sha256()
+            for cid, cfg in iter_cases():
+                if emptied:
+                    memo.cache_clear()
+                result = run_case(cfg["case"], case_id=cid, extra_checks=tuple(cfg.get("checks", ())))
+                digest.update(("\n".join(result.csv_rows()) + "\n").encode())
+            digests.append(digest.hexdigest())
+        assert digests == [CATALOG_CSV_SHA256] * 3
+        assert solves[0] == 6 and solves[1] <= 6 and solves[2] == 0
 
     @pytest.mark.parametrize("case_id", ["ir-phi1-m1", "ir-phi2-m1", "ir-phi3-m1-d0"])
     def test_slow_oracle_passes_on_each_shape(self, case_id):
@@ -228,6 +255,74 @@ class TestRunCase:
         assert run_case(case, case_id=case_id).passed
         with pytest.raises(SchemaError, match="outside the control settings: " + family):
             run_case(case, case_id=case_id, extra_checks=("control",))
+
+
+class TestTCrossCheckMemo:
+    """The T cross-check's samples are memoised per value of the T equation."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        bench._t_ode_samples_of.cache_clear()
+
+    @staticmethod
+    def samples(spec):
+        return bench._t_ode_samples(closed_form.separated_components(spec), spec.flux)
+
+    @staticmethod
+    def counts():
+        info = bench._t_ode_samples_of.cache_info()
+        return info.hits, info.misses, info.currsize
+
+    def test_two_parses_share_one_entry(self):
+        # each parse builds its own TimeFunction.constant closures, so the two
+        # laws are unequal objects with one value
+        case = load_case("separated-power-n0")["case"]
+        first, second = spec_from_dict(case), spec_from_dict(case)
+        assert first.flux != second.flux
+        assert self.samples(first) == self.samples(second)
+        assert self.counts() == (1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "part, key, value",
+        [
+            ("phi", "sigma", 1.0),
+            ("phi", "delta", 2.0),
+            ("phi", "scale", 0.5),
+            ("h", "eta", 2.0),
+            ("flux", "nu", 0.5),
+            ("flux", "n", 0.25),
+        ],
+    )
+    def test_each_value_of_the_t_equation_has_its_own_entry(self, part, key, value):
+        case = load_case("separated-power-nhalf")["case"]
+        changed = copy.deepcopy(case)
+        changed[part][key] = value
+        self.samples(spec_from_dict(case))
+        self.samples(spec_from_dict(changed))
+        assert self.counts() == (0, 2, 2)
+
+    def test_a_signed_zero_has_its_own_entry(self):
+        # 0.0 == -0.0, but a zero's sign can reach F, so the two key apart
+        case = load_case("separated-sigma0")["case"]
+        changed = copy.deepcopy(case)
+        changed["phi"]["sigma"] = -0.0
+        self.samples(spec_from_dict(case))
+        self.samples(spec_from_dict(changed))
+        assert self.counts() == (0, 2, 2)
+
+    def test_a_time_function_that_is_not_a_constant_bypasses_the_memo(self):
+        spec = spec_from_dict(load_case("separated-power-n0")["case"])
+        law = FluxLaw(FluxKind.POWER_LAW, nu=1.0, n=0.0, f=TimeFunction.polynomial([1.0]))
+        assert self.samples(dataclasses.replace(spec, flux=law)) == self.samples(spec)
+        assert self.counts() == (0, 1, 1)
+
+    def test_a_failing_solve_stores_nothing_and_fails_alike_again(self):
+        # the stopped solve of test_a_stopped_t_solve_is_a_reason_not_a_check
+        case = copy.deepcopy(load_case("separated-power-nhalf")["case"])
+        case["flux"]["nu"] = 1e4
+        reasons = [run_case(case, case_id="stopped").reason for _ in range(2)]
+        assert reasons[0].startswith("T cross-check: ") and reasons[0] == reasons[1]
+        assert self.counts() == (0, 2, 0)
 
 
 class TestSweep:

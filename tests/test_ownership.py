@@ -175,6 +175,46 @@ def test_scipy_has_one_quadrature_entry_and_one_bound():
     assert "scipy" not in (PACKAGE / "closed_form.py").read_text()
 
 
+def test_every_memo_is_bounded():
+    # each functools.lru_cache in the package states an integer maxsize: no
+    # bare @lru_cache, no maxsize=None, and no unbounded functools.cache
+    def is_lru_cache(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "lru_cache") or (
+            isinstance(node, ast.Name) and node.id == "lru_cache"
+        )
+
+    memos = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and is_lru_cache(node.func):
+                called.add(node.func)
+                sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                assert len(sizes) == 1, (path.name, ast.unparse(node))
+                size = sizes[0]
+                assert isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0, (
+                    path.name, ast.unparse(node)
+                )
+            if isinstance(node, ast.FunctionDef) and any(
+                is_lru_cache(getattr(d, "func", d)) for d in node.decorator_list
+            ):
+                memos.add(f"{path.stem}.{node.name}")
+        for node in ast.walk(tree):
+            assert not (is_lru_cache(node) and node not in called), (path.name, node.lineno)
+            unbounded = isinstance(node, ast.Attribute) and node.attr == "cache"
+            assert not (unbounded and getattr(node.value, "id", None) == "functools"), (path.name, node.lineno)
+    assert memos == {
+        "bench._sample_points",
+        "bench._t_ode_samples_of",
+        "closed_form.weighted",
+        "green._green_quad_of",
+        "specfun._exp_moment_of",
+        "volterra._forcing_table",
+        "volterra._kernel_table",
+    }
+
+
 def test_bench_builds_a_field_only_per_case_and_per_reference():
     # a companion case's checks read the field's base instead of building it again
     tree = ast.parse((PACKAGE / "bench.py").read_text())

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluxheat import asymptotics, cli
+from fluxheat import asymptotics, bench, cli
 from fluxheat.bench import CaseResult, run_case
 from fluxheat.catalog import iter_cases, load_case
 from fluxheat.problem import SchemaError, spec_from_dict, validate
@@ -52,6 +52,13 @@ def time_budget(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def cold_t_memo():
+    """Empty the T cross-check's memo, so the solver path under test runs
+    instead of a sample an earlier test left."""
+    bench._t_ode_samples_of.cache_clear()
 
 
 def separated_growth(**flux):
@@ -98,6 +105,7 @@ class TestOverflowingControlClassification:
         assert "configuration error" not in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.usefixtures("cold_t_memo")
 class TestStiffTEquation:
     def test_stiff_but_finite_is_verified(self):
         # T' = (1 - 1e6) T: past RK45's evaluation budget, BDF integrates it
@@ -129,6 +137,7 @@ class TestNamedNumericalFailures:
         assert result.reason == "closed-form construction overflows: rho = +-lambda^2 at lambda = 1e+300"
         assert [r.name for r in result.records] == ["validate"]
 
+    @pytest.mark.usefixtures("cold_t_memo")
     @pytest.mark.parametrize("part, key, value", [("flux", "nu", 1e4), ("phi", "scale", 1e6)])
     def test_a_stopped_t_solve_is_a_reason_not_a_check(self, part, key, value):
         # RK45 stops at t = 2e-4 once the power law reads a negative T; its
