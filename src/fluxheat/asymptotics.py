@@ -291,8 +291,8 @@ def _ir_classes(spec: ProblemSpec, x: float) -> ControlClassification:
 def control_classification(spec: ProblemSpec, x: float = 1.0) -> ControlClassification | None:
     """Long-time classes of u0, u and u/u0 for the three control settings.
 
-    The settings are: constant law with the quadratic profile (Phi == 1),
-    the separated family with a linear or power law, and the linear-law
+    The settings are: a constant F = nu with Phi == 1 and the quadratic profile,
+    the separated family with a linear or power law (F = nu is n = 0), and the linear-law
     integral-representation family with an odd monomial profile, all three
     for problem P.  Any other spec, every companion (P~) spec and every spec
     ``validate`` refuses included, is outside them and gets ``None``.
@@ -303,13 +303,10 @@ def control_classification(spec: ProblemSpec, x: float = 1.0) -> ControlClassifi
     if spec.variant is Variant.P_TILDE or validate(spec):
         return None
 
-    if (
-        phi.kind is ShapeKind.CONSTANT_ONE
-        and flux.kind is FluxKind.CONSTANT
-        and h.kind is ProfileKind.QUADRATIC
-    ):
+    nu = flux.constant_value
+    if phi.kind is ShapeKind.CONSTANT_ONE and nu is not None and h.kind is ProfileKind.QUADRATIC:
         # u0 ~ 2 nu x sqrt(t/pi) -> signed infinity; u = h(x) forever
-        u0 = LimitClass.infinity(flux.nu)
+        u0 = LimitClass.infinity(nu)
         u = LimitClass.finite(h(x))
         return ControlClassification(u0, u, LimitClass.zero(), x)
 

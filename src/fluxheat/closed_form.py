@@ -117,8 +117,8 @@ def stationary_solution(spec: ProblemSpec) -> SolutionField:
     """Time-independent solution u(x,t) = h(x).
 
     Admissible pairings: F identically zero with h = eta*x (eta > 0), or a
-    constant law F = nu with h'' = nu*Phi and h(0) = 0 (the built-in instance
-    being Phi == 1 with the quadratic profile).
+    constant F = nu (``FluxLaw.constant_value``) with h'' = nu*Phi and h(0) = 0,
+    the built-in instance being Phi == 1 with the quadratic profile.
     """
     _require_well_posed(spec)
     flux, h = spec.flux, spec.h
@@ -126,11 +126,11 @@ def stationary_solution(spec: ProblemSpec) -> SolutionField:
         if not (h.kind is ProfileKind.MONOMIAL and h.m == 1.0 and h.eta > 0.0):
             raise ConstructionError("F == 0 requires h = eta*x with eta > 0")
         slope, u0 = h.eta, None
-    elif flux.kind is FluxKind.CONSTANT:
+    elif flux.constant_value is not None:
         if not (
             h.kind is ProfileKind.QUADRATIC
             and spec.phi.kind is ShapeKind.CONSTANT_ONE
-            and h.nu == flux.nu
+            and h.nu == flux.constant_value
         ):
             raise ConstructionError("constant law requires Phi == 1 and h'' = nu")
         slope, u0 = h.a, functools.partial(u0_quadratic_closed, h.nu, h.a)
@@ -193,9 +193,7 @@ def _separated_T(spec: ProblemSpec) -> Callable[[float], float]:
 
         def T(t: float) -> float:
             inner = eta ** (1.0 - n) + coef * weighted_f_integral(t)
-            if n == 0.0:
-                return inner * math.exp(sigma * t)
-            if inner <= 0.0:
+            if inner <= 0.0 and n != 0.0:  # T^0 = 1 at either sign of T
                 if 0.0 < n < 1.0:
                     # quenched: T reached zero in finite time and stays there
                     return 0.0
@@ -429,11 +427,15 @@ def tilde_solution(spec: ProblemSpec) -> SolutionField:
 
 
 def solution_for(spec: ProblemSpec) -> SolutionField:
-    """Dispatch to the closed-form family matching the spec."""
+    """The closed-form family of the spec, routed by the mathematics, not the
+    law's spelling: F == 0 -> stationary; a separated shape -> separated; a
+    constant F = nu (``FluxLaw.constant_value``) -> stationary; else integral rep."""
     if spec.variant is Variant.P_TILDE:
         return tilde_solution(spec)
-    if spec.flux.kind in (FluxKind.ZERO, FluxKind.CONSTANT):
+    if spec.flux.kind is FluxKind.ZERO:
         return stationary_solution(spec)
     if spec.phi.kind is ShapeKind.SCALED_SEPARABLE:
         return separated_solution(spec)
+    if spec.flux.constant_value is not None:
+        return stationary_solution(spec)
     return integral_rep_solution(spec)

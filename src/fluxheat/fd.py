@@ -96,7 +96,7 @@ def solution_grows(spec: ProblemSpec) -> bool:
     """Whether the closed-form solution grows in time (heuristic, exact for
     the built-in families); used to refuse homogeneous far-field data."""
     phi, flux, h = spec.phi, spec.flux, spec.h
-    if flux.kind in (FluxKind.ZERO, FluxKind.CONSTANT):
+    if flux.kind is FluxKind.ZERO:
         return h.kind is ProfileKind.MONOMIAL and h.m > 1.0
     rate = flux_rate(spec)
     if phi.kind is ShapeKind.SCALED_SEPARABLE:

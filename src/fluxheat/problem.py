@@ -54,7 +54,6 @@ class ShapeKind(Enum):
 
 class FluxKind(Enum):
     ZERO = "zero"
-    CONSTANT = "constant"
     LINEAR = "linear"
     AFFINE = "affine"
     POWER_LAW = "power_law"
@@ -247,16 +246,18 @@ class FluxLaw:
         k = self.kind
         if k is FluxKind.ZERO:
             return 0.0
-        if k is FluxKind.CONSTANT:
-            return self.nu
         if k is FluxKind.LINEAR:
             return self.nu * V
         if k is FluxKind.AFFINE:
             return self.f1(t) + self.f2(t) * V
-        # power law V^n f(t); n = 0 means F independent of V
-        if self.n == 0.0:
-            return self.f(t)
+        # power law V^n f(t); V ** 0.0 is 1.0 for every float V, nan and inf too
         return V ** self.n * self.f(t)
+
+    @property
+    def constant_value(self) -> float | None:
+        """nu where F is the constant nu (the power law at n = 0 with f == nu), else None."""
+        power = self.kind is FluxKind.POWER_LAW and self.f is not None
+        return self.f.constant_value if power and self.n == 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -407,8 +408,6 @@ def validate(spec: ProblemSpec) -> list[str]:
         ):
             v.append("separated h and Phi must share (sigma, delta)")
 
-    if flux.kind is FluxKind.CONSTANT and flux.nu == 0.0:
-        v.append("constant flux law requires nu != 0")
     if flux.kind is FluxKind.LINEAR and flux.nu == 0.0:
         v.append("linear flux law requires nu != 0")
     if flux.kind is FluxKind.AFFINE:
@@ -418,7 +417,7 @@ def validate(spec: ProblemSpec) -> list[str]:
             elif not fpart.locally_integrable:
                 v.append(f"affine flux law requires locally integrable {name}")
     if flux.kind is FluxKind.POWER_LAW:
-        if flux.nu == 0.0 or (flux.f is not None and flux.f.constant_value == 0.0):
+        if flux.f is not None and flux.f.constant_value == 0.0:
             v.append("power-law flux law requires nu != 0")
         if flux.n >= 1.0:
             v.append("power-law exponent must satisfy n < 1")
@@ -441,6 +440,7 @@ def validate(spec: ProblemSpec) -> list[str]:
 _CASE_FIELDS = frozenset({"phi", "flux", "h", "variant"})
 _PHI_FIELDS = frozenset({"kind", "lambda", "mu", "sigma", "delta", "scale"})
 _FLUX_FIELDS = frozenset({"kind", "nu", "n"})
+_JSON_FLUX_KINDS = ("zero", "constant", "linear", "power_law")
 _H_FIELDS = frozenset({"kind", "eta", "m", "a"})
 
 
@@ -501,9 +501,11 @@ def spec_from_dict(data: dict) -> ProblemSpec:
     hd = read_object(data["h"], "h", _H_FIELDS, ("kind",))
 
     phi_kind = _enum_field(pd, "kind", ShapeKind, "phi")
-    flux_kind = _enum_field(fd, "kind", FluxKind, "flux")
+    flux_kind = fd["kind"]
+    if flux_kind not in _JSON_FLUX_KINDS and flux_kind != "affine":
+        raise SchemaError(f"flux 'kind' must be one of {list(_JSON_FLUX_KINDS)}, got {flux_kind!r}")
     h_kind = _enum_field(hd, "kind", ProfileKind, "h")
-    if flux_kind is FluxKind.AFFINE:
+    if flux_kind == "affine":
         raise SchemaError("affine flux laws are library-level only (no JSON form)")
 
     phi = SourceShape(
@@ -514,12 +516,11 @@ def spec_from_dict(data: dict) -> ProblemSpec:
         delta=number_field(pd, "delta", 1.0, "phi"),
         scale=number_field(pd, "scale", 1.0, "phi"),
     )
-    nu = number_field(fd, "nu", 1.0, "flux")
-    flux_kwargs = {"nu": nu, "n": number_field(fd, "n", 0.0, "flux")}
-    if flux_kind is FluxKind.POWER_LAW:
-        # JSON power law carries a constant time factor f == nu.
-        flux_kwargs["f"] = TimeFunction.constant(nu)
-    flux = FluxLaw(kind=flux_kind, **flux_kwargs)
+    nu, n = number_field(fd, "nu", 1.0, "flux"), number_field(fd, "n", 0.0, "flux")
+    if flux_kind == "constant":  # F = nu: the power law at n = 0, whatever its "n" says
+        flux_kind, n = "power_law", 0.0
+    f = TimeFunction.constant(nu) if flux_kind == "power_law" else None  # JSON's f == nu
+    flux = FluxLaw(FluxKind(flux_kind), nu, n, f=f)
     h = InitialProfile(
         kind=h_kind,
         eta=number_field(hd, "eta", 1.0, "h"),

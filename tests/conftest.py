@@ -9,6 +9,7 @@ from fluxheat.problem import (
     ProfileKind,
     ShapeKind,
     SourceShape,
+    TimeFunction,
     Variant,
 )
 
@@ -39,6 +40,11 @@ def separable_profile(eta, sigma, delta=1.0):
 
 def linear_law(nu=1.0):
     return FluxLaw(FluxKind.LINEAR, nu=nu)
+
+
+def constant_law(nu=1.0):
+    """F = nu: the power law at n = 0 with the constant time factor f == nu."""
+    return FluxLaw(FluxKind.POWER_LAW, nu=nu, n=0.0, f=TimeFunction.constant(nu))
 
 
 def monomial_spec(shape, eta, m, nu=1.0, variant=Variant.P):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    constant_law,
     linear_law,
     linear_shape,
     monomial_spec,
@@ -129,7 +130,7 @@ class TestControlClassification:
     def test_lim_in(self):
         spec = ProblemSpec(
             SourceShape(ShapeKind.CONSTANT_ONE),
-            FluxLaw(FluxKind.CONSTANT, nu=1.0),
+            constant_law(1.0),
             InitialProfile(ProfileKind.QUADRATIC, a=0.0, nu=1.0),
         )
         cc = control_classification(spec, x=1.0)

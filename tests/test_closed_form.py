@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, solve_ivp
 
 from conftest import (
+    constant_law,
     linear_law,
     linear_shape,
     monomial,
@@ -65,7 +66,7 @@ class TestStationary:
         assert field.provenance is Provenance.STATIONARY
 
     def test_constant_law_quadratic(self):
-        spec = ProblemSpec(CONSTANT_ONE, FluxLaw(FluxKind.CONSTANT, nu=1.0), quadratic_profile(1.0, 0.0))
+        spec = ProblemSpec(CONSTANT_ONE, constant_law(1.0), quadratic_profile(1.0, 0.0))
         field = stationary_solution(spec)
         for t in (0.0, 1.0, 50.0):
             assert field.u(2.0, t) == 2.0
@@ -74,7 +75,7 @@ class TestStationary:
         spec = ProblemSpec(linear_shape(), FluxLaw(FluxKind.ZERO), monomial(1.0, 3))
         with pytest.raises(ConstructionError):
             stationary_solution(spec)
-        spec = ProblemSpec(linear_shape(), FluxLaw(FluxKind.CONSTANT, nu=1.0), quadratic_profile(1.0, 0.0))
+        spec = ProblemSpec(linear_shape(), constant_law(1.0), quadratic_profile(1.0, 0.0))
         with pytest.raises(ConstructionError):
             stationary_solution(spec)
 
@@ -548,7 +549,7 @@ class TestTilde:
 
     def test_stationary_quadratic_neumann(self):
         spec = ProblemSpec(
-            CONSTANT_ONE, FluxLaw(FluxKind.CONSTANT, nu=1.0), quadratic_profile(1.0, 0.5),
+            CONSTANT_ONE, constant_law(1.0), quadratic_profile(1.0, 0.5),
             Variant.P_TILDE,
         )
         field = tilde_solution(spec)
@@ -567,7 +568,7 @@ def per_family_companion_u(spec):
     """The companion field's v(x, t) as each family once derived it by hand,
     before the companion field became the x-derivative view of its base."""
     base = spec.as_p()
-    if spec.flux.kind in (FluxKind.ZERO, FluxKind.CONSTANT):
+    if spec.flux.kind is FluxKind.ZERO or spec.flux.constant_value is not None:
         hp = spec.h.derivative
         return lambda x, t: hp(x)
     if spec.phi.kind is ShapeKind.SCALED_SEPARABLE:

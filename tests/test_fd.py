@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    constant_law,
     linear_law,
     linear_shape,
     monomial,
@@ -125,7 +126,7 @@ class TestAccuracy:
 
         spec = ProblemSpec(
             SourceShape(ShapeKind.CONSTANT_ONE),
-            FluxLaw(FluxKind.CONSTANT, nu=0.0),
+            constant_law(0.0),
             InitialProfile(ProfileKind.QUADRATIC, a=0.0, nu=1.0),
         )
 
@@ -203,7 +204,7 @@ class TestAccuracy:
 
         spec = ProblemSpec(
             SourceShape(ShapeKind.CONSTANT_ONE),
-            FluxLaw(FluxKind.CONSTANT, nu=1.0),
+            constant_law(1.0),
             InitialProfile(ProfileKind.QUADRATIC, a=1.0, nu=1.0),
         )
         g = Grid1D(L=8.0, nx=128, t_end=0.25, nt=64)

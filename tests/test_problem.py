@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    constant_law,
     linear_law,
     linear_shape,
     monomial,
@@ -15,7 +16,13 @@ from conftest import (
     sin_shape,
     sinh_shape,
 )
-from fluxheat.closed_form import ConstructionError, flux_closed_form, stationary_solution
+from fluxheat.bench import run_case
+from fluxheat.closed_form import (
+    ConstructionError,
+    flux_closed_form,
+    separated_components,
+    stationary_solution,
+)
 from fluxheat.problem import (
     FluxKind,
     FluxLaw,
@@ -161,7 +168,7 @@ class TestShapes:
 class TestFluxLaw:
     def test_kinds(self):
         assert FluxLaw(FluxKind.ZERO)(3.0, 1.0) == 0.0
-        assert FluxLaw(FluxKind.CONSTANT, nu=2.5)(3.0, 1.0) == 2.5
+        assert constant_law(2.5)(3.0, 1.0) == 2.5
         assert linear_law(2.0)(3.0, 1.0) == 6.0
         affine = FluxLaw(
             FluxKind.AFFINE,
@@ -175,6 +182,27 @@ class TestFluxLaw:
     def test_power_law_n_zero_ignores_value(self):
         power = FluxLaw(FluxKind.POWER_LAW, n=0.0, f=TimeFunction.constant(3.0))
         assert power(-5.0, 1.0) == 3.0
+        # V ** 0.0 is 1.0 for every float V, so F is f(t) to the bit
+        f = TimeFunction.constant(-0.0)
+        for V in (0.0, -0.0, -5.0, 1e308, math.nan, math.inf, -math.inf, np.float64(math.nan)):
+            assert power(V, 1.0).hex() == (3.0).hex()
+            assert FluxLaw(FluxKind.POWER_LAW, n=0.0, f=f)(V, 1.0).hex() == (-0.0).hex()
+
+    def test_constant_value_is_the_one_test_of_f_equal_nu(self):
+        assert constant_law(2.5).constant_value == 2.5
+        assert FluxLaw(FluxKind.POWER_LAW, nu=7.0, n=0.0, f=TimeFunction.constant(2.5)).constant_value == 2.5
+        not_constant = (
+            FluxLaw(FluxKind.ZERO),
+            linear_law(2.5),
+            FluxLaw(FluxKind.AFFINE, f1=TimeFunction.constant(2.5), f2=TimeFunction.constant(0.0)),
+            FluxLaw(FluxKind.POWER_LAW, n=0.5, f=TimeFunction.constant(2.5)),
+            FluxLaw(FluxKind.POWER_LAW, n=0.0, f=TimeFunction.polynomial([2.5])),
+            FluxLaw(FluxKind.POWER_LAW, n=0.0),
+        )
+        assert [law.constant_value for law in not_constant] == [None] * len(not_constant)
+
+    def test_four_kinds(self):
+        assert [k.value for k in FluxKind] == ["zero", "linear", "affine", "power_law"]
 
 
 class TestValidate:
@@ -211,6 +239,19 @@ class TestValidate:
             1.0, 1.0, -1.0, 1.0, FluxLaw(FluxKind.POWER_LAW, n=0.5, f=TimeFunction.constant(1.0))
         )
         assert any("scale, delta, eta" in v for v in validate(spec))
+
+    def test_power_law_reads_f_not_nu(self):
+        # no power-law code reads nu: nu = 0 with a nonzero f is the F of nu = 1
+        f = TimeFunction.polynomial([0.25, 0.05])
+        laws = [FluxLaw(FluxKind.POWER_LAW, nu=nu, n=0.5, f=f) for nu in (0.0, 1.0)]
+        specs = [separated_spec(0.5, 1.0, 1.0, 1.0, law) for law in laws]
+        assert [validate(spec) for spec in specs] == [[], []]
+        assert laws[0](2.0, 3.0) == laws[1](2.0, 3.0)
+        T0, T1 = (separated_components(spec).T for spec in specs)
+        assert [T0(t) for t in (0.5, 1.0, 2.0)] == [T1(t) for t in (0.5, 1.0, 2.0)]
+        results = [run_case(spec) for spec in specs]
+        assert all(result.passed for result in results)
+        assert results[0].records == results[1].records
 
     def test_power_law_zero_factor(self):
         # F = 0 * V^n: the JSON nu = 0, or a zero constant time factor
@@ -360,8 +401,24 @@ class TestJsonSchema:
     def test_affine_not_expressible(self):
         case = self.case()
         case["flux"]["kind"] = "affine"
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"^affine flux laws are library-level only \(no JSON form\)$"):
             spec_from_dict(case)
+
+    def test_unknown_flux_kind_lists_the_json_names(self):
+        case = self.case()
+        case["flux"]["kind"] = "quartic"
+        with pytest.raises(SchemaError) as err:
+            spec_from_dict(case)
+        names = "['zero', 'constant', 'linear', 'power_law']"
+        assert str(err.value) == f"flux 'kind' must be one of {names}, got 'quartic'"
+
+    @pytest.mark.parametrize("n", [None, 0.0, 0.5, -2.0])
+    def test_constant_is_the_power_law_at_n0(self, n):
+        case = self.case()
+        case["flux"] = {"kind": "constant", "nu": 2.5, **({} if n is None else {"n": n})}
+        flux = spec_from_dict(case).flux
+        assert (flux.kind, flux.nu, flux.n) == (FluxKind.POWER_LAW, 2.5, 0.0)
+        assert flux.f.constant_value == flux.constant_value == 2.5
 
     def test_reader_messages(self):
         fields = frozenset({"a", "b"})

@@ -265,7 +265,30 @@ def test_every_kind_combination_is_verified_refused_or_a_listed_reason():
             reasons |= parts
             tally["reason"] += 1
     assert reasons == MISSING_FAMILY_REASONS  # a reason no spec gives leaves the list
-    assert tally == {"refused": 25, "verified": 30, "reason": 245}, tally
+    assert tally == {"refused": 25, "verified": 34, "reason": 241}, tally
+
+
+def bits_of(case, checks):
+    """run_case's records, reason and violations, or its SchemaError's text;
+    each float by its bits, so a nan record equals itself."""
+    try:
+        result = run_case(case, case_id="spelling", extra_checks=checks)
+    except SchemaError as exc:
+        return str(exc)
+    records = [(r.name, r.lhs.hex(), r.rhs.hex(), r.tolerance.hex()) for r in result.records]
+    return records, result.reason, result.violations
+
+
+# F = nu is the power law F = V^n f(t) at n = 0 with f == nu: JSON spells it
+# ``constant`` or ``power_law`` with n = 0, and both spellings end alike.
+@pytest.mark.parametrize("checks", [(), ("control",)])
+def test_constant_and_power_law_n0_are_one_law(checks):
+    for phi, h, variant, nu in itertools.product(KINDS["phi"], PROFILES, ("P", "PTilde"), (1.0, 2.5)):
+        constant, power = (
+            {"phi": {"kind": phi}, "flux": flux, "h": h, "variant": variant}
+            for flux in ({"kind": "constant", "nu": nu}, {"kind": "power_law", "nu": nu, "n": 0.0})
+        )
+        assert bits_of(constant, checks) == bits_of(power, checks), constant
 
 
 # The separated power law at every sign of delta, eta and scale: V^n is real

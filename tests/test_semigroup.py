@@ -176,7 +176,7 @@ def oracle_flux_probe_ladder(spec):
 
 def oracle_solution_grows(spec):
     phi, flux, h = spec.phi, spec.flux, spec.h
-    if flux.kind in (FluxKind.ZERO, FluxKind.CONSTANT):
+    if flux.kind is FluxKind.ZERO:
         return h.kind.value == "monomial" and h.m > 1.0
     if phi.kind is ShapeKind.SCALED_SEPARABLE:
         if flux.kind is FluxKind.LINEAR:
