@@ -172,7 +172,7 @@ def _sv_power_classes(spec: ProblemSpec, x: float) -> ControlClassification:
     phi, h, flux = spec.phi, spec.h, spec.flux
     sigma, delta, scale, eta = phi.sigma, phi.delta, phi.scale, h.eta
     n = flux.n
-    nu_f = flux.f(0.0)  # constant time factor of the power law
+    nu_f = flux.f.constant_value  # the power law's time factor, a constant here
     hx, X = h(x), separated_evaluators(sigma, delta)[0]
     notes: list[str] = []
     u0 = _sv_u0_class(sigma, hx)
@@ -182,8 +182,11 @@ def _sv_power_classes(spec: ProblemSpec, x: float) -> ControlClassification:
         # unstable equilibrium T* = (scale*nu*delta^n / sigma)^(1/(1-n));
         # growth happens only above it, and always when the source feeds T (k < 0)
         t_star = (k / sigma) ** (1.0 / (1.0 - n)) if k >= 0.0 else -math.inf
-        if eta > t_star:
-            u = LimitClass.infinity(hx) if hx != 0.0 else LimitClass.zero()
+        if eta > t_star or (n == 0.0 and eta < t_star):
+            # at n = 0, T = (eta - T*) e^{sigma t} + T* leaves T* on either
+            # side, falling through zero to -infinity below it
+            s = hx if eta > t_star else -hx
+            u = LimitClass.infinity(s) if s != 0.0 else LimitClass.zero()
             ratio_val = (1.0 - k / (sigma * eta ** (1.0 - n))) ** (1.0 / (1.0 - n))
             ratio = LimitClass.finite(ratio_val)
             notes.append(
@@ -292,10 +295,12 @@ def control_classification(spec: ProblemSpec, x: float = 1.0) -> ControlClassifi
     """Long-time classes of u0, u and u/u0 for the three control settings.
 
     The settings are: a constant F = nu with Phi == 1 and the quadratic profile,
-    the separated family with a linear or power law (F = nu is n = 0), and the linear-law
+    the separated family with a linear law or a power law V^n f whose time
+    factor f is a constant (F = nu is n = 0), and the linear-law
     integral-representation family with an odd monomial profile, all three
-    for problem P.  Any other spec, every companion (P~) spec and every spec
-    ``validate`` refuses included, is outside them and gets ``None``.
+    for problem P.  Any other spec, every companion (P~) spec, every spec
+    ``validate`` refuses and a power law with a time-dependent f included, is
+    outside them and gets ``None``.
     x-dependent limits are returned as finite classes evaluated at the
     supplied observation point.
     """
@@ -313,7 +318,7 @@ def control_classification(spec: ProblemSpec, x: float = 1.0) -> ControlClassifi
     if phi.kind is ShapeKind.SCALED_SEPARABLE:
         if flux.kind is FluxKind.LINEAR:
             return _sv_linear_classes(spec, x)
-        if flux.kind is FluxKind.POWER_LAW:
+        if flux.kind is FluxKind.POWER_LAW and flux.f.constant_value is not None:
             return _sv_power_classes(spec, x)
 
     if not integral_rep_kind_violations(spec):

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import asymptotics, closed_form, fd, green, volterra
+from . import asymptotics, closed_form, fd, green, ode, volterra
 from .asymptotics import LimitTag
 from .problem import (
     FluxKind,
@@ -283,35 +283,45 @@ _T_SAMPLES = (0.5, 1.0, 2.0)
 
 
 def _t_ode_solution(comps, flux):
-    """solve_ivp's solution of T' = sigma T - scale F(delta T, t), T(0) = eta,
-    on [0, 2], read off its dense output at _T_SAMPLES as floats: RK45, or the
-    implicit BDF where RK45 raises, stops short of t = 2 or runs past
-    ``_ODE_EVALS`` evaluations (a stiff T equation); ArithmeticError naming
-    the failure where BDF does too.  The T cross-check calls it through the
-    memo ``_t_ode_samples_of``, so a repeated T equation is solved once."""
-    from scipy.integrate import solve_ivp
+    """The solution of T' = sigma T - scale F(delta T, t), T(0) = eta, on
+    [0, 2], read off its dense output at _T_SAMPLES as floats: by
+    ``ode.rk45``, scipy's RK45 to the bit without scipy, or by scipy's
+    implicit BDF, imported only then, where RK45 raises, stops short of t = 2
+    or runs past ``_ODE_EVALS`` evaluations (a stiff T equation);
+    ArithmeticError naming the failure where BDF fails too.  The T
+    cross-check calls it through the memo ``_t_ode_samples_of``, so a
+    repeated T equation is solved once."""
 
     def rhs(t, y):
         if next(evals) == _ODE_EVALS:
             raise ArithmeticError(f"more than {_ODE_EVALS} evaluations")
         return [comps.sigma * y[0] - comps.scale * flux(comps.delta * y[0], max(t, 1e-12))]
 
-    for method in ("RK45", "BDF"):
-        evals = itertools.count()
-        try:
-            with np.errstate(all="ignore"):
-                sol = solve_ivp(
-                    rhs, (0.0, 2.0), [comps.eta], method=method,
-                    rtol=1e-10, atol=1e-12, dense_output=True,
-                )
-        except (ArithmeticError, ValueError) as exc:  # ValueError: an inf in BDF's algebra
-            failure = f"T cross-check: {method} fails on the T equation: {exc}"
-            continue
-        if sol.success:
-            return tuple(float(sol.sol(t)[0]) for t in _T_SAMPLES)
+    evals = itertools.count()
+    try:
+        with np.errstate(all="ignore"):
+            sol = ode.rk45(rhs, (0.0, 2.0), [comps.eta], rtol=1e-10, atol=1e-12)
+    except (ArithmeticError, ValueError):
+        pass  # on to BDF
+    else:
+        return tuple(float(sol(t)[0]) for t in _T_SAMPLES)
+
+    from scipy.integrate import solve_ivp
+
+    evals = itertools.count()
+    failure = "T cross-check: BDF fails on the T equation: "
+    try:
+        with np.errstate(all="ignore"):
+            sol = solve_ivp(
+                rhs, (0.0, 2.0), [comps.eta], method="BDF",
+                rtol=1e-10, atol=1e-12, dense_output=True,
+            )
+    except (ArithmeticError, ValueError) as exc:  # ValueError: an inf in BDF's algebra
+        raise ArithmeticError(failure + str(exc)) from None
+    if not sol.success:
         # past the point where the solve stopped, its dense output extrapolates
-        failure = f"T cross-check: {method} fails on the T equation: {sol.message}"
-    raise ArithmeticError(failure)
+        raise ArithmeticError(failure + sol.message)
+    return tuple(float(sol.sol(t)[0]) for t in _T_SAMPLES)
 
 
 # The solver's samples of T at _T_SAMPLES, memoised per value of the T

@@ -9,13 +9,14 @@ integrals of the explicit-solution machinery (baseline solution, Volterra
 kernel and forcing, the inner integrals of the solution representation) are
 evaluated here by adaptive quadrature on a truncated interval:
 ``quad_semiinfinite`` for one integral, through ``quad_interval``, the one
-QUADPACK entry (``scipy``, imported where it is called), and
-``quad_semiinfinite_nodes`` for a whole node vector of Gaussian-weighted
-integrals, an adaptive GK21 rule batched over panels and nodes that makes one
-vectorised integrand call per refinement round.  Both hold every estimate to
-one bound, 50 tol (1 + |value|).  The Green quadrature of a profile's or a
-source shape's own function at a point, which the baseline and the G Phi
-identity check take, is memoised per value of its arguments.
+entry to QUADPACK (the Python port in :mod:`quadpack`, which returns scipy's
+bits without loading scipy), and ``quad_semiinfinite_nodes`` for a whole node
+vector of Gaussian-weighted integrals, an adaptive GK21 rule batched over
+panels and nodes that makes one vectorised integrand call per refinement
+round.  Both hold every estimate to one bound, 50 tol (1 + |value|).  The
+Green quadrature of a profile's or a source shape's own function at a point,
+which the baseline and the G Phi identity check take, is memoised per value
+of its arguments.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import specfun
+from . import quadpack, specfun
 from .problem import (
     InitialProfile,
     ProblemSpec,
@@ -52,59 +53,21 @@ __all__ = [
 # is below exp(-W^2) ~ 1.6e-28 of the local mass.
 _TRUNCATION_W = 8.0
 
-# The Gauss-Kronrod 21-point rule of QUADPACK (qk21) on [-1, 1]: the
-# non-negative Kronrod nodes, their weights, and the weights of the embedded
-# 10-point Gauss rule at the same nodes (0 at the Kronrod-only ones).
-_GK21_X_HALF = (
-    0.995657163025808080735527280689003,
-    0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508,
-    0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042,
-    0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694,
-    0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866,
-    0.148874338981631210884826001129720,
-    0.0,
-)
-_GK21_K_HALF = (
-    0.011694638867371874278064396062192,
-    0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580,
-    0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366,
-    0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074,
-    0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717,
-    0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_G10_HALF = (
-    0.0,
-    0.066671344308688137593568809893332,
-    0.0,
-    0.149451349150580593145776339657697,
-    0.0,
-    0.219086362515982043995534934228163,
-    0.0,
-    0.269266719309996355091226921569469,
-    0.0,
-    0.295524224714752870173892994651338,
-    0.0,
-)
-
 
 def _mirror(half: np.ndarray) -> np.ndarray:
     """Values at the 21 nodes, -x_0 ... 0 ... x_0, from those at x_0 > ... > 0."""
     return np.concatenate([half, half[-2::-1]])
 
 
-_GK21_X = _mirror(np.array(_GK21_X_HALF)) * np.repeat([-1.0, 1.0], [11, 10])
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21) on [-1, 1] as the batched
+# engine reads it: the nodes, their Kronrod weights, and those minus the
+# weights of the embedded 10-point Gauss rule (0 at the Kronrod-only nodes).
+_G10_HALF = np.zeros(11)
+_G10_HALF[1::2] = quadpack.GK21_WG
+_GK21_X = _mirror(np.array(quadpack.GK21_X)) * np.repeat([-1.0, 1.0], [11, 10])
 _GK21_X_PLUS_1 = _GK21_X + 1.0  # the nodes as offsets from a panel's left end, in half-widths
-_GK21_K = _mirror(np.array(_GK21_K_HALF))
-_GK21_K_MINUS_G = _GK21_K - _mirror(np.array(_G10_HALF))
+_GK21_K = _mirror(np.array(quadpack.GK21_WK))
+_GK21_K_MINUS_G = _GK21_K - _mirror(_G10_HALF)
 _GK21_ROUNDOFF = 50.0 * np.finfo(float).eps  # QUADPACK's round-off floor per unit |f|
 
 # Equal panels that quad_semiinfinite_nodes starts from, their left ends in
@@ -180,15 +143,13 @@ def quad_interval(
 ) -> float:
     """int_a^b integrand by QUADPACK's adaptive Gauss-Kronrod rule.
 
-    Absolute-plus-relative tolerance ``tol``, at most 400 subintervals,
-    breakpoints ``points`` inside (a, b).  Raises :class:`QuadratureError`
-    when the error estimate misses the bound 50 tol (1 + |value|).
+    :func:`quadpack.quad`, which returns ``scipy.integrate.quad``'s value and
+    estimate to the bit: absolute-plus-relative tolerance ``tol``, at most
+    400 subintervals, breakpoints ``points`` inside (a, b).  Raises
+    :class:`QuadratureError` when the error estimate misses the bound
+    50 tol (1 + |value|).
     """
-    from scipy.integrate import quad
-
-    value, estimate = quad(
-        integrand, a, b, epsabs=tol, epsrel=tol, limit=_MAX_PANELS, points=points
-    )
+    value, estimate, _, _ = quadpack.quad(integrand, a, b, tol, tol, _MAX_PANELS, points)
     if not _within_bound(estimate, value, tol):
         message = f"quadrature over [{a:.6g}, {b:.6g}] reached {estimate:.3e}, wanted {tol:.3e}"
         raise QuadratureError(message, value, estimate)

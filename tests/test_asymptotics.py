@@ -36,6 +36,7 @@ from fluxheat.problem import (
     InitialProfile,
     ProblemSpec,
     ProfileKind,
+    SchemaError,
     ShapeKind,
     SourceShape,
     TimeFunction,
@@ -235,6 +236,27 @@ class TestControlClassification:
         result = bench.run_case(case, extra_checks=("control",))
         names = {r.name for r in result.records if r.passed}
         assert result.passed and {"control_u", "control_ratio"} <= names
+
+    def test_power_law_n0_below_the_unstable_equilibrium_falls(self):
+        # separated-power-nhalf at n = 0, nu = 1: T* = 2 > eta = 1, and
+        # T = (eta - T*) e^{t/2} + T* falls through zero to -infinity
+        config = load_case("separated-power-nhalf")
+        config["case"]["flux"] = {"kind": "power_law", "nu": 1.0, "n": 0.0}
+        cc = control_classification(spec_from_dict(config["case"]), x=1.0)
+        assert cc.u_limit.tag is LimitTag.MINUS_INFINITY
+        assert cc.ratio_limit == LimitClass.finite(1.0 - 1.0 / (0.5 * 1.0))  # 1 - k/(sigma eta)
+        result = bench.run_case(config["case"], extra_checks=tuple(config["checks"]))
+        names = {r.name for r in result.records if r.passed}
+        assert result.passed and {"control_u", "control_ratio"} <= names
+
+    def test_power_law_with_a_time_dependent_f_is_outside_the_settings(self):
+        # the classes assume a constant f; f(t) = 0.25 + 0.05 t is not one
+        law = FluxLaw(FluxKind.POWER_LAW, n=0.5, f=TimeFunction.polynomial([0.25, 0.05]))
+        spec = separated_spec(0.5, 1.0, 1.0, 1.0, law)
+        assert control_classification(spec) is None
+        assert bench.run_case(spec).passed
+        with pytest.raises(SchemaError, match="outside the control settings"):
+            bench.run_case(spec, extra_checks=("control",))
 
     @pytest.mark.parametrize(
         "nu, n, eta",

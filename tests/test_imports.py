@@ -31,20 +31,26 @@ def test_no_module_imports_scipy_signal():
 
 
 def test_volterra_and_fd_paths_load_no_scipy():
-    # scipy is imported where it runs (green.quad_interval, the one QUADPACK
-    # entry, and the separated family's solve_ivp cross-check) and process
-    # pools only for a parallel sweep, so a cold start of the Volterra and FD
-    # paths pays for neither
+    # the QUADPACK and RK45 ports stand in for scipy's, which only a stiff T
+    # equation's BDF fallback imports, and process pools load only for a
+    # parallel sweep: a cold start of every catalog case (with and without
+    # the slow oracles), the Volterra solvers and an FD ladder pays for neither
     code = """
 import sys
 import fluxheat, fluxheat.bench, fluxheat.cli
-from fluxheat import catalog, closed_form, fd, green, volterra
+from fluxheat import bench, catalog, closed_form, fd, green, volterra
 from fluxheat.problem import spec_from_dict
 
 def heavy():
     return sorted(m for m in sys.modules
                   if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process')
 
+assert heavy() == [], heavy()
+for case_id, config in catalog.iter_cases():
+    for slow in (False, True):
+        result = bench.run_case(config['case'], case_id, slow_oracles=slow,
+                                extra_checks=tuple(config.get('checks', ())))
+        assert result.passed, (case_id, slow, result.reason)
 assert heavy() == [], heavy()
 spec = spec_from_dict(catalog.load_case('ir-phi1-m3')['case'])
 nu = spec.flux.nu
@@ -56,9 +62,8 @@ volterra.solve_volterra(kernel, volterra.forcing_for(spec.h, quadrature=True), n
 tilde = spec_from_dict(catalog.load_case('tilde-ir-phi1-m1')['case'])
 grids = [fd.Grid1D(L=4.0, nx=nx, t_end=0.2, nt=nx // 2, theta=0.5) for nx in (16, 32, 64)]
 fd.convergence_order(tilde, grids, closed_form.solution_for(tilde))
-assert heavy() == [], heavy()
 green.quad_semiinfinite(lambda xi: 1.0, center=0.0, tvar=1.0)
-assert 'scipy.integrate' in sys.modules
+assert heavy() == [], heavy()
 """
     done = run_fresh(code)
     assert done.returncode == 0, done.stderr

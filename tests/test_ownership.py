@@ -154,9 +154,11 @@ def test_each_family_decision_has_one_owner():
 
 
 def test_scipy_has_one_quadrature_entry_and_one_bound():
-    # scipy's QUADPACK through green.quad_interval alone, its ODE solver
-    # through the T cross-check alone; every quadrature estimate meets one bound
-    importers = set()
+    # QUADPACK (the quadpack port) through green.quad_interval alone, RK45 (the
+    # ode port) through the T cross-check alone; scipy is imported by nothing
+    # but that cross-check's BDF fallback; every quadrature estimate meets one bound
+    importers, imported, methods = set(), set(), []
+    callers = {"quadpack.quad": set(), "ode.rk45": set()}
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text())
         for fn in ast.walk(tree):
@@ -165,11 +167,19 @@ def test_scipy_has_one_quadrature_entry_and_one_bound():
                     names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
                     if isinstance(node, ast.ImportFrom):
                         names = [node.module or ""]
+                        if names[0].startswith("scipy"):
+                            imported.update(f"{node.module}.{a.name}" for a in node.names)
                     if any(n == "scipy" or n.startswith("scipy.") for n in names):
                         importers.add(f"{path.stem}.{fn.name}")
+                    if isinstance(node, ast.Call):
+                        callers.get(ast.unparse(node.func), set()).add(f"{path.stem}.{fn.name}")
+                        if ast.unparse(node.func) == "solve_ivp":
+                            methods += [ast.literal_eval(k.value) for k in node.keywords if k.arg == "method"]
         top = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
         assert not any("scipy" in ast.unparse(n) for n in top), path.name
-    assert importers == {"green.quad_interval", "bench._t_ode_solution"}
+    assert importers == {"bench._t_ode_solution"}
+    assert imported == {"scipy.integrate.solve_ivp"} and methods == ["BDF"]
+    assert callers == {"quadpack.quad": {"green.quad_interval"}, "ode.rk45": {"bench._t_ode_solution"}}
     green_src = (PACKAGE / "green.py").read_text()
     assert len(re.findall(r"50(\.0)?\s*\*\s*tol", green_src)) == 1
     assert "scipy" not in (PACKAGE / "closed_form.py").read_text()
