@@ -231,12 +231,17 @@ def _u0_quadrature_gap(spec, field, seed: int) -> float:
     return worst
 
 
+# The sample times of the volterra_residual check, built once and read-only
+# as ``_sample_points`` returns its arrays.
+_VOLTERRA_T_SAMPLES = np.linspace(0.1, 5.0, 12)
+_VOLTERRA_T_SAMPLES.flags.writeable = False
+
+
 def _integral_rep_checks(spec, field, slow):
     kernel = volterra.kernel_for(spec.phi)
     forcing = volterra.forcing_for(spec.h)
-    t_samples = np.linspace(0.1, 5.0, 12)
     yield "volterra_residual", volterra.volterra_residual(
-        field.V, kernel, forcing, spec.flux.nu, t_samples
+        field.V, kernel, forcing, spec.flux.nu, _VOLTERRA_T_SAMPLES
     )
 
     worst = 0.0

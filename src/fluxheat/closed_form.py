@@ -13,7 +13,9 @@ exponent come out of one coefficient-generation routine based on the
 antiderivative of tau^n exp(a tau); the expanded low-degree forms serve as
 test vectors in the suite.  :func:`flux_closed_form` re-checks each trajectory
 against the governing Volterra equation (exact convolution, unless
-``check=False``), which guards against sign mistakes in the coefficients.
+``check=False``), which guards against sign mistakes in the coefficients, and
+is memoised per value of the spec and ``check``, so a repeated spec builds and
+checks its flux once.
 """
 
 from __future__ import annotations
@@ -309,8 +311,24 @@ def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTraject
     the limit classes use, V = c t^p - rho c t^{p+1}/(p+1).  With
     ``check=True`` the trajectory is verified against the Volterra equation
     before being returned; a residual above the tolerance, nan, or out of
-    double range at a sample t raises ``ConstructionError``.
+    double range at a sample t raises ``ConstructionError``.  Memoised per
+    value of (spec, check) (:func:`_flux_closed_form_of`).
     """
+    return _flux_closed_form_of(spec, check)
+
+
+# flux_closed_form memoised per value of (spec, check), the idiom of
+# ``specfun._exp_moment_of``: a hit returns the trajectory the call built, and
+# a refused spec or a failed check raises and stores nothing, so the next call
+# checks it again.  The key is the frozen spec, its Phi, flux law, h and the
+# variant the well-posedness guard reads; a law holding closures (a power law)
+# hashes them by identity, misses and is refused.  No zero's sign reaches a
+# built flux: lambda, mu, nu and eta are nonzero there and no other float of
+# the spec is read.  One catalog pass builds 15 distinct fluxes; 64 leaves
+# room for the specs of a sweep between passes.
+@functools.lru_cache(maxsize=64)
+def _flux_closed_form_of(spec: ProblemSpec, check: bool) -> ClosedFormTrajectory:
+    """The checked (or, ``check=False``, unchecked) closed-form flux of ``spec``."""
     _require_well_posed(spec)
     violations = integral_rep_kind_violations(spec)
     if spec.flux.kind is FluxKind.LINEAR and spec.flux.nu <= 0.0:
@@ -355,42 +373,28 @@ def flux_closed_form(spec: ProblemSpec, check: bool = True) -> ClosedFormTraject
     return traj
 
 
-def _time_factor(spec: ProblemSpec, traj) -> Callable[[float], float]:
-    """t -> the weighted time integral of V, computed once per distinct t.
-
-    The small cache belongs to the field being built, so nothing carries over
-    between fields; ``typed`` keeps a float and a numpy scalar t apart, so a
-    hit returns exactly what the call would have.
-    """
-    _, rho = spec.phi.semigroup
-
-    @functools.lru_cache(maxsize=8, typed=True)
-    def weighted(t: float) -> float:
-        return traj.weighted_flux_integral(rho, t)
-
-    return weighted
-
-
 def integral_rep_solution(spec: ProblemSpec) -> SolutionField:
     """Explicit solution u = u0 - nu Phi(x) * (weighted time integral of V).
 
     The weight of the time integral is the Green weight exp(rho (t-tau)) of
-    the shape (rho = 0, lambda^2 or -lambda^2), evaluated in closed form.
-    The field computes that time factor once per distinct t (a small cache
-    of the last few t) and the baseline's polynomial coefficients once; the
-    baseline is the field's ``u0``, and ``ux`` shares both.
+    the shape (rho = 0, lambda^2 or -lambda^2), evaluated in closed form by
+    the flux's ``weighted_flux_integral``, which is memoised per value of
+    (flux, rho, t), so each distinct t costs one evaluation across every
+    field of that flux.  The field binds rho and the baseline's polynomial
+    coefficients once; the baseline is the field's ``u0``, and ``ux`` shares
+    both.
     """
     traj = flux_closed_form(spec)
     phi, nu = spec.phi, spec.flux.nu
     coeffs = _u0_coeffs(spec.h)
-    weighted = _time_factor(spec, traj)
+    _, rho = phi.semigroup
     phi_at, dphi = phi.evaluators()
 
     def u(x: float, t: float) -> float:
-        return _u0_sum(coeffs, x, t) - nu * phi_at(x) * weighted(t)
+        return _u0_sum(coeffs, x, t) - nu * phi_at(x) * traj.weighted_flux_integral(rho, t)
 
     def ux(x: float, t: float) -> float:
-        return _u0_dx_sum(coeffs, x, t) - nu * dphi(x) * weighted(t)
+        return _u0_dx_sum(coeffs, x, t) - nu * dphi(x) * traj.weighted_flux_integral(rho, t)
 
     return SolutionField(
         u=u,

@@ -113,8 +113,10 @@ class Forcing:
     profile: InitialProfile
     quadrature: bool = False
 
-    @property
+    @functools.cached_property
     def c(self) -> float:
+        """The constant of V0 = c t^p, computed on the first read only; the
+        frozen dataclass refuses to set or delete it."""
         return monomial_forcing_constant(self.profile.eta, self.profile.m)
 
     @property
@@ -225,7 +227,7 @@ def _grid(t_end: float, n_steps: int) -> np.ndarray:
 
 
 # The quadrature tables of a grid, memoised per value of the kernel or
-# forcing and the grid, the idiom of ``closed_form._time_factor``: at most 32
+# forcing and the grid, the idiom of ``specfun._exp_moment_of``: at most 32
 # tables of 8(n + 1) bytes each per cache.  Each table is read-only, since
 # every later solve on that grid shares it.
 @functools.lru_cache(maxsize=32, typed=True)

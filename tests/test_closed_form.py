@@ -15,14 +15,13 @@ from conftest import (
     sin_shape,
     sinh_shape,
 )
-from fluxheat import bench, catalog
+from fluxheat import bench, catalog, trajectory
 from fluxheat import volterra as vol
 from fluxheat.fd import pde_residual
 from fluxheat.green import QuadratureError
 from fluxheat.closed_form import (
     ConstructionError,
     Provenance,
-    _time_factor,
     _u0_coeffs,
     _u0_dx_sum,
     baseline_u0_polynomial,
@@ -415,13 +414,17 @@ class TestIntegralRepSolution:
             assert abs(extrap - v) <= 1e-6 * (1 + abs(v))
 
 
+def uncached_w(spec, traj, t):
+    """The time factor W(t) computed afresh, past its memo."""
+    return trajectory._weighted_flux_integral_of.__wrapped__(traj, spec.phi.semigroup[1], t, 1.0, 1.0)
+
+
 def uncached_u(spec, traj, x, t):
     """The field's formula with the baseline and time factor recomputed per call."""
     base = 0.0
     for coef, k, power in _u0_coeffs(spec.h):
         base += coef * (4.0 * t) ** k * x ** power
-    weighted = traj.weighted_flux_integral(spec.phi.semigroup[1], t)
-    return base - spec.flux.nu * spec.phi(x) * weighted
+    return base - spec.flux.nu * spec.phi(x) * uncached_w(spec, traj, t)
 
 
 def uncached_v(spec, traj, x, t):
@@ -429,8 +432,7 @@ def uncached_v(spec, traj, x, t):
     for coef, k, power in _u0_coeffs(spec.h):
         if power >= 1:
             base += coef * (4.0 * t) ** k * power * x ** (power - 1)
-    weighted = traj.weighted_flux_integral(spec.phi.semigroup[1], t)
-    return base - spec.flux.nu * spec.phi.derivative(x) * weighted
+    return base - spec.flux.nu * spec.phi.derivative(x) * uncached_w(spec, traj, t)
 
 
 class TestTimeFactorOncePerT:
@@ -442,8 +444,8 @@ class TestTimeFactorOncePerT:
         spec = monomial_spec(shape, 0.8, m)
         field = integral_rep_solution(spec)
         tilde = tilde_solution(monomial_spec(shape, 0.8, m, variant=Variant.P_TILDE))
-        # more distinct times than the cache holds, revisited, as floats and
-        # numpy scalars; t = 10 takes the pre-scaled branch of the sine shape
+        # distinct times, revisited, as floats and numpy scalars; t = 10 takes
+        # the pre-scaled branch of the sine shape
         ts = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 0.3, 0.7, 1.3]
         points = [(x, t) for t in ts + ts[::-1] for x in (0.0, 0.4, 1.7)]
         points += [(np.float64(x), np.float64(t)) for x, t in points[::7]]
@@ -454,17 +456,21 @@ class TestTimeFactorOncePerT:
     def test_pde_residual_computes_five_time_factors(self, monkeypatch):
         spec = monomial_spec(sin_shape(2.0, 1.0), 0.8, 3)
         calls = []
-        real = ClosedFormTrajectory.weighted_flux_integral
+        real = ClosedFormTrajectory.weighted_integral
 
-        def counting(V, rho, t, factor=1.0):
+        def counting(V, rate, t):
             calls.append(t)
-            return real(V, rho, t, factor)
+            return real(V, rate, t)
 
-        field = integral_rep_solution(spec)  # its flux check calls the method too
-        monkeypatch.setattr(ClosedFormTrajectory, "weighted_flux_integral", counting)
+        field = integral_rep_solution(spec)  # its flux check evaluates W too
+        memo = trajectory._weighted_flux_integral_of
+        memo.cache_clear()
+        monkeypatch.setattr(ClosedFormTrajectory, "weighted_integral", counting)
         pde_residual(field, spec, 0.7, 0.9, delta=1e-3)
-        # u is called 9 times at the 5 stencil times t, t +- d, t +- d/2
+        # u is called 9 times at the 5 stencil times t, t +- d, t +- d/2, and
+        # -rho t < 30 there, so each evaluated W integrates V once
         assert len(calls) == 5 and len(set(calls)) == 5
+        assert memo.cache_info().misses == 5
 
 
 def test_pre_scaled_time_factor_matches_the_plain_form():
@@ -578,8 +584,10 @@ def per_family_companion_u(spec):
     traj = flux_closed_form(base)
     phi, nu = base.phi, base.flux.nu
     coeffs = _u0_coeffs(base.h)
-    weighted = _time_factor(base, traj)
-    return lambda x, t: _u0_dx_sum(coeffs, x, t) - nu * phi.derivative(x) * weighted(t)
+    rho = phi.semigroup[1]
+    return lambda x, t: (
+        _u0_dx_sum(coeffs, x, t) - nu * phi.derivative(x) * traj.weighted_flux_integral(rho, t)
+    )
 
 
 def companion_view_specs():

@@ -217,9 +217,10 @@ def test_every_memo_is_bounded():
     assert memos == {
         "bench._sample_points",
         "bench._t_ode_samples_of",
-        "closed_form.weighted",
+        "closed_form._flux_closed_form_of",
         "green._green_quad_of",
         "specfun._exp_moment_of",
+        "trajectory._weighted_flux_integral_of",
         "volterra._forcing_table",
         "volterra._kernel_table",
     }

@@ -17,7 +17,7 @@ from conftest import (
     sin_shape,
     sinh_shape,
 )
-from fluxheat import catalog, green, volterra
+from fluxheat import catalog, closed_form, green, volterra
 from fluxheat.bench import CheckRecord
 from fluxheat.closed_form import ConstructionError, flux_closed_form
 from fluxheat.problem import (
@@ -850,6 +850,8 @@ class TestResidual:
         assert math.isnan(volterra_residual(late_nan, k, f, 1.0, [0.5, 2.0]))
 
     def test_construction_refuses_a_nan_residual(self, monkeypatch):
+        # a memo hit would return the flux without running the patched check
+        closed_form._flux_closed_form_of.cache_clear()
         monkeypatch.setattr(volterra, "volterra_residual", lambda *args: math.nan)
         with pytest.raises(ConstructionError, match="Volterra residual"):
             flux_closed_form(monomial_spec(sin_shape(2.0, 1.0), 1.0, 3))
