@@ -142,7 +142,7 @@ class FDSolver:
         self.tilde = spec.variant is Variant.P_TILDE
         self._phi0 = float(spec.phi(0.0))  # companion Neumann datum g = Phi(0) F
 
-        x = grid.x
+        x = grid.x.tolist()
         phi, h = spec.evaluators()
         self.phi_vals = np.array([phi(xi) for xi in x])
         self.state = DiscreteField(values=np.array([h(xi) for xi in x]), time=0.0)
@@ -194,10 +194,10 @@ class FDSolver:
         return np.array(d)
 
     def _boundary_var(self, u: np.ndarray) -> float:
-        dx = self.grid.dx
+        u0, u1, u2 = u[:3].tolist()
         if self.tilde:
-            return float(u[0])
-        return float((-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx))
+            return u0
+        return (-3.0 * u0 + 4.0 * u1 - u2) / (2.0 * self.grid.dx)
 
     def _far_value(self, t: float) -> float:
         if self.far_field == "homogeneous":
@@ -304,12 +304,11 @@ def convergence_order(
     else:
         compare = fields
     for g, u in compare:
-        x = g.x
         if self_ref:
             ratio = g_fine.nx // g.nx
             exact = u_fine[::ratio]
         else:
-            exact = np.array([reference.u(xi, g.t_end) for xi in x])
+            exact = np.array([reference.u(xi, g.t_end) for xi in g.x.tolist()])
         ref_max = max(ref_max, float(np.max(np.abs(exact))))
         diff = u - exact
         peak = float(np.max(np.abs(diff)))

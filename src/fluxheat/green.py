@@ -304,7 +304,8 @@ def _green_quad(
 # The Green quadrature of a profile's or a shape's own function, memoised per
 # value of (data, x, t, tau, tol) as ``volterra._kernel_table`` is: a hit
 # returns the float the same call returned, and a raising call stores
-# nothing.  ``typed`` keeps a float and a numpy scalar apart, and callers
+# nothing.  ``typed`` keeps a float and a numpy scalar apart (the checks of
+# ``bench`` pass floats only; a library caller may pass either), and callers
 # pass every argument by position, so one value has one key.  One catalog
 # pass asks for 58 distinct keys; an LRU cache smaller than a cyclic working
 # set never hits, hence 256.  The slow oracle's inner per-tau quadrature is

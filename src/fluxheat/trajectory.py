@@ -110,15 +110,17 @@ class ClosedFormTrajectory:
 # exps, rho, t, factor), the idiom of ``specfun._exp_moment_of``: a hit
 # returns the float the call computed, and a call that raises OverflowError
 # stores nothing.  ``typed`` keeps a float and a numpy scalar apart, so a hit
-# has the type the call would return.  Of equal floats only 0.0 and -0.0
-# differ in bits; a zero factor's sign reaches factor * W, so ``factor_sign``
-# keys it apart.  No other zero's sign reaches W: t == 0 returns 0.0, rho =
-# +-0 gives exp(rho t) = 1 and exp_moment's a == 0 branch, and a zero
-# coefficient is skipped or adds to a sum that starts at +0.  A miss looks up
-# ``weighted_integral`` on the trajectory by attribute, so a patch of the
-# method on the class (perfbench's tracer) sees every evaluation.  One catalog
-# pass asks for about 990 distinct keys in 2229 calls, and an LRU cache
-# smaller than a cyclic working set never hits, hence 4096.
+# has the type the call would return; the checks of ``bench`` pass floats
+# only, but a library caller may pass either.  Of equal floats only 0.0 and
+# -0.0 differ in bits; a zero factor's sign reaches factor * W, so
+# ``factor_sign`` keys it apart.  No other zero's sign reaches W: t == 0
+# returns 0.0, rho = +-0 gives exp(rho t) = 1 and exp_moment's a == 0 branch,
+# and a zero coefficient is skipped or adds to a sum that starts at +0.  A
+# miss looks up ``weighted_integral`` on the trajectory by attribute, so a
+# patch of the method on the class (perfbench's tracer) sees every
+# evaluation.  One catalog pass asks for about 984 distinct keys in 2229
+# calls, and an LRU cache smaller than a cyclic working set never hits,
+# hence 4096.
 @functools.lru_cache(maxsize=4096, typed=True)
 def _weighted_flux_integral_of(
     traj: ClosedFormTrajectory, rho: float, t: float, factor: float, factor_sign: float

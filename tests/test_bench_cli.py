@@ -4,6 +4,7 @@ import hashlib
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from fluxheat import bench, cli, closed_form, fd, specfun
@@ -194,10 +195,21 @@ class TestRunCase:
     def test_sample_points_are_read_only_constants(self):
         xs, ts = bench._sample_points(n=4)
         assert bench._sample_points(n=4)[0] is xs
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             xs[0] = 0.0
-        with pytest.raises(ValueError):
-            ts[:] = 1.0
+        with pytest.raises(TypeError):
+            ts[:] = (1.0,) * 4
+        # every argument tuple the checks ask for: tuples of Python floats,
+        # the generator's draws bit for bit
+        for n, t_hi, seed in ((8, 1.5, 1234), (4, 1.5, 1234), (3, 1.5, 77), (10, 1.5, 21),
+                              (3, 1.0, 5), (3, 1.0, 9)):
+            rng = np.random.default_rng(seed)
+            want_xs = 0.2 + (2.0 - 0.2) * rng.random(n)
+            want_ts = 0.1 + (t_hi - 0.1) * rng.random(n)
+            got = bench._sample_points(n=n, t_hi=t_hi, seed=seed)
+            for values, want in zip(got, (want_xs, want_ts)):
+                assert type(values) is tuple and all(type(v) is float for v in values)
+                assert [v.hex() for v in values] == [float(w).hex() for w in want]
 
     def test_even_m_closed_form_is_validation_failure(self):
         # well-posed, so validate passes; no family covers even m, and the

@@ -499,7 +499,7 @@ class TestScalarTrajectory:
         trajs = catalog_trajectories()
         assert len(trajs) >= 20
         # the pde_residual stencil t, t +- 1e-3, t +- 5e-4 at the sample times
-        stencil = [t + s * 1e-3 for t in bench._sample_points()[1].tolist()
+        stencil = [t + s * 1e-3 for t in bench._sample_points()[1]
                    for s in (-1.0, -0.5, 0.0, 0.5, 1.0)]
         times = [0.0, 1e-8, *stencil, 80.0, 1e3]
         overflowed = 0

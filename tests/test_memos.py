@@ -6,9 +6,12 @@ factor).  A hit must return the bits and the type a fresh computation
 returns, and a call that raises must store nothing.
 """
 
+import collections
 import dataclasses
 import math
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +261,42 @@ def test_sweep_records_do_not_depend_on_what_the_memos_hold():
     warm = records(cold=False)
     assert warm == cold
     assert sum(len(rows) for rows, _, _ in cold) > 40 * 10
+
+
+def test_no_numpy_scalar_reaches_the_package_in_a_catalog_pass():
+    # The checks sample their points as Python floats, so the closed forms
+    # run in float arithmetic.  A numpy scalar gives the same bits at a higher
+    # cost per operation, and ``typed`` memos key it apart.  Trace a warm
+    # catalog pass and 40 sweep specs with the control checks: no function of
+    # the package is called with a numpy scalar positional argument.
+    cases = list(catalog.iter_cases())
+    specs = sweep_slice(1, 40)
+
+    def catalog_pass():
+        for cid, cfg in cases:
+            bench.run_case(cfg["case"], case_id=cid, extra_checks=tuple(cfg.get("checks", ())))
+
+    clear_all_memos()
+    catalog_pass()
+    package = str(Path(bench.__file__).parent)
+    calls, numpy_calls = [0], collections.Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event != "call" or not code.co_filename.startswith(package):
+            return
+        calls[0] += 1
+        args = [frame.f_locals[name] for name in code.co_varnames[: code.co_argcount]]
+        if any(isinstance(a, np.generic) for a in args):
+            numpy_calls[f"{Path(code.co_filename).name}:{code.co_name}"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        catalog_pass()
+        for i, case in enumerate(specs):
+            bench.run_case(case, case_id=f"sweep-1-{i}", extra_checks=("control",))
+    finally:
+        sys.setprofile(previous)
+    assert calls[0] > 50_000
+    assert not numpy_calls, numpy_calls.most_common(10)
