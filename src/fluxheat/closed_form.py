@@ -378,23 +378,25 @@ def integral_rep_solution(spec: ProblemSpec) -> SolutionField:
 
     The weight of the time integral is the Green weight exp(rho (t-tau)) of
     the shape (rho = 0, lambda^2 or -lambda^2), evaluated in closed form by
-    the flux's ``weighted_flux_integral``, which is memoised per value of
-    (flux, rho, t), so each distinct t costs one evaluation across every
-    field of that flux.  The field binds rho and the baseline's polynomial
-    coefficients once; the baseline is the field's ``u0``, and ``ux`` shares
-    both.
+    the flux's time factor ``W = traj.time_factor(rho)``.  The field binds
+    W once, for both ``u`` and ``ux``; W memoises its values per t, and the
+    binding is shared by every field of that flux, so each distinct t costs
+    one evaluation.  The field also binds the baseline's polynomial
+    coefficients once; the baseline is the field's ``u0``, and ``ux``
+    shares them.
     """
     traj = flux_closed_form(spec)
     phi, nu = spec.phi, spec.flux.nu
     coeffs = _u0_coeffs(spec.h)
     _, rho = phi.semigroup
+    W = traj.time_factor(rho)
     phi_at, dphi = phi.evaluators()
 
     def u(x: float, t: float) -> float:
-        return _u0_sum(coeffs, x, t) - nu * phi_at(x) * traj.weighted_flux_integral(rho, t)
+        return _u0_sum(coeffs, x, t) - nu * phi_at(x) * W(t)
 
     def ux(x: float, t: float) -> float:
-        return _u0_dx_sum(coeffs, x, t) - nu * dphi(x) * traj.weighted_flux_integral(rho, t)
+        return _u0_dx_sum(coeffs, x, t) - nu * dphi(x) * W(t)
 
     return SolutionField(
         u=u,

@@ -436,27 +436,29 @@ def _prefix_sum_weights(q: int) -> list[int]:
     return [(-1) ** (q - k) * math.factorial(k) * s for k, s in enumerate(row)]
 
 
-def _convolution(k: Kernel, traj, t: float) -> float:
-    """int_0^t R(t - tau) V(tau) dtau: kappa times the flux's time factor
-    ``weighted_flux_integral`` for an analytic kernel, the trapezoid rule over
-    a sampled flux up to t for a quadrature kernel."""
+def _convolution(k: Kernel, traj):
+    """t -> int_0^t R(t - tau) V(tau) dtau: the flux's time factor
+    ``traj.time_factor(rho, kappa)`` for an analytic kernel, the trapezoid
+    rule over a sampled flux up to t for a quadrature kernel."""
     if k.quadrature and isinstance(traj, SampledTrajectory):
-        return traj._trapezoid_to(t, lambda ts: kernel_values(k, t - ts))
+        return lambda t: traj._trapezoid_to(t, lambda ts: kernel_values(k, t - ts))
     kappa, rho = k.exp_parts  # ValueError for a quadrature kernel of a closed-form flux
-    return traj.weighted_flux_integral(rho, t, factor=kappa)
+    return traj.time_factor(rho, kappa)
 
 
 def volterra_residual(traj, k: Kernel, f: Forcing, nu: float, t_samples) -> float:
     """Max over the samples of |V(t) - V0(t) + nu int_0^t R(t-tau)V(tau)dtau|,
     nan if any sample's residual is nan (so that a tolerance check fails).
 
-    Raises ``OverflowError`` naming the first sample t where a term leaves
-    the double range.
+    The memory term is bound once per call (:func:`_convolution`).  Raises
+    ``OverflowError`` naming the first sample t where a term leaves the
+    double range.
     """
+    memory = _convolution(k, traj)
     worst = 0.0
     for t in t_samples:
         try:
-            res = float(traj(t)) - forcing_eval(f, t) + nu * _convolution(k, traj, t)
+            res = float(traj(t)) - forcing_eval(f, t) + nu * memory(t)
         except OverflowError as exc:
             raise OverflowError(
                 f"Volterra residual overflows ({exc}) at t = {float(t):.6g}"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -415,8 +416,8 @@ class TestIntegralRepSolution:
 
 
 def uncached_w(spec, traj, t):
-    """The time factor W(t) computed afresh, past its memo."""
-    return trajectory._weighted_flux_integral_of.__wrapped__(traj, spec.phi.semigroup[1], t, 1.0, 1.0)
+    """The time factor W(t) computed afresh, past both levels of its memo."""
+    return trajectory._time_factor_of.__wrapped__(traj, spec.phi.semigroup[1], 1.0, 1.0).__wrapped__(t)
 
 
 def uncached_u(spec, traj, x, t):
@@ -453,8 +454,10 @@ class TestTimeFactorOncePerT:
             assert field.u(x, t) == uncached_u(spec, field.V, x, t)
             assert tilde.u(x, t) == uncached_v(spec, tilde.V, x, t)
 
-    def test_pde_residual_computes_five_time_factors(self, monkeypatch):
-        spec = monomial_spec(sin_shape(2.0, 1.0), 0.8, 3)
+    @staticmethod
+    def count_time_factors(monkeypatch, field):
+        """The t of every W the field evaluates from here on, and its W
+        binding, emptied."""
         calls = []
         real = ClosedFormTrajectory.weighted_integral
 
@@ -462,15 +465,34 @@ class TestTimeFactorOncePerT:
             calls.append(t)
             return real(V, rate, t)
 
-        field = integral_rep_solution(spec)  # its flux check evaluates W too
-        memo = trajectory._weighted_flux_integral_of
-        memo.cache_clear()
+        W = field.V.time_factor(field.spec.phi.semigroup[1])  # the binding the field holds
+        W.cache_clear()
         monkeypatch.setattr(ClosedFormTrajectory, "weighted_integral", counting)
+        return calls, W
+
+    def test_pde_residual_computes_five_time_factors(self, monkeypatch):
+        spec = monomial_spec(sin_shape(2.0, 1.0), 0.8, 3)
+        field = integral_rep_solution(spec)  # its flux check evaluates W too
+        calls, W = self.count_time_factors(monkeypatch, field)
         pde_residual(field, spec, 0.7, 0.9, delta=1e-3)
         # u is called 9 times at the 5 stencil times t, t +- d, t +- d/2, and
         # -rho t < 30 there, so each evaluated W integrates V once
         assert len(calls) == 5 and len(set(calls)) == 5
-        assert memo.cache_info().misses == 5
+        assert W.cache_info().misses == 5
+
+    def test_flux_consistency_computes_five_time_factors(self, monkeypatch):
+        spec = monomial_spec(sin_shape(2.0, 1.0), 0.8, 3)
+        field = integral_rep_solution(spec)
+        u_calls, u = [], field.u
+        field = dataclasses.replace(field, u=lambda x, t: u_calls.append(t) or u(x, t))
+        checks = bench._integral_rep_checks(spec, field, slow=False)
+        assert next(checks)[0] == "volterra_residual"  # W times kappa: another binding
+        calls, W = self.count_time_factors(monkeypatch, field)
+        assert next(checks)[0] == "flux_consistency"
+        # 3 u calls per one-sided difference, 2 differences per t, 5 t
+        assert len(u_calls) == 30 and len(set(u_calls)) == 5
+        assert len(calls) == 5 and len(set(calls)) == 5
+        assert W.cache_info().misses == 5 and W.cache_info().hits == 25
 
 
 def test_pre_scaled_time_factor_matches_the_plain_form():

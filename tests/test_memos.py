@@ -1,9 +1,11 @@
-"""The value memos of the closed-form flux and of its time factor W(t).
+"""The value memos of the closed-form flux, its time factor W(t) and its
+scalar values V(t).
 
-``flux_closed_form`` is memoised per value of (spec, check) and
-``ClosedFormTrajectory.weighted_flux_integral`` per value of (flux, rho, t,
-factor).  A hit must return the bits and the type a fresh computation
-returns, and a call that raises must store nothing.
+``flux_closed_form`` is memoised per value of (spec, check).
+``ClosedFormTrajectory.time_factor`` is memoised per value of (flux, rho,
+factor), and each binding memoises its values per t.  A scalar V(t) is
+memoised per value of (flux, t).  A hit must return the bits and the type a
+fresh computation returns, and a call that raises must store nothing.
 """
 
 import collections
@@ -11,6 +13,7 @@ import dataclasses
 import math
 import struct
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,8 @@ from fluxheat.closed_form import ConstructionError, Provenance, flux_closed_form
 from fluxheat.problem import ProblemSpec, spec_from_dict
 from fluxheat.trajectory import ClosedFormTrajectory
 
-W_MEMO = trajectory._weighted_flux_integral_of
+TF_MEMO = trajectory._time_factor_of
+V_MEMO = trajectory._scalar_value_of
 FLUX_MEMO = closed_form._flux_closed_form_of
 
 # Every value memo of the package (``test_ownership`` lists them all).
@@ -31,7 +35,8 @@ ALL_MEMOS = (
     FLUX_MEMO,
     green._green_quad_of,
     specfun._exp_moment_of,
-    W_MEMO,
+    TF_MEMO,  # its bindings' memos go with it
+    V_MEMO,
     volterra._forcing_table,
     volterra._kernel_table,
 )
@@ -87,55 +92,139 @@ def test_the_catalog_has_fifteen_integral_rep_fluxes():
     assert sum(spec.phi.semigroup[1] < 0.0 for spec in (p.values[0] for p in INTEGRAL_REP_SPECS)) > 0
 
 
+def fresh_w(V, rho, t, factor):
+    """factor * W(t) computed afresh, past both levels of the memo."""
+    return TF_MEMO.__wrapped__(V, rho, factor, math.copysign(1.0, factor)).__wrapped__(t)
+
+
+def inner_info(bindings):
+    """(hits, misses, currsize) summed over the bindings' memos of t."""
+    infos = [W.cache_info() for W in bindings]
+    return tuple(sum(getattr(i, name) for i in infos) for name in ("hits", "misses", "currsize"))
+
+
 class TestTimeFactorMemo:
     @pytest.mark.parametrize("spec", INTEGRAL_REP_SPECS)
     def test_a_warm_time_factor_is_the_cold_one(self, spec):
         V = flux_closed_form(spec)
         keys = w_keys(spec)
-        W_MEMO.cache_clear()
+        TF_MEMO.cache_clear()
         cold = [outcome(V, *key) for key in keys]
-        assert W_MEMO.cache_info().hits == 0
+        bindings = [V.time_factor(rho, factor) for rho, factor in {(k[0], k[2]) for k in keys}]
+        assert TF_MEMO.cache_info().currsize == len(bindings)
+        assert inner_info(bindings)[0] == 0
         warm = [outcome(V, *key) for key in keys]
-        assert W_MEMO.cache_info().hits == sum(isinstance(c, float) for c in cold)
-        fresh = [W_MEMO.__wrapped__(V, rho, t, f, math.copysign(1.0, f)) for rho, t, f in keys]
+        assert inner_info(bindings)[0] == sum(isinstance(c, float) for c in cold)
+        fresh = [fresh_w(V, *key) for key in keys]
         for key, c, w, f in zip(keys, cold, warm, fresh):
             assert same(c, w) and same(c, f), (key, c, w, f)
 
     def test_an_overflowing_time_factor_raises_on_every_call(self):
         V = ClosedFormTrajectory(poly=(0.0,), exps=((1.0, -1.0),))
-        W_MEMO.cache_clear()
+        TF_MEMO.cache_clear()
         for _ in range(2):
             with pytest.raises(OverflowError, match=r"time factor exp\(400 t\) overflows at t = 2"):
                 V.weighted_flux_integral(400.0, 2.0)
-        assert W_MEMO.cache_info().currsize == 0 and W_MEMO.cache_info().misses == 2
+        # the binding is kept, and stores no value
+        assert TF_MEMO.cache_info().currsize == 1
+        assert inner_info([V.time_factor(400.0)])[1:] == (2, 0)
 
     @pytest.mark.parametrize("first", [0.0, -0.0])
     def test_a_zero_factor_keeps_its_sign(self, first):
         V = ClosedFormTrajectory(poly=(1.0,))  # W > 0
-        W_MEMO.cache_clear()
+        TF_MEMO.cache_clear()
         for factor in (first, -first):
             got = V.weighted_flux_integral(-1.0, 2.0, factor)
             assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, factor)
-        assert W_MEMO.cache_info().currsize == 2
+        assert TF_MEMO.cache_info().currsize == 2
+        assert V.time_factor(-1.0, 0.0) is not V.time_factor(-1.0, -0.0)
 
     @pytest.mark.parametrize("first", [0.0, -0.0])
     def test_keys_equal_but_for_a_zero_sign_agree_with_a_fresh_computation(self, first):
         # rho = +-0 and t = +-0 share a key: W reads neither zero's sign
         V = ClosedFormTrajectory(poly=(0.0, 1.5), exps=((-0.0, 0.0), (2.0, -0.0)))
         keys = [(rho, t) for rho in (first, -first) for t in (first, -first, 1.25)]
-        W_MEMO.cache_clear()
+        TF_MEMO.cache_clear()
         for rho, t in keys:
             for factor in (1.0, first, -first):
-                fresh = W_MEMO.__wrapped__(V, rho, t, factor, math.copysign(1.0, factor))
+                fresh = fresh_w(V, rho, t, factor)
                 assert same(V.weighted_flux_integral(rho, t, factor), fresh), (rho, t, factor)
 
     def test_int_and_float_arguments_are_kept_apart(self):
         V = ClosedFormTrajectory(poly=(1.0,))
-        W_MEMO.cache_clear()
-        V.weighted_flux_integral(0.5, 2.0)
-        V.weighted_flux_integral(0.5, 2)
-        V.weighted_flux_integral(0.5, np.float64(2.0))
-        assert W_MEMO.cache_info().misses == 3
+        TF_MEMO.cache_clear()
+        W = V.time_factor(0.5)
+        for t in (2.0, 2, np.float64(2.0)):
+            V.weighted_flux_integral(0.5, t)
+        assert W.cache_info().misses == 3 and W.cache_info().currsize == 3
+        for rho in (0.5, 0, np.float64(0.5)):
+            V.time_factor(rho)
+        assert TF_MEMO.cache_info().currsize == 3
+
+    def test_an_evicted_binding_bound_again_gives_the_same_bits(self):
+        spec = INTEGRAL_REP_SPECS[-1].values[0]
+        V = flux_closed_form(spec)
+        kappa, rho = spec.phi.semigroup
+        times = [0.1, 0.5, 1.0, 2.0, 5.0, 31.0 / abs(rho)]
+        TF_MEMO.cache_clear()
+        first = V.time_factor(rho, kappa)
+        before = [outcome(V, rho, t, kappa) for t in times]
+        for i in range(TF_MEMO.cache_info().maxsize):  # evict it
+            V.time_factor(rho + 1.0 + i, kappa)
+        again = V.time_factor(rho, kappa)
+        assert again is not first and again.cache_info().currsize == 0
+        after = [outcome(V, rho, t, kappa) for t in times]
+        assert again.cache_info().misses == len(times)
+        for t, b, a in zip(times, before, after):
+            assert same(b, a) and same(a, first(t)), (t, b, a)
+
+
+def catalog_fluxes():
+    return [flux_closed_form(p.values[0]) for p in INTEGRAL_REP_SPECS]
+
+
+class TestScalarValueMemo:
+    TIMES = [0.0, -0.0, 0.1, 0.7, 2.0, 5.0, 40.0, math.nan, np.float64(0.7), np.float64(-0.0)]
+
+    def test_a_warm_value_is_the_cold_one(self):
+        # past the overflow threshold the exponential gives inf with no warning
+        overflowing = ClosedFormTrajectory(poly=(1.0, -0.0), exps=((1.0, 2.0),))
+        fluxes = catalog_fluxes() + [overflowing]
+        times = self.TIMES + [400.0]
+        V_MEMO.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cold = [[V(t) for t in times] for V in fluxes]
+            # the two numpy scalars repeat a float key (math.nan is one
+            # object, so it hits too, though NaN equals no NaN)
+            assert V_MEMO.cache_info().hits == 2 * len(fluxes)
+            warm = [[V(t) for t in times] for V in fluxes]
+        assert cold[-1][-1] == math.inf
+        assert V_MEMO.cache_info().hits == (2 + len(times)) * len(fluxes)
+        for V, c_row, w_row in zip(fluxes, cold, warm):
+            for t, c, w in zip(times, c_row, w_row):
+                fresh = V_MEMO.__wrapped__(V, float(t), math.copysign(1.0, t))
+                assert same(c, w) and same(c, fresh) and same(c, V(np.asarray(t))), (V, t)
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_a_zero_time_keeps_its_sign(self, first):
+        # Horner's 0.0 * t + c with c = -0.0 is +0.0 at t = 0.0, -0.0 at t = -0.0
+        V = ClosedFormTrajectory(poly=(-0.0, 1.0))
+        V_MEMO.cache_clear()
+        for t in (first, -first, first, -first):
+            got = V(t)
+            assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, t)
+        assert V_MEMO.cache_info().currsize == 2 and V_MEMO.cache_info().hits == 2
+
+    def test_the_array_path_is_not_memoised(self):
+        ts = np.array([0.0, 0.1, 0.7, 2.0, 5.0, 40.0])
+        for V in catalog_fluxes():
+            V_MEMO.cache_clear()
+            values = V(ts)
+            info = V_MEMO.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+            for t, got in zip(ts.tolist(), values.tolist()):
+                assert same(got, V(t)), (V, t)
 
 
 def near_resonant_spec():
@@ -257,7 +346,7 @@ def test_sweep_records_do_not_depend_on_what_the_memos_hold():
     clear_all_memos()
     for cid, cfg in catalog.iter_cases():
         bench.run_case(cfg["case"], case_id=cid, extra_checks=tuple(cfg.get("checks", ())))
-    assert W_MEMO.cache_info().currsize > 0 and FLUX_MEMO.cache_info().currsize == 15
+    assert TF_MEMO.cache_info().currsize > 0 and V_MEMO.cache_info().currsize > 0 and FLUX_MEMO.cache_info().currsize == 15
     warm = records(cold=False)
     assert warm == cold
     assert sum(len(rows) for rows, _, _ in cold) > 40 * 10

@@ -220,7 +220,9 @@ def test_every_memo_is_bounded():
         "closed_form._flux_closed_form_of",
         "green._green_quad_of",
         "specfun._exp_moment_of",
-        "trajectory._weighted_flux_integral_of",
+        "trajectory._scalar_value_of",
+        "trajectory._time_factor_of",
+        "trajectory.time_factor_at",  # the memo of t inside each binding
         "volterra._forcing_table",
         "volterra._kernel_table",
     }

@@ -317,7 +317,7 @@ class TestAgainstPerShapeFormulas:
                 oracle_weighted_flux_integral, shape.kind, shape.lam, traj, t
             )
             if t > 0.0 and -rho * t <= 30.0:
-                assert outcome(volterra._convolution, kernel, traj, t) == outcome(
+                assert outcome(volterra._convolution(kernel, traj), t) == outcome(
                     oracle_convolution, shape, traj, t
                 )
 

@@ -862,7 +862,7 @@ class TestResidual:
         spec = monomial_spec(sin_shape(2.0, 1.0), 1.0, 3)
         traj = flux_closed_form(spec)
         k, f = kernel_for(spec.phi), forcing_for(spec.h)
-        conv = volterra._convolution(k, traj, 200.0)
+        conv = volterra._convolution(k, traj)(200.0)
         assert math.isfinite(conv)
         assert conv == pytest.approx(forcing_eval(f, 200.0) - traj(200.0), rel=1e-12)
         scale = 1.0 + abs(traj(200.0))
@@ -895,7 +895,7 @@ class TestResidual:
         for amp, r in traj.exps:
             total += amp * (mpmath.exp((r + a) * tm) - 1) / (r + a)
         want = kappa * mpmath.exp(-a * tm) * total
-        got = volterra._convolution(kernel_for(spec.phi), traj, t)
+        got = volterra._convolution(kernel_for(spec.phi), traj)(t)
         assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_sampled_trajectory_residual(self):
