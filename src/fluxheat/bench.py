@@ -13,6 +13,7 @@ byte-identical CSV files.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -85,25 +86,43 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckRecord:
+    """One check's values: ``lhs`` and ``rhs`` against ``tolerance``, each
+    coerced to float.
+
+    ``abs_diff`` = abs(lhs - rhs) and ``passed`` (abs_diff <= tolerance) are
+    computed once, on construction; the CSV fields are formatted on their
+    first use (:meth:`csv_fields`) and kept.  Records compare and hash by
+    the four inputs alone, and their ``repr`` shows only those.
+    """
+
     name: str
     lhs: float
     rhs: float
     tolerance: float
+    abs_diff: float = dataclasses.field(init=False, repr=False, compare=False)
+    passed: bool = dataclasses.field(init=False, repr=False, compare=False)
+    _csv: str | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lhs", float(self.lhs))
-        object.__setattr__(self, "rhs", float(self.rhs))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+        lhs, rhs, tolerance = float(self.lhs), float(self.rhs), float(self.tolerance)
+        abs_diff = abs(lhs - rhs)
+        setter = object.__setattr__
+        setter(self, "lhs", lhs)
+        setter(self, "rhs", rhs)
+        setter(self, "tolerance", tolerance)
+        setter(self, "abs_diff", abs_diff)
+        setter(self, "passed", abs_diff <= tolerance)  # a bool: both are floats
 
-    @property
-    def abs_diff(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.abs_diff <= self.tolerance)
+    def csv_fields(self) -> str:
+        """check,lhs,rhs,abs_diff,tolerance,pass: the record's CSV row after
+        its case id, formatted once."""
+        if self._csv is None:
+            values = map(format_float, (self.lhs, self.rhs, self.abs_diff, self.tolerance))
+            cells = [self.name, *values, "1" if self.passed else "0"]
+            object.__setattr__(self, "_csv", ",".join(cells))
+        return self._csv
 
     def as_dict(self) -> dict:
         return {
@@ -142,22 +161,7 @@ class CaseResult:
         return out
 
     def csv_rows(self) -> list[str]:
-        rows = []
-        for r in self.records:
-            rows.append(
-                ",".join(
-                    [
-                        self.case_id,
-                        r.name,
-                        format_float(r.lhs),
-                        format_float(r.rhs),
-                        format_float(r.abs_diff),
-                        format_float(r.tolerance),
-                        "1" if r.passed else "0",
-                    ]
-                )
-            )
-        return rows
+        return [f"{self.case_id},{r.csv_fields()}" for r in self.records]
 
 
 def _tol(name: str, scale: float) -> float:

@@ -15,7 +15,8 @@ test vectors in the suite.  :func:`flux_closed_form` re-checks each trajectory
 against the governing Volterra equation (exact convolution, unless
 ``check=False``), which guards against sign mistakes in the coefficients, and
 is memoised per value of the spec and ``check``, so a repeated spec builds and
-checks its flux once.
+checks its flux once; an integral-representation field is memoised per value
+of its spec too, with its values per point (x, t).
 """
 
 from __future__ import annotations
@@ -87,7 +88,10 @@ class SolutionField:
     control family also its source-free baseline ``u0(x, t)``: the erf form,
     h(x) exp(sigma t), or :func:`baseline_u0_polynomial` with its
     coefficients bound once; other fields have ``u0 = None``.  A companion
-    field is the ``ux`` view of its problem-P field, kept as ``base``.
+    field is the ``ux`` view of its problem-P field, kept as ``base``.  An
+    integral-representation field is shared by every caller of its spec
+    (:func:`integral_rep_solution`), and its ``u``, ``ux`` and ``u0``
+    memoise their values per point, so its companion's ``u`` does too.
     """
 
     u: Callable[[float, float], float]
@@ -378,13 +382,51 @@ def integral_rep_solution(spec: ProblemSpec) -> SolutionField:
 
     The weight of the time integral is the Green weight exp(rho (t-tau)) of
     the shape (rho = 0, lambda^2 or -lambda^2), evaluated in closed form by
-    the flux's time factor ``W = traj.time_factor(rho)``.  The field binds
-    W once, for both ``u`` and ``ux``; W memoises its values per t, and the
-    binding is shared by every field of that flux, so each distinct t costs
-    one evaluation.  The field also binds the baseline's polynomial
-    coefficients once; the baseline is the field's ``u0``, and ``ux``
-    shares them.
+    the flux's time factor ``W = traj.time_factor(rho)``, bound once for
+    ``u`` and ``ux``.  The field also binds the baseline's polynomial
+    coefficients once; the baseline is the field's ``u0``, and ``ux`` shares
+    them.  The field is memoised per value of the spec
+    (:func:`_integral_rep_solution_of`), and its ``u``, ``ux`` and ``u0``
+    memoise their values per point (x, t), so a repeated spec builds no
+    field and a repeated point costs one lookup.
     """
+    return _integral_rep_solution_of(spec)
+
+
+def _point_memo(memo):
+    """The point function (x, t) of ``memo``, an ``lru_cache``, that computes
+    a NaN x or t past the cache: NaN equals no NaN, so its key would never
+    hit and would only push out the points that do.  It carries the memo's
+    ``cache_info`` and ``cache_clear``."""
+    fresh = memo.__wrapped__
+
+    def at(x, t):
+        if x != x or t != t:
+            return fresh(x, t)
+        return memo(x, t)
+
+    at.cache_info, at.cache_clear = memo.cache_info, memo.cache_clear
+    return at
+
+
+# integral_rep_solution memoised per value of the spec, the idiom of
+# ``_flux_closed_form_of``: a hit returns the field the call built, and a
+# refused spec raises and stores nothing (a power law hashes its closures by
+# identity and is refused by the flux).  Each field memoises u, ux and u0 per
+# (x, t), ``typed`` so that a numpy scalar point keeps the type it returns.
+# No zero's sign reaches a point's value, so 0.0 and -0.0 share a key:
+# ``_u0_sum`` and ``_u0_dx_sum`` start at +0.0, and a zero term leaves a sum
+# unchanged or +0.0; W(+-0) is 0.0; at x = +-0 Phi(x) W(t) is a signed zero
+# subtracted from the baseline's +0.0, or where W is inf the NaN of 0 * inf,
+# whose bits do not depend on the zero's sign; Phi'(x) is even.  A NaN x or
+# t is computed and not stored (``_point_memo``).  One catalog pass builds
+# 15 fields (the companion case reads its base's), with at most 155, 32 and
+# 12 distinct points per field of u, ux and u0, and an LRU cache smaller than
+# a cyclic working set never hits, hence 256, 64 and 16; 32 fields leave
+# room for the specs of a sweep between passes.
+@functools.lru_cache(maxsize=32)
+def _integral_rep_solution_of(spec: ProblemSpec) -> SolutionField:
+    """The integral-representation field of ``spec``, with its point memos."""
     traj = flux_closed_form(spec)
     phi, nu = spec.phi, spec.flux.nu
     coeffs = _u0_coeffs(spec.h)
@@ -392,19 +434,25 @@ def integral_rep_solution(spec: ProblemSpec) -> SolutionField:
     W = traj.time_factor(rho)
     phi_at, dphi = phi.evaluators()
 
-    def u(x: float, t: float) -> float:
+    @functools.lru_cache(maxsize=256, typed=True)
+    def u_at(x: float, t: float) -> float:
         return _u0_sum(coeffs, x, t) - nu * phi_at(x) * W(t)
 
-    def ux(x: float, t: float) -> float:
+    @functools.lru_cache(maxsize=64, typed=True)
+    def ux_at(x: float, t: float) -> float:
         return _u0_dx_sum(coeffs, x, t) - nu * dphi(x) * W(t)
 
+    @functools.lru_cache(maxsize=16, typed=True)
+    def u0_at(x: float, t: float) -> float:
+        return _u0_sum(coeffs, x, t)
+
     return SolutionField(
-        u=u,
+        u=_point_memo(u_at),
         V=traj,
         provenance=Provenance.INTEGRAL_REP,
         spec=spec,
-        u0=functools.partial(_u0_sum, coeffs),
-        ux=ux,
+        u0=_point_memo(u0_at),
+        ux=_point_memo(ux_at),
     )
 
 

@@ -62,12 +62,14 @@ class ClosedFormTrajectory:
 
         A Python or numpy scalar takes a Python-float path
         (:func:`_scalar_value_of`, memoised per value of the flux and
-        ``float(t)``), bit-identical to the 0-d array evaluation.  An
-        exponent above the overflow threshold gives inf with no warning, on
-        either path.
+        ``float(t)``; a NaN t is computed and not stored), bit-identical to
+        the 0-d array evaluation.  An exponent above the overflow threshold
+        gives inf with no warning, on either path.
         """
         if isinstance(t, _SCALARS):
             t = float(t)
+            if t != t:  # NaN: its key would never hit, so it is not stored
+                return _scalar_value_of.__wrapped__(self, t, 1.0)
             return _scalar_value_of(self, t, math.copysign(1.0, t))
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
@@ -104,10 +106,10 @@ class ClosedFormTrajectory:
         30 the plain (factor * exp(rho t)) * int_0^t exp(-rho tau) V dtau would
         overflow, so the sum is pre-scaled.  ``OverflowError`` names the time
         factor and t where exp(rho t), or in the pre-scaled sum the flux's own
-        exp(r t), leaves the double range.  The binding is memoised per value
-        of the flux, rho and factor, and memoises its values per t
-        (:func:`_time_factor_of`), so a caller that evaluates many points
-        binds it once.
+        exp(r t), leaves the double range.  A NaN t gives factor * nan.  The
+        binding is memoised per value of the flux, rho and factor, and
+        memoises its values per t (:func:`_time_factor_of`), so a caller that
+        evaluates many points binds it once.
         """
         return _time_factor_of(self, rho, factor, math.copysign(1.0, factor))
 
@@ -120,7 +122,9 @@ class ClosedFormTrajectory:
 # float(t)), the idiom of ``specfun._exp_moment_of``.  The scalar path always
 # returns a float, so the key needs no type.  Of equal floats only 0.0 and
 # -0.0 differ in bits, and a zero t's sign reaches V through Horner's
-# 0.0 * t + c where c is a signed zero, so ``t_sign`` keys it apart.  A
+# 0.0 * t + c where c is a signed zero, so ``t_sign`` keys it apart.  NaN
+# equals no NaN, so a NaN key never hits and would only push out the values
+# that do; ``__call__`` computes a NaN t past the memo.  A
 # warm catalog pass asks for 490 distinct values in 522 calls, and only 30
 # calls repeat a value within their own op, so the memo serves repeated
 # specs; an LRU cache
@@ -154,14 +158,18 @@ def _scalar_value_of(traj: ClosedFormTrajectory, t: float, t_sign: float) -> flo
 # and a zero coefficient is skipped or adds to a sum that starts at +0.  A
 # miss looks up ``weighted_integral`` on the trajectory by attribute, so a
 # patch of the method on the class (perfbench's tracer) sees every
-# evaluation.  A warm catalog pass binds 27 (flux, rho, factor) and asks for
-# 948 distinct values in 2184 calls (a cold one, with its flux checks, 984
-# in 2229), at most 74 on one binding, and an LRU cache smaller than a
-# cyclic working set never hits, hence 64 bindings of at most 256 values
-# each.
+# evaluation.  A NaN t is answered factor * nan before the memo of t: it
+# would never hit (NaN equals no NaN), and the series of ``exp_moment`` do
+# not converge on it.  A warm catalog pass binds 27 (flux, rho, factor) and
+# asks for 948 distinct values in 2184 calls (a cold one, with its flux
+# checks, 984 in 2229), at most 74 on one binding, and an LRU cache smaller
+# than a cyclic working set never hits, hence 64 bindings of at most 256
+# values each.
 @functools.lru_cache(maxsize=64, typed=True)
 def _time_factor_of(traj: ClosedFormTrajectory, rho: float, factor: float, factor_sign: float):
-    """t -> factor * int_0^t exp(rho (t - tau)) V(tau) dtau for the closed-form V ``traj``."""
+    """t -> factor * int_0^t exp(rho (t - tau)) V(tau) dtau for the closed-form V
+    ``traj``; the binding carries its memo's ``cache_info`` and
+    ``cache_clear``, and ``__wrapped__``, the unmemoised value."""
 
     @functools.lru_cache(maxsize=256, typed=True)
     def time_factor_at(t: float) -> float:
@@ -186,7 +194,14 @@ def _time_factor_of(traj: ClosedFormTrajectory, rho: float, factor: float, facto
             return factor * total
         return factor * time_factor(rho, t) * traj.weighted_integral(-rho, t)
 
-    return time_factor_at
+    def W(t):
+        if t != t:
+            return factor * math.nan
+        return time_factor_at(t)
+
+    W.cache_info, W.cache_clear = time_factor_at.cache_info, time_factor_at.cache_clear
+    W.__wrapped__ = time_factor_at.__wrapped__
+    return W
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import hashlib
 import json
+import pickle
+import struct
 import warnings
 
 import numpy as np
@@ -88,6 +90,35 @@ class TestRunCase:
         assert digests == [CATALOG_CSV_SHA256] * 3
         assert solves[0] == 6 and solves[1] <= 6 and solves[2] == 0
 
+    def test_catalog_csv_rows_keep_their_bits_with_the_field_memo_cold_and_warm(self, monkeypatch):
+        # the integral-representation fields: pass 0 empties their memo before
+        # every case, so each of the 16 cases binds its field (the companion
+        # case its base's); pass 1 starts from pass 0's last case, a companion
+        # case of another family, and binds the 15 distinct fields once; pass
+        # 2 binds none and evaluates no point of u, ux or u0
+        memos, real = [], closed_form._point_memo
+        monkeypatch.setattr(closed_form, "_point_memo", lambda memo: memos.append(memo) or real(memo))
+        fields = closed_form._integral_rep_solution_of
+        fields.cache_clear()
+        digests, bound, evaluated = [], [], []
+        for emptied in (True, False, False):
+            digest = hashlib.sha256()
+            memos_before = len(memos)
+            misses_before = sum(m.cache_info().misses for m in memos)
+            for cid, cfg in iter_cases():
+                if emptied:
+                    fields.cache_clear()
+                result = run_case(cfg["case"], case_id=cid, extra_checks=tuple(cfg.get("checks", ())))
+                digest.update(("\n".join(result.csv_rows()) + "\n").encode())
+            digests.append(digest.hexdigest())
+            bound.append((len(memos) - memos_before) / 3)  # u, u0 and ux per field
+            evaluated.append(sum(m.cache_info().misses for m in memos) - misses_before)
+        assert digests == [CATALOG_CSV_SHA256] * 3
+        assert bound == [16, 15, 0]
+        # pass 1 evaluates each distinct point of a field once: nothing is evicted
+        assert evaluated[1] == sum(m.cache_info().currsize for m in memos[-45:]) > 1000
+        assert evaluated[0] >= evaluated[1] and evaluated[2] == 0
+
     @pytest.mark.parametrize("case_id", ["ir-phi1-m1", "ir-phi2-m1", "ir-phi3-m1-d0"])
     def test_slow_oracle_passes_on_each_shape(self, case_id):
         cfg = load_case(case_id)
@@ -96,9 +127,22 @@ class TestRunCase:
         assert len(slow) == 1 and slow[0].passed, slow
         assert result.passed
 
-    def test_control_checks_reuse_the_case_field(self, monkeypatch):
-        from fluxheat import closed_form
+    @staticmethod
+    def cold_then_warm(case_id, builds, extra_checks=()):
+        """Run ``case_id`` on an emptied field memo, where it makes one of
+        ``builds``, then again on the warm memo, where it makes none and
+        writes the same rows; the first result."""
+        closed_form._integral_rep_solution_of.cache_clear()
+        case = load_case(case_id)["case"]
+        cold = run_case(case, case_id=case_id, extra_checks=extra_checks)
+        assert len(builds) == 1, case_id
+        warm = run_case(case, case_id=case_id, extra_checks=extra_checks)
+        assert len(builds) == 1, case_id
+        assert warm.csv_rows() == cold.csv_rows()
+        return cold
 
+    def test_control_checks_reuse_the_case_field(self, monkeypatch):
+        # one flux per case on an emptied field memo, and none on the warm one
         calls = []
         real = closed_form.flux_closed_form
 
@@ -107,15 +151,11 @@ class TestRunCase:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(closed_form, "flux_closed_form", counting)
-        cfg = load_case("ir-phi2-m3")
-        assert "control" in cfg["checks"]
-        result = run_case(cfg["case"], case_id="ir-phi2-m3", extra_checks=("control",))
+        assert "control" in load_case("ir-phi2-m3")["checks"]
+        result = self.cold_then_warm("ir-phi2-m3", calls, extra_checks=("control",))
         assert result.passed and {"control_u", "control_ratio"} <= {r.name for r in result.records}
-        assert len(calls) == 1
 
     def test_companion_checks_reuse_the_base_field(self, monkeypatch):
-        from fluxheat import closed_form
-
         calls = []
         real = closed_form.flux_closed_form
 
@@ -124,15 +164,12 @@ class TestRunCase:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(closed_form, "flux_closed_form", counting)
-        cfg = load_case("tilde-ir-phi1-m1")
-        result = run_case(cfg["case"], case_id="tilde-ir-phi1-m1")
+        result = self.cold_then_warm("tilde-ir-phi1-m1", calls)
         assert result.passed and "tilde_matches_ux" in {r.name for r in result.records}
-        assert len(calls) == 1
 
     def test_baseline_coefficients_built_once_per_case(self, monkeypatch):
-        # the u0_polynomial check and the control u0 probe read the field's baseline
-        from fluxheat import closed_form
-
+        # the u0_polynomial check and the control u0 probe read the field's
+        # baseline: built once on an emptied field memo, not again when warm
         builds = []
         real = closed_form._u0_coeffs
 
@@ -145,9 +182,8 @@ class TestRunCase:
             if not cid.startswith("ir-"):
                 continue
             builds.clear()
-            result = run_case(cfg["case"], case_id=cid, extra_checks=tuple(cfg.get("checks", ())))
+            result = self.cold_then_warm(cid, builds, extra_checks=tuple(cfg.get("checks", ())))
             assert result.passed and "u0_polynomial" in {r.name for r in result.records}
-            assert len(builds) == 1, cid
 
     def test_overflowing_flux_names_the_overflow(self):
         # e^{rho t} with rho = lambda^2 = 400 leaves the double range at t = 2
@@ -267,6 +303,112 @@ class TestRunCase:
         assert run_case(case, case_id=case_id).passed
         with pytest.raises(SchemaError, match="outside the control settings: " + family):
             run_case(case, case_id=case_id, extra_checks=("control",))
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def old_record(name, lhs, rhs, tolerance):
+    """abs_diff, pass flag and CSV fields by the formulas of a record that
+    computed them on every read."""
+    lhs, rhs, tolerance = float(lhs), float(rhs), float(tolerance)
+    abs_diff = abs(lhs - rhs)
+    passed = bool(abs_diff <= tolerance)
+    cells = [name, *map(bench.format_float, (lhs, rhs, abs_diff, tolerance)), "1" if passed else "0"]
+    return abs_diff, passed, ",".join(cells)
+
+
+class TestCheckRecord:
+    NAN, INF = float("nan"), float("inf")
+    EDGES = [
+        ("validate", 0, 0.0, 0.0),  # validate's int lhs, at tolerance 0
+        ("validate", 2, 0.0, 0.0),
+        ("nan_lhs", NAN, 0.0, 1e-8),
+        ("nan_rhs", 1.0, NAN, INF),
+        ("inf_both", INF, INF, 1e-3),
+        ("inf_apart", INF, -INF, INF),
+        ("minus_inf", -INF, 2.0, 1e-3),
+        ("neg_zero", -0.0, 0.0, 0.0),
+        ("zero_neg", 0.0, -0.0, 0.0),
+        ("neg_zeros", -0.0, -0.0, -0.0),
+        ("equal_at_zero_tol", 0.1, 0.1, 0.0),
+        ("above_zero_tol", 0.1, 0.30000000000000004, 0.0),
+        ("numpy", np.float64(0.1), np.float32(0.2), np.float64(1e-12)),
+        ("tiny", 5e-324, -5e-324, 1e-323),
+        ("huge", 1.7e308, -1.7e308, 1.0),
+    ]
+
+    @pytest.mark.parametrize("args", EDGES, ids=[e[0] for e in EDGES])
+    def test_values_are_the_recomputed_ones_bit_for_bit(self, args):
+        record = bench.CheckRecord(*args)
+        abs_diff, passed, csv = old_record(*args)
+        for name, value in zip(("lhs", "rhs", "tolerance"), args[1:]):
+            got = getattr(record, name)
+            assert type(got) is float and bits(got) == bits(float(value)), name
+        assert type(record.abs_diff) is float and bits(record.abs_diff) == bits(abs_diff)
+        assert record.passed is passed
+        assert record.csv_fields() == csv
+        assert bench.CaseResult("c", [record]).csv_rows() == [f"c,{csv}"]
+        assert record.as_dict() == {
+            "check": args[0], "lhs": record.lhs, "rhs": record.rhs,
+            "abs_diff": record.abs_diff, "tolerance": record.tolerance, "pass": passed,
+        }
+
+    def test_a_record_is_frozen(self):
+        record = bench.CheckRecord("pde_residual", 1.0, 0.5, 1e-6)
+        record.csv_fields()
+        for name in ("name", "lhs", "rhs", "tolerance", "abs_diff", "passed", "_csv"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 0.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        assert not hasattr(record, "__dict__")  # slots: no attribute outside the fields
+
+    def test_equality_hash_and_repr_read_the_four_inputs(self):
+        a = bench.CheckRecord("pde_residual", 1, 0.5, 1e-6)
+        b = bench.CheckRecord("pde_residual", 1.0, np.float64(0.5), 1e-6)
+        b.csv_fields()  # a formatted record equals an unformatted one
+        assert a == b and hash(a) == hash(b) == hash(("pde_residual", 1.0, 0.5, 1e-6))
+        assert repr(a) == "CheckRecord(name='pde_residual', lhs=1.0, rhs=0.5, tolerance=1e-06)"
+        for other in (("x", 1.0, 0.5, 1e-6), ("pde_residual", 2.0, 0.5, 1e-6),
+                      ("pde_residual", 1.0, 0.25, 1e-6), ("pde_residual", 1.0, 0.5, 1e-3)):
+            assert a != bench.CheckRecord(*other)
+        assert dataclasses.replace(a, lhs=0.5).passed
+
+    @pytest.mark.parametrize("formatted", [False, True])
+    def test_a_pickle_round_trip_keeps_the_record(self, formatted):
+        for args in self.EDGES:
+            record = bench.CheckRecord(*args)
+            if formatted:
+                record.csv_fields()
+            again = pickle.loads(pickle.dumps(record))
+            assert repr(again) == repr(record) and again.passed is record.passed
+            assert [bits(getattr(again, n)) for n in ("lhs", "rhs", "tolerance", "abs_diff")] == [
+                bits(getattr(record, n)) for n in ("lhs", "rhs", "tolerance", "abs_diff")
+            ]
+            assert again.csv_fields() == record.csv_fields()
+            if record.lhs == record.lhs and record.rhs == record.rhs:
+                assert again == record and hash(again) == hash(record)
+
+    def test_each_record_is_formatted_once_per_op(self, monkeypatch):
+        # run_case formats nothing; the first csv_rows() formats each record's
+        # four floats, and a second call returns the same strings
+        formatted, real = [], bench.format_float
+
+        def counting(x):
+            formatted.append(x)
+            return real(x)
+
+        monkeypatch.setattr(bench, "format_float", counting)
+        for cid, cfg in iter_cases():
+            formatted.clear()
+            result = run_case(cfg["case"], case_id=cid, extra_checks=tuple(cfg.get("checks", ())))
+            assert formatted == [], cid
+            first, second = result.csv_rows(), result.csv_rows()
+            assert first == second
+            assert len(formatted) == 4 * len(result.records), cid
+            assert [r.csv_fields() for r in result.records] == [row.split(",", 1)[1] for row in first]
 
 
 class TestTCrossCheckMemo:

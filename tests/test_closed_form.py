@@ -16,7 +16,7 @@ from conftest import (
     sin_shape,
     sinh_shape,
 )
-from fluxheat import bench, catalog, trajectory
+from fluxheat import bench, catalog, closed_form, trajectory
 from fluxheat import volterra as vol
 from fluxheat.fd import pde_residual
 from fluxheat.green import QuadratureError
@@ -472,6 +472,7 @@ class TestTimeFactorOncePerT:
 
     def test_pde_residual_computes_five_time_factors(self, monkeypatch):
         spec = monomial_spec(sin_shape(2.0, 1.0), 0.8, 3)
+        closed_form._integral_rep_solution_of.cache_clear()  # a field with no point stored
         field = integral_rep_solution(spec)  # its flux check evaluates W too
         calls, W = self.count_time_factors(monkeypatch, field)
         pde_residual(field, spec, 0.7, 0.9, delta=1e-3)
@@ -482,6 +483,7 @@ class TestTimeFactorOncePerT:
 
     def test_flux_consistency_computes_five_time_factors(self, monkeypatch):
         spec = monomial_spec(sin_shape(2.0, 1.0), 0.8, 3)
+        closed_form._integral_rep_solution_of.cache_clear()  # a field with no point stored
         field = integral_rep_solution(spec)
         u_calls, u = [], field.u
         field = dataclasses.replace(field, u=lambda x, t: u_calls.append(t) or u(x, t))
@@ -489,10 +491,12 @@ class TestTimeFactorOncePerT:
         assert next(checks)[0] == "volterra_residual"  # W times kappa: another binding
         calls, W = self.count_time_factors(monkeypatch, field)
         assert next(checks)[0] == "flux_consistency"
-        # 3 u calls per one-sided difference, 2 differences per t, 5 t
+        # 3 u calls per one-sided difference, 2 differences per t, 5 t: 30
+        # calls at 20 distinct points (x = 0, d/2, d, 2d), each evaluated once
         assert len(u_calls) == 30 and len(set(u_calls)) == 5
+        assert u.cache_info().misses == 20 and u.cache_info().hits == 10
         assert len(calls) == 5 and len(set(calls)) == 5
-        assert W.cache_info().misses == 5 and W.cache_info().hits == 25
+        assert W.cache_info().misses == 5 and W.cache_info().hits == 15
 
 
 def test_pre_scaled_time_factor_matches_the_plain_form():

@@ -1,11 +1,13 @@
-"""The value memos of the closed-form flux, its time factor W(t) and its
-scalar values V(t).
+"""The value memos of the closed-form flux, its time factor W(t), its
+scalar values V(t) and the integral-representation fields.
 
 ``flux_closed_form`` is memoised per value of (spec, check).
 ``ClosedFormTrajectory.time_factor`` is memoised per value of (flux, rho,
 factor), and each binding memoises its values per t.  A scalar V(t) is
-memoised per value of (flux, t).  A hit must return the bits and the type a
-fresh computation returns, and a call that raises must store nothing.
+memoised per value of (flux, t).  ``integral_rep_solution`` is memoised per
+value of the spec, and each field's u, ux and u0 per point (x, t).  A hit
+must return the bits and the type a fresh computation returns, a call that
+raises must store nothing, and a NaN argument is computed but not stored.
 """
 
 import collections
@@ -22,16 +24,18 @@ import pytest
 from conftest import linear_law, monomial, sin_shape
 from fluxheat import bench, catalog, closed_form, green, specfun, trajectory, volterra
 from fluxheat.closed_form import ConstructionError, Provenance, flux_closed_form, solution_for
-from fluxheat.problem import ProblemSpec, spec_from_dict
+from fluxheat.problem import ProblemSpec, Variant, spec_from_dict
 from fluxheat.trajectory import ClosedFormTrajectory
 
 TF_MEMO = trajectory._time_factor_of
 V_MEMO = trajectory._scalar_value_of
 FLUX_MEMO = closed_form._flux_closed_form_of
+FIELD_MEMO = closed_form._integral_rep_solution_of
 
 # Every value memo of the package (``test_ownership`` lists them all).
 ALL_MEMOS = (
     bench._t_ode_samples_of,
+    FIELD_MEMO,  # its fields' point memos go with it
     FLUX_MEMO,
     green._green_quad_of,
     specfun._exp_moment_of,
@@ -195,12 +199,12 @@ class TestScalarValueMemo:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cold = [[V(t) for t in times] for V in fluxes]
-            # the two numpy scalars repeat a float key (math.nan is one
-            # object, so it hits too, though NaN equals no NaN)
+            # the two numpy scalars repeat a float key; NaN is not stored
             assert V_MEMO.cache_info().hits == 2 * len(fluxes)
+            assert V_MEMO.cache_info().currsize == (len(times) - 3) * len(fluxes)
             warm = [[V(t) for t in times] for V in fluxes]
         assert cold[-1][-1] == math.inf
-        assert V_MEMO.cache_info().hits == (2 + len(times)) * len(fluxes)
+        assert V_MEMO.cache_info().hits == (2 + len(times) - 1) * len(fluxes)
         for V, c_row, w_row in zip(fluxes, cold, warm):
             for t, c, w in zip(times, c_row, w_row):
                 fresh = V_MEMO.__wrapped__(V, float(t), math.copysign(1.0, t))
@@ -231,6 +235,15 @@ def near_resonant_spec():
     """Sine shape at delta = nu mu - lambda = 1e-4, m = 7: the expanded flux
     fails its Volterra check (residual about 1e4)."""
     return ProblemSpec(sin_shape(1.0, 1.0), linear_law(1.0 + 1e-4), monomial(1.0, 7))
+
+
+POWER_LAW_SPEC = spec_from_dict(
+    {
+        "phi": {"kind": "linear_x"},
+        "flux": {"kind": "power_law", "nu": 1.0, "n": 0.5},
+        "h": {"kind": "monomial", "m": 3},
+    }
+)
 
 
 class TestFluxMemo:
@@ -268,18 +281,135 @@ class TestFluxMemo:
         assert len(checks) == 4
 
     def test_a_refused_spec_stores_nothing(self):
+        # nor does its field, which the flux refuses
+        FLUX_MEMO.cache_clear()
+        FIELD_MEMO.cache_clear()
+        for build in (flux_closed_form, closed_form.integral_rep_solution):
+            for _ in range(2):
+                with pytest.raises(ConstructionError, match="linear law"):
+                    build(POWER_LAW_SPEC)
+        assert FLUX_MEMO.cache_info().currsize == FIELD_MEMO.cache_info().currsize == 0
+
+
+def field_points(spec):
+    """(x, t) over both zero signs, float, int and numpy coordinates, and for
+    a decaying Green weight (rho < 0) t past -rho t = 30."""
+    rho = spec.phi.semigroup[1]
+    xs = [0.0, -0.0, 0.4, 1.7]
+    ts = [0.0, -0.0, 0.5, 5.0] + ([31.0 / -rho] if rho < 0.0 else [])
+    points = [(x, t) for x in xs for t in ts]
+    return points + [(0, 1), (1, 0), (np.float64(0.4), np.float64(0.5)), (0.4, np.float64(-0.0))]
+
+
+def point_functions(field):
+    return {"u": field.u, "ux": field.ux, "u0": field.u0}
+
+
+class TestFieldMemo:
+    @pytest.mark.parametrize("spec", INTEGRAL_REP_SPECS)
+    def test_a_warm_field_is_the_cold_one(self, spec):
+        FIELD_MEMO.cache_clear()
+        field = closed_form.integral_rep_solution(spec)
+        assert closed_form.integral_rep_solution(spec) is field
+        companion = dataclasses.replace(spec, variant=Variant.P_TILDE)
+        assert solution_for(spec) is field and solution_for(companion).base is field
+        points = field_points(spec)
+        fns = point_functions(field)
+        cold = {name: [f(x, t) for x, t in points] for name, f in fns.items()}
+        # 0.0 and -0.0 share a key, a float, an int and a numpy scalar do not
+        distinct = len({(abs(x) if x == 0 else x, abs(t) if t == 0 else t, type(x), type(t)) for x, t in points})
+        assert distinct <= field.u0.cache_info().maxsize  # nothing is evicted
+        for f in fns.values():
+            info = f.cache_info()
+            assert (info.misses, info.currsize) == (distinct, distinct)
+        warm = {name: [f(x, t) for x, t in points] for name, f in fns.items()}
+        for f in fns.values():
+            assert f.cache_info().misses == distinct
+        # every point on a field of its own: computed afresh, with the zero
+        # signs of the point itself
+        for i, (x, t) in enumerate(points):
+            fresh = point_functions(FIELD_MEMO.__wrapped__(spec))
+            for name, f in fresh.items():
+                got = f(x, t)
+                assert same(cold[name][i], got) and same(warm[name][i], got), (name, x, t)
+
+    def test_an_overflowing_point_raises_on_every_call(self):
+        # the pre-scaled time factor of u overflows at t = 5 (test_bench_cli)
         spec = spec_from_dict(
             {
-                "phi": {"kind": "linear_x"},
-                "flux": {"kind": "power_law", "nu": 1.0, "n": 0.5},
-                "h": {"kind": "monomial", "m": 3},
+                "phi": {"kind": "neg_sin", "lambda": 3.0, "mu": 100.0},
+                "flux": {"kind": "linear", "nu": 1.0},
+                "h": {"kind": "monomial", "eta": 1.0, "m": 1},
             }
         )
-        FLUX_MEMO.cache_clear()
+        FIELD_MEMO.cache_clear()
+        field = closed_form.integral_rep_solution(spec)
         for _ in range(2):
-            with pytest.raises(ConstructionError, match="linear law"):
-                flux_closed_form(spec)
-        assert FLUX_MEMO.cache_info().currsize == 0
+            with pytest.raises(OverflowError, match=r"exp\(291 t\) overflows at t = 5"):
+                field.u(0.5, 5.0)
+        assert field.u.cache_info().currsize == 0 and FIELD_MEMO.cache_info().currsize == 1
+
+    def test_an_evicted_field_built_again_gives_the_same_bits(self):
+        spec = INTEGRAL_REP_SPECS[-1].values[0]
+        FIELD_MEMO.cache_clear()
+        first = closed_form.integral_rep_solution(spec)
+        points = field_points(spec)
+        before = [first.u(x, t) for x, t in points]
+        for i in range(FIELD_MEMO.cache_info().maxsize):  # evict it
+            closed_form.integral_rep_solution(
+                ProblemSpec(spec.phi, linear_law(spec.flux.nu * (1.0 + 1e-3 * (i + 1))), spec.h)
+            )
+        again = closed_form.integral_rep_solution(spec)
+        assert again is not first and again.u.cache_info().currsize == 0
+        for (x, t), b in zip(points, before):
+            assert same(again.u(x, t), b), (x, t)
+
+
+def nan_calls(f, *args, want=math.isnan):
+    """Five calls of f, each at a fresh NaN for every None among ``args``;
+    ``want`` tells a right value."""
+    for _ in range(5):
+        got = f(*(float("nan") if a is None else a for a in args))
+        assert want(got), (f, args, got)
+
+
+class TestNanIsNotStored:
+    # NaN equals no NaN, so a NaN key would never hit and could only push
+    # out the entries that do: each memo computes it and stores nothing
+    def test_a_scalar_value(self):
+        V = ClosedFormTrajectory(poly=(1.0, 2.0))
+        V(0.5)
+        before = V_MEMO.cache_info()
+        nan_calls(V, None)
+        nan_calls(V, np.float64("nan"))
+        after = V_MEMO.cache_info()
+        assert (after.currsize, after.hits, after.misses) == (before.currsize, before.hits, before.misses)
+
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, 1.0])
+    def test_a_time_factor_is_nan_at_every_rho(self, rho):
+        fluxes = [(ClosedFormTrajectory(poly=(1.0, 2.0)), 0.7)]
+        fluxes += [(flux_closed_form(p.values[0]), p.values[0].phi.semigroup[0]) for p in INTEGRAL_REP_SPECS]
+        for V, kappa in fluxes:
+            for factor in (1.0, kappa):
+                W = V.time_factor(rho, factor)
+                before = W.cache_info().currsize
+                nan_calls(W, None)
+                nan_calls(V.weighted_flux_integral, rho, None, factor)
+                assert W.cache_info().currsize == before
+
+    @pytest.mark.parametrize("spec", INTEGRAL_REP_SPECS)
+    def test_a_field_point(self, spec):
+        # the value a fresh field gives (ux need not read x: Phi' and the
+        # baseline's x-derivative are constant in x at m = 1 on lambda*x)
+        field = closed_form.integral_rep_solution(spec)
+        fresh = point_functions(FIELD_MEMO.__wrapped__(spec))
+        for name, f in point_functions(field).items():
+            f(0.4, 0.5)
+            before = f.cache_info()
+            for x, t in ((None, 0.5), (0.4, None), (None, None)):
+                want = fresh[name](math.nan if x is None else x, math.nan if t is None else t)
+                nan_calls(f, x, t, want=lambda got: same(got, want))
+            assert f.cache_info() == before
 
 
 def test_a_forcing_computes_its_constant_once(monkeypatch):
@@ -346,7 +476,8 @@ def test_sweep_records_do_not_depend_on_what_the_memos_hold():
     clear_all_memos()
     for cid, cfg in catalog.iter_cases():
         bench.run_case(cfg["case"], case_id=cid, extra_checks=tuple(cfg.get("checks", ())))
-    assert TF_MEMO.cache_info().currsize > 0 and V_MEMO.cache_info().currsize > 0 and FLUX_MEMO.cache_info().currsize == 15
+    assert TF_MEMO.cache_info().currsize > 0 and V_MEMO.cache_info().currsize > 0
+    assert FLUX_MEMO.cache_info().currsize == FIELD_MEMO.cache_info().currsize == 15
     warm = records(cold=False)
     assert warm == cold
     assert sum(len(rows) for rows, _, _ in cold) > 40 * 10

@@ -218,6 +218,10 @@ def test_every_memo_is_bounded():
         "bench._sample_points",
         "bench._t_ode_samples_of",
         "closed_form._flux_closed_form_of",
+        "closed_form._integral_rep_solution_of",
+        "closed_form.u0_at",  # the memos of (x, t) inside each field
+        "closed_form.u_at",
+        "closed_form.ux_at",
         "green._green_quad_of",
         "specfun._exp_moment_of",
         "trajectory._scalar_value_of",
